@@ -20,71 +20,51 @@ def compose_diagrams(x: Diagram, y: Diagram) -> tuple[int, Diagram]:
     """Glue x (shape (r, s)) on top of y (shape (s, t)).
 
     Returns (number of closed loops removed, composite diagram of shape (r, t)).
+    Glue point j is x-point r+j and y-point j.  A walk from each external
+    point alternates between the two matchings until it leaves the glue,
+    marking the glue points it passes; every glue cycle left unmarked is a
+    closed loop.
     """
     if x.s != y.r:
         raise ValueError(f"cannot compose shapes ({x.r},{x.s}) and ({y.r},{y.s})")
     r, s, t = x.r, x.s, y.s
     mx = x.matching.involution()
     my = y.matching.involution()
-
-    # Walk from each external point; glue point j means x-point r+j == y-point j.
-    def walk(side: str, point: int):
-        while True:
-            if side == "x":
-                point = mx[point]
-                if point <= r:
-                    return ("top", point)
-                side, point = "y", point - r
-            else:
-                point = my[point]
-                if point > s:
-                    return ("bot", point - s)
-                side, point = "x", point + r
-        # unreachable
-
+    glued = [False] * (s + 1)
+    paired = [False] * (r + t + 1)   # composite labels: x top 1..r, y bottom r+1..r+t
     pairs = []
-    done = set()
-    externals = [("x", i) for i in range(1, r + 1)] + [("y", s + j) for j in range(1, t + 1)]
-    label = {("x", i): i for i in range(1, r + 1)}
-    label.update({("y", s + j): r + j for j in range(1, t + 1)})
-    for side, point in externals:
-        if (side, point) in done:
+    for start in range(1, r + t + 1):
+        if paired[start]:
             continue
-        end = walk(side, point)
-        end_key = ("x", end[1]) if end[0] == "top" else ("y", end[1] + s)
-        done.add((side, point))
-        done.add(end_key)
-        pairs.append((label[(side, point)], label[end_key]))
-
-    # Closed loops alternate between the two matchings inside the glue region.
-    visited = set()
+        in_x = start <= r
+        p = mx[start] if in_x else my[start - r + s]
+        while True:
+            if in_x:
+                if p <= r:
+                    end = p
+                    break
+                p -= r
+                glued[p] = True
+                p, in_x = my[p], False
+            else:
+                if p > s:
+                    end = p - s + r
+                    break
+                glued[p] = True
+                p, in_x = mx[p + r], True
+        paired[start] = paired[end] = True
+        pairs.append((start, end))
     loops = 0
     for j in range(1, s + 1):
-        if j in visited:
+        if glued[j]:
             continue
-        # Check the glue point is internal to a loop (not on a walked path).
-        cur = j
-        path = []
-        internal = True
-        while cur not in path:
-            path.append(cur)
-            nxt = mx[cur + r]
-            if nxt <= r:
-                internal = False
-                break
-            nxt = my[nxt - r]
-            if nxt > s:
-                internal = False
-                break
-            cur = nxt
-        visited.update(path)
-        if internal:
-            # Also mark the y-side partners so each loop is counted once.
-            for p in path:
-                q = mx[p + r]
-                if q > r:
-                    visited.add(q - r)
-            loops += 1
+        loops += 1
+        p = j
+        while not glued[p]:
+            glued[p] = True
+            p = mx[p + r] - r
+            glued[p] = True
+            p = my[p]
     return loops, Diagram(r, t, PerfectMatching(tuple(pairs)))
 
 
@@ -154,12 +134,6 @@ class Morphism:
     @classmethod
     def from_diagram(cls, d: Diagram, delta=None, coeff=1) -> Morphism:
         return cls(d.r, d.s, {d: coeff}, delta)
-
-    def support(self) -> list[Diagram]:
-        return sorted(self.terms)
-
-    def coefficient(self, d: Diagram):
-        return self.terms.get(d, as_scalar(0, self.delta))
 
     def is_zero(self) -> bool:
         return not self.terms

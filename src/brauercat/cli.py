@@ -12,17 +12,31 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import matchings as mt
 from . import symfunc as sf
 from . import tableaux as tb
-from .category import Morphism, check_eq_ch, e_rec, e_sum
+from .category import check_eq_ch, e_rec, e_sum
 from .csp import CspInstance, verify_csp
-from .expr import ExprError, evaluate, parse_expr, parse_morphism
+from .expr import evaluate, parse_expr, parse_morphism
 from .matchings import Diagram, enumerate_matchings
 from .partitions import parse_partition
 from .pfaffian import normal_form
 from .tensors import ev_diagram, rank_of_span
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line, like every other usage error."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _delta_from(args) -> Fraction | None:
@@ -65,25 +79,15 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    delta = _delta_from(args)
-    try:
-        value = evaluate(parse_expr(args.expression), delta=delta,
-                         strands=args.strands, n=args.n)
-    except ExprError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    value = evaluate(parse_expr(args.expression), delta=_delta_from(args),
+                     strands=args.strands, n=args.n)
     print(value)
     return 0
 
 
 def cmd_normal_form(args) -> int:
-    text = sys.stdin.read() if args.file == "-" else open(args.file).read()
-    delta = _delta_from(args)
-    try:
-        m = parse_morphism(text.strip(), delta=delta)
-    except ExprError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    text = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
+    m = parse_morphism(text.strip(), delta=_delta_from(args))
     trace: list = []
     reduced = normal_form(m, args.n, trace)
     print(reduced)
@@ -193,11 +197,7 @@ def cmd_csp_verify(args) -> int:
     fmt = args.format
     jobs = []
     if args.grid:
-        try:
-            bounds = _parse_grid(args.grid)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
+        bounds = _parse_grid(args.grid)
         for r in range(1, bounds.get("r", args.r or 1) + 1):
             for n in range(1, bounds.get("n", args.n or 1) + 1):
                 if "k" in bounds:
@@ -238,7 +238,7 @@ def cmd_kronecker_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="brauercat",
         description="Exact diagram algebra, symplectic tensor evaluation, "
                     "and cyclic sieving certificates.")
@@ -253,44 +253,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", required=True,
                    choices=["matchings", "X", "oscillating", "syt", "set-partitions"])
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--k", type=int)
     p.add_argument("--shape")
     p.add_argument("--count", action="store_true", help="print only the count")
 
     p = add("compose", cmd_compose, help="evaluate a morphism expression")
     p.add_argument("expression")
-    p.add_argument("--n", type=int, help="rank; sets delta = -2n")
+    p.add_argument("--n", type=_positive_int, help="rank; sets delta = -2n")
     p.add_argument("--delta", help="explicit rational loop value, e.g. -3/2")
     p.add_argument("--strands", type=int, help="strand count for u_i/s_i/R_i")
 
     p = add("normal-form", cmd_normal_form, help="reduce to noncrossing support")
     p.add_argument("file", help="morphism file, or - for stdin")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--delta")
     p.add_argument("--trace", action="store_true")
 
     p = add("idempotent-check", cmd_idempotent_check,
             help="idempotent, centrality, trace and recursion certificates")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--delta")
 
     p = add("ev-rank", cmd_ev_rank, help="tensor rank against noncrossing count")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
 
     for name, fn in (("frobenius", cmd_frobenius), ("fake-degree", cmd_fake_degree)):
         p = add(name, fn, help=f"{name.replace('-', ' ')} of an invariant character")
         p.add_argument("--kind", choices=_KINDS, default="matchings")
         p.add_argument("--r", type=int, default=1)
-        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--n", type=_positive_int, default=1)
         p.add_argument("--k", type=int)
         if name == "fake-degree":
             p.add_argument("--shape", help="partition like 2,2: fake degree of one Schur term")
 
     p = add("csp-verify", cmd_csp_verify, help="cyclic sieving certificate")
     p.add_argument("--r", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_positive_int)
     p.add_argument("--k", type=int)
     p.add_argument("--format", choices=["text", "tsv"], default="text")
     p.add_argument("--grid", help="bounds like r<=5,n<=3")
@@ -308,7 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, ZeroDivisionError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

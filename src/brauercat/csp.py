@@ -9,7 +9,7 @@ cyclotomic points is available as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .matchings import orbits

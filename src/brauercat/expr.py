@@ -368,7 +368,3 @@ def parse_morphism(text: str, delta=None) -> Morphism:
     if isinstance(value, Fraction):
         raise ExprError("expected a morphism, found a scalar", 0)
     return value
-
-
-def format_morphism(m: Morphism) -> str:
-    return str(m)

@@ -38,24 +38,12 @@ class PerfectMatching:
     def n_points(self) -> int:
         return 2 * len(self.pairs)
 
-    @property
-    def n_strands(self) -> int:
-        return len(self.pairs)
-
     def involution(self) -> dict[int, int]:
         inv = {}
         for a, b in self.pairs:
             inv[a] = b
             inv[b] = a
         return inv
-
-    def partner(self, point: int) -> int:
-        for a, b in self.pairs:
-            if a == point:
-                return b
-            if b == point:
-                return a
-        raise KeyError(point)
 
     def rotate(self, step: int = 1) -> PerfectMatching:
         """Advance every point label by ``step`` cyclically (i -> i + step mod 2m)."""
@@ -195,9 +183,6 @@ class BlockedMatching:
                     raise ValueError(
                         f"crossing pairs ({a1},{b1}) and ({a2},{b2}) occupy only {len(blocks)} blocks")
 
-    def block_of(self, point: int) -> int:
-        return (point - 1) // self.k
-
     def rotate(self, step: int | None = None) -> BlockedMatching:
         """Rotate by one block (k points) unless an explicit point step is given."""
         return BlockedMatching(self.base.rotate(self.k if step is None else step), self.r, self.k)
@@ -293,10 +278,6 @@ class Diagram:
             return cls(0, pm.n_points, pm)
         r, s = int(m.group(1)), int(m.group(2))
         return unbend(PerfectMatching.parse(stripped[m.end():]), r, s)
-
-
-def propagating_number(d: Diagram) -> int:
-    return d.propagating_number
 
 
 def bend(d: Diagram) -> Diagram:

@@ -34,10 +34,6 @@ def partitions(m: int, max_part: int | None = None) -> tuple[tuple[int, ...], ..
     return tuple(out)
 
 
-def partitions_max_length(m: int, length: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(lam for lam in partitions(m) if len(lam) <= length)
-
-
 def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
     if not lam:
         return ()

@@ -16,6 +16,7 @@ from typing import Iterator
 from .category import Morphism
 from .matchings import (Diagram, PerfectMatching, bend, crossing_pairs,
                         find_mutually_crossing, unbend, _matchings_of)
+from .scalars import as_scalar
 
 
 @dataclass(frozen=True)
@@ -99,16 +100,17 @@ def rewrite_step(d: Diagram, violation: tuple[tuple[int, int], ...],
     return Morphism(0, d.matching.n_points, terms, delta)
 
 
-class RewriteDiverged(RuntimeError):
-    """Raised when the fuel guard trips; means the termination measure failed."""
-
-
 def normal_form(m: Morphism, n: int, _trace: list | None = None) -> Morphism:
     """Reduce a morphism to an equal one supported on (n+1)-noncrossing diagrams.
 
     Works on Hom(0, 2r); other shapes are bent flat, reduced, and unbent.
-    Deterministic: always rewrites the lexicographically first diagram in the
-    support that still has a violation.
+    The (n+1)-noncrossing diagrams are a basis of the quotient (the second
+    fundamental theorem), so the result does not depend on the rewrite order:
+    each distinct diagram is reduced once per call, to minus the sum of the
+    reductions of its rewrite terms, and the result is reused by linearity.
+    The recursion ends because every rewrite lowers the crossing count.
+    ``_trace`` (what ``normal-form --trace`` prints) receives each rewritten
+    diagram once, in order of first rewrite.
     """
     if m.r != 0:
         flat = Morphism(0, m.r + m.s,
@@ -117,30 +119,30 @@ def normal_form(m: Morphism, n: int, _trace: list | None = None) -> Morphism:
         return Morphism(m.r, m.s,
                         {unbend(d, m.r, m.s): c for d, c in reduced.terms.items()}, m.delta)
 
-    points = m.r + m.s
-    total_crossings = sum(crossing_pairs(d.matching) for d in m.terms)
-    term_bound = 1
-    for odd in range(points - 1, 0, -2):
-        term_bound *= odd
-    fuel = max(1, total_crossings) * term_bound
+    memo: dict[Diagram, dict[Diagram, int]] = {}
 
-    current = m
-    while True:
-        target = None
-        violation = None
-        for d in current.support():
-            violation = find_violation(d, n)
-            if violation is not None:
-                target = d
-                break
-        if target is None:
-            return current
-        if fuel <= 0:
-            raise RewriteDiverged(
-                f"rewrite fuel exhausted while reducing {target} (measure gap?)")
-        fuel -= 1
-        coeff = current.terms[target]
-        replacement = rewrite_step(target, violation, m.delta).scaled(coeff)
-        current = (current - Morphism.from_diagram(target, m.delta, coeff)) + replacement
-        if _trace is not None:
-            _trace.append(target)
+    def reduce(d: Diagram) -> dict[Diagram, int]:
+        out = memo.get(d)
+        if out is not None:
+            return out
+        violation = find_violation(d, n)
+        if violation is None:
+            out = {d: 1}
+        else:
+            if _trace is not None:
+                _trace.append(d)
+            acc: dict[Diagram, int] = {}
+            for term in rewrite_step(d, violation).terms:
+                for e, k in reduce(term).items():
+                    acc[e] = acc.get(e, 0) - k
+            out = {e: k for e, k in acc.items() if k}
+        memo[d] = out
+        return out
+
+    zero = as_scalar(0, m.delta)
+    terms: dict[Diagram, object] = {}
+    for d in sorted(m.terms):
+        c = m.terms[d]
+        for e, k in reduce(d).items():
+            terms[e] = terms.get(e, zero) + c * k
+    return Morphism(0, m.s, terms, m.delta)

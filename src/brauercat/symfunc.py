@@ -83,9 +83,6 @@ class SymFuncP:
     def degrees(self) -> list[int]:
         return sorted({sum(lam) for lam in self.coeffs})
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def homogeneous_component(self, degree: int) -> SymFuncP:
         return SymFuncP({lam: c for lam, c in self.coeffs.items() if sum(lam) == degree})
 

@@ -39,9 +39,6 @@ class Tensor:
     def ndim(self) -> int:
         return len(self.dims)
 
-    def nnz(self) -> int:
-        return len(self.data)
-
     def is_zero(self) -> bool:
         return not self.data
 

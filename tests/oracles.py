@@ -1,7 +1,9 @@
 """Independent oracles the tests freeze expected values from.
 
 Everything here is deliberately separate from the package internals: direct
-definitions, classical recurrences, and brute-force enumeration only.
+definitions, classical recurrences, and brute-force enumeration only.  The
+one exception is ``normal_form_rescan``, which drives the package's own
+rewrite step by a different strategy than ``normal_form``.
 """
 
 from __future__ import annotations
@@ -122,3 +124,48 @@ def strand_factor_tensor(pairs, n: int):
             flat[key[idx] - 1] = key[idx + 1]
         out[tuple(flat)] = val
     return out
+
+
+def glue_by_union_find(x_pairs, y_pairs, r: int, s: int, t: int):
+    """Compose matchings of r+s and s+t points by identifying x-point r+j with
+    y-point j and merging strands.  Returns (closed loops, composite pairs),
+    the composite labelled 1..r (x top) then r+1..r+t (y bottom)."""
+    # node labels: x-point p is node p; y-point q is node r+q
+    parent = list(range(r + s + t + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in x_pairs:
+        parent[find(a)] = find(b)
+    for a, b in y_pairs:
+        parent[find(r + a)] = find(r + b)
+    ends = {}
+    for node in list(range(1, r + 1)) + list(range(r + s + 1, r + s + t + 1)):
+        ends.setdefault(find(node), []).append(node if node <= r else node - s)
+    loops = len({find(node) for node in range(r + 1, r + s + 1)} - set(ends))
+    return loops, tuple(sorted(tuple(sorted(pair)) for pair in ends.values()))
+
+
+def normal_form_rescan(m, n: int, trace: list | None = None):
+    """Reference normal form on flat morphisms: rewrite the lexicographically
+    first diagram with a violation, rebuild the sum, rescan, until none is left."""
+    from brauercat.category import Morphism
+    from brauercat.pfaffian import find_violation, rewrite_step
+
+    current = m
+    while True:
+        for d in sorted(current.terms):
+            violation = find_violation(d, n)
+            if violation is not None:
+                break
+        else:
+            return current
+        coeff = current.terms[d]
+        replacement = rewrite_step(d, violation, m.delta).scaled(coeff)
+        current = (current - Morphism.from_diagram(d, m.delta, coeff)) + replacement
+        if trace is not None:
+            trace.append(d)

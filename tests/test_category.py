@@ -9,6 +9,7 @@ from brauercat.category import (Morphism, check_eq_ch, compose_diagrams,
                                 tensor_diagrams)
 from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
 from brauercat.scalars import DeltaPoly
+from oracles import glue_by_union_find
 
 D = DeltaPoly.delta()
 
@@ -34,6 +35,20 @@ def test_compose_generators():
 def test_compose_shape_mismatch():
     with pytest.raises(ValueError, match="compose"):
         as_m(Diagram.identity(2)) * as_m(Diagram.identity(3))
+
+
+def test_compose_matches_union_find_gluing():
+    # every composable pair with r+s <= 6 and s+t <= 6, including s, r or t = 0
+    pairs = 0
+    for s in range(7):
+        for r, t in product(range(s % 2, 7 - s, 2), repeat=2):
+            for x, y in product(diagrams(r, s), diagrams(s, t)):
+                loops, glued = compose_diagrams(x, y)
+                assert (glued.r, glued.s) == (r, t)
+                assert (loops, glued.matching.pairs) == glue_by_union_find(
+                    x.matching.pairs, y.matching.pairs, r, s, t), (x, y)
+                pairs += 1
+    assert pairs == 2220
 
 
 def test_associativity_small_shapes():

@@ -4,8 +4,7 @@ import pytest
 
 from brauercat.category import Morphism, e_sum, generator_s, generator_u
 from brauercat.cli import main
-from brauercat.expr import (ExprError, evaluate, format_morphism, parse_expr,
-                            parse_morphism)
+from brauercat.expr import ExprError, evaluate, parse_expr, parse_morphism
 from brauercat.matchings import Diagram, PerfectMatching
 
 
@@ -90,8 +89,8 @@ def test_round_trip_is_idempotent():
     ]
     for text in texts:
         m = parse_morphism(text)
-        canonical = format_morphism(m)
-        assert format_morphism(parse_morphism(canonical)) == canonical
+        canonical = str(m)
+        assert str(parse_morphism(canonical)) == canonical
 
 
 def test_parse_morphism_rejects_scalar():
@@ -182,3 +181,25 @@ def test_cli_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["compose", "u_0"],
+    ["compose", "--delta", "1/0", "id_2"],
+    ["csp-verify", "--r", "0", "--n", "1"],
+    ["fake-degree", "--shape", "2,3"],
+    ["ev-rank", "--r", "2", "--n", "0"],
+    ["normal-form", "/nonexistent", "--n", "1"],
+    ["idempotent-check", "--n", "0"],
+])
+def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "error: " in lines[0], captured.err
+    assert "Traceback" not in captured.err

@@ -5,7 +5,7 @@ from brauercat.matchings import (BlockedMatching, Diagram, PerfectMatching,
                                  enumerate_matchings, enumerate_X,
                                  enumerate_X_blocked, find_mutually_crossing,
                                  iter_set_partitions, max_mutual_crossing,
-                                 orbits, propagating_number, unbend)
+                                 orbits, unbend)
 from oracles import (bell, catalan, crossing_count_by_definition,
                      double_factorial, has_k_mutual_crossing,
                      set_partition_count)
@@ -153,7 +153,7 @@ def test_propagating_number():
         assert Diagram.identity(m).propagating_number == m
     from brauercat.category import generator_u
     for m in range(2, 5):
-        assert propagating_number(generator_u(1, m)) == m - 2
+        assert generator_u(1, m).propagating_number == m - 2
     for pm in enumerate_matchings(6):
         assert Diagram(0, 6, pm).propagating_number == 0
 

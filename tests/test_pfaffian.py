@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,12 @@ import pytest
 from brauercat.category import Morphism, e_sum
 from brauercat.matchings import (Diagram, PerfectMatching, bend,
                                  enumerate_matchings, enumerate_X,
-                                 find_mutually_crossing)
+                                 find_mutually_crossing, unbend)
 from brauercat.pfaffian import (PfGenerator, enumerate_pf_generators,
                                 find_violation, normal_form, pfaffian,
                                 rewrite_step)
-from oracles import double_factorial
+from brauercat.scalars import DeltaPoly
+from oracles import double_factorial, normal_form_rescan
 
 PM = PerfectMatching
 
@@ -130,6 +132,39 @@ def test_normal_form_bends_other_shapes():
 
 
 def test_trace_hook():
-    steps = []
-    normal_form(Morphism.from_diagram(flat(((1, 4), (2, 5), (3, 6)))), 1, steps)
-    assert steps and all(isinstance(d, Diagram) for d in steps)
+    for n, pm in ((1, ((1, 4), (2, 5), (3, 6))), (2, ((1, 6), (2, 7), (3, 8), (4, 9), (5, 10)))):
+        steps = []
+        normal_form(Morphism.from_diagram(flat(pm)), n, steps)
+        assert steps and all(isinstance(d, Diagram) for d in steps)
+        assert len(set(steps)) == len(steps)
+        assert all(find_violation(d, n) is not None for d in steps)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("formal", [False, True])
+def test_normal_form_matches_rescan_oracle(n, formal):
+    delta = None if formal else Fraction(-2 * n)
+    for i, pm in enumerate(enumerate_matchings(8)):
+        coeff = DeltaPoly((i % 3 - 1, 1)) if formal else Fraction(i + 1, 3)
+        m = Morphism.from_diagram(Diagram(0, 8, pm), delta, coeff)
+        assert normal_form(m, n) == normal_form_rescan(m, n), pm
+
+
+@pytest.mark.parametrize("r, s", [(2, 6), (4, 4)])
+def test_bent_normal_form_matches_rescan_oracle(r, s):
+    for n in (1, 2):
+        for pm in enumerate_matchings(r + s):
+            d = Diagram(r, s, pm)
+            m = Morphism.from_diagram(d, Fraction(-2 * n), 3)
+            flat_nf = normal_form_rescan(Morphism.from_diagram(bend(d), Fraction(-2 * n), 3), n)
+            want = Morphism(r, s, {unbend(e, r, s): c for e, c in flat_nf.terms.items()},
+                            Fraction(-2 * n))
+            assert normal_form(m, n) == want, d
+
+
+def test_wide_normal_form_matches_rescan_oracle():
+    rng = random.Random(2)
+    chosen = rng.sample(list(enumerate_matchings(10)), 30)
+    m = Morphism(0, 10, {Diagram(0, 10, pm): rng.choice((1, -1)) * rng.randint(1, 9)
+                         for pm in chosen}, Fraction(-4))
+    assert normal_form(m, 2) == normal_form_rescan(m, 2)
