@@ -41,7 +41,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _delta_from(args) -> Fraction | None:
     if getattr(args, "delta", None) is not None:
-        return Fraction(args.delta)
+        try:
+            return Fraction(args.delta)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--delta must be a rational like -3/2, got {args.delta!r}") from None
     if getattr(args, "n", None) is not None:
         return Fraction(-2 * args.n)
     return None
@@ -312,6 +315,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, ZeroDivisionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -191,14 +191,6 @@ class BlockedMatching:
         return str(self.base)
 
 
-def is_valid_blocked(m: PerfectMatching, r: int, k: int) -> bool:
-    try:
-        BlockedMatching(m, r, k)
-    except ValueError:
-        return False
-    return True
-
-
 def enumerate_X_blocked(r: int, n: int, k: int) -> list[BlockedMatching]:
     """All (n+1)-noncrossing matchings of {1..kr} satisfying both block rules."""
     if r < 1 or k < 1:
@@ -209,8 +201,11 @@ def enumerate_X_blocked(r: int, n: int, k: int) -> list[BlockedMatching]:
     for m in enumerate_matchings(r * k):
         if find_mutually_crossing(m, n + 1) is not None:
             continue
-        if is_valid_blocked(m, r, k):
-            out.append(BlockedMatching(m, r, k))
+        try:
+            blocked = BlockedMatching(m, r, k)
+        except ValueError:
+            continue
+        out.append(blocked)
     return out
 
 
@@ -265,6 +260,8 @@ class Diagram:
         return sum(1 for a, b in self.matching.pairs if a <= self.r < b)
 
     def __str__(self) -> str:
+        if not self.matching.pairs:
+            return "id_0"
         if self.r == 0:
             return str(self.matching)
         return f"{self.r}|{self.s}:{bend(self).matching}"
@@ -272,6 +269,8 @@ class Diagram:
     @classmethod
     def parse(cls, text: str) -> Diagram:
         stripped = re.sub(r"\s+", "", text)
+        if stripped == "id_0":
+            return cls.identity(0)
         m = re.match(r"^(\d+)\|(\d+):", stripped)
         if m is None:
             pm = PerfectMatching.parse(stripped)

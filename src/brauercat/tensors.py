@@ -1,10 +1,12 @@
 """Evaluation of diagrams as exact equivariant tensors over symplectic space.
 
 The defining 2n-dimensional space carries the skew form <e_i, f_j> = d_ij in
-the basis e_1..e_n, f_1..f_n.  A diagram is sliced into elementary layers
-(identities plus exactly one cup, cap or crossing per layer) and the layers
-are contracted in sequence; two different slicing strategies are available so
-independence of the slicing can be tested.
+the basis e_1..e_n, f_1..f_n.  ``ev_diagram`` writes the tensor of a diagram
+down in closed form: a crossing-parity sign times one symplectic pairing per
+strand.  ``ev_sliced`` instead cuts the diagram into elementary layers (one
+cup, cap or crossing each) and contracts the generator tensors in sequence;
+it exists so tests can check that two different slicings agree with each
+other and with the closed form.
 
 Tensors are stored sparsely: a map from index tuples to exact values.  A
 diagram on 2m points has only (2n)^m nonzero entries.
@@ -13,13 +15,11 @@ diagram on 2m points has only (2n)^m nonzero entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import product
 from math import gcd
 
 from .category import Morphism
-from .matchings import Diagram
-
-_EV_CACHE: dict = {}
+from .matchings import Diagram, bend, crossing_pairs
 
 
 class Tensor:
@@ -197,171 +197,95 @@ def identity_tensor(n: int) -> Tensor:
     return Tensor((d, d), {(i, i): 1 for i in range(d)})
 
 
-class _Wire:
-    __slots__ = ("axis", "top", "dest")
+def ev_diagram(d: Diagram, n: int) -> Tensor:
+    """Tensor of a diagram: slots are the r top points then the s bottom points.
 
-    def __init__(self, axis=None, top=None, dest=None):
-        self.axis = axis  # axis id in the accumulated tensor, or None if pending
-        self.top = top    # originating top point, if any
-        self.dest = dest  # bottom point this wire will reach, if known
-
-
-class _Sweep:
-    """Accumulates the tensor of a diagram layer by layer."""
-
-    def __init__(self, d: Diagram, n: int):
-        self.d = d
-        self.n = n
-        self.cup = ev_generator("cup", n)
-        self.cap = ev_generator("cap", n)
-        self.cross = ev_generator("crossing", n)
-        self.ident = identity_tensor(n)
-        self.tensor = Tensor.scalar(1)
-        self.axes: list[int] = []       # axis ids, aligned with self.tensor.dims
-        self.slot_of: dict[int, int] = {}  # axis id -> final slot index
-        self.ids = count()
-        self.wires: list[_Wire] = [_Wire(top=i) for i in range(1, d.r + 1)]
-
-    def _new_id(self) -> int:
-        return next(self.ids)
-
-    def _materialize(self, w: _Wire):
-        if w.axis is not None:
-            return
-        self.tensor = self.tensor.outer(self.ident)
-        in_axis, wire_axis = self._new_id(), self._new_id()
-        self.axes += [in_axis, wire_axis]
-        self.slot_of[in_axis] = w.top - 1
-        w.axis = wire_axis
-
-    def _pos_of_axis(self, axis_id: int) -> int:
-        return self.axes.index(axis_id)
-
-    def apply_crossing(self, p: int):
-        left, right = self.wires[p], self.wires[p + 1]
-        self._materialize(left)
-        self._materialize(right)
-        pl, pr = self._pos_of_axis(left.axis), self._pos_of_axis(right.axis)
-        self.tensor = self.tensor.contract(self.cross, (pl, pr), (0, 1))
-        kept = [a for i, a in enumerate(self.axes) if i not in (pl, pr)]
-        out1, out2 = self._new_id(), self._new_id()
-        self.axes = kept + [out1, out2]
-        # The crossing swaps the strands: out1 carries the old right wire.
-        self.wires[p], self.wires[p + 1] = right, left
-        right.axis, left.axis = out1, out2
-
-    def apply_cap(self, p: int):
-        left, right = self.wires[p], self.wires[p + 1]
-        if left.axis is None and right.axis is None:
-            self.tensor = self.tensor.outer(self.cap)
-            a, b = self._new_id(), self._new_id()
-            self.axes += [a, b]
-            self.slot_of[a] = left.top - 1
-            self.slot_of[b] = right.top - 1
-        elif left.axis is None:
-            pr = self._pos_of_axis(right.axis)
-            self.tensor = self.tensor.contract(self.cap, (pr,), (1,))
-            kept = [x for i, x in enumerate(self.axes) if i != pr]
-            a = self._new_id()
-            self.axes = kept + [a]
-            self.slot_of[a] = left.top - 1
-        elif right.axis is None:
-            pl = self._pos_of_axis(left.axis)
-            self.tensor = self.tensor.contract(self.cap, (pl,), (0,))
-            kept = [x for i, x in enumerate(self.axes) if i != pl]
-            b = self._new_id()
-            self.axes = kept + [b]
-            self.slot_of[b] = right.top - 1
-        else:
-            pl, pr = self._pos_of_axis(left.axis), self._pos_of_axis(right.axis)
-            self.tensor = self.tensor.contract(self.cap, (pl, pr), (0, 1))
-            self.axes = [x for i, x in enumerate(self.axes) if i not in (pl, pr)]
-        del self.wires[p:p + 2]
-
-    def apply_cup(self, p: int, dest_left: int, dest_right: int):
-        self.tensor = self.tensor.outer(self.cup)
-        a, b = self._new_id(), self._new_id()
-        self.axes += [a, b]
-        wl, wr = _Wire(axis=a, dest=dest_left), _Wire(axis=b, dest=dest_right)
-        self.wires[p:p] = [wl, wr]
-
-    def move_adjacent(self, src: int, dst: int):
-        """Bubble the wire at position src next to dst via crossings."""
-        while src > dst + 1:
-            self.apply_crossing(src - 1)
-            src -= 1
-        while src < dst - 1:
-            self.apply_crossing(src)
-            src += 1
-
-    def finish(self) -> Tensor:
-        for w in self.wires:
-            self._materialize(w)
-            self.slot_of[w.axis] = self.d.r + (w.dest - self.d.r - 1)
-        slots = [self.slot_of[a] for a in self.axes]
-        perm = tuple(slots.index(t) for t in range(len(slots)))
-        return self.tensor.transpose(perm)
+    Closed form: the sign (-1)^(crossings of the flattened diagram) times one
+    factor per strand (a, b), a < b, on the indices (i_a, i_b): the cap
+    tensor <i_a, i_b> for a cap, the cup tensor (its negative) for a cup and
+    the identity for a through strand.
+    """
+    sign = -1 if crossing_pairs(bend(d).matching) % 2 else 1
+    cap, cup, ident = (list(t.data.items()) for t in (
+        ev_generator("cap", n), ev_generator("cup", n), identity_tensor(n)))
+    pairs = d.matching.pairs
+    factors = [ident if a <= d.r < b else cap if b <= d.r else cup for a, b in pairs]
+    data = {}
+    key = [0] * (d.r + d.s)
+    for choice in product(*factors):
+        value = sign
+        for (a, b), ((i, j), v) in zip(pairs, choice):
+            key[a - 1], key[b - 1] = i, j
+            value *= v
+        data[tuple(key)] = value
+    return Tensor((2 * n,) * (d.r + d.s), data)
 
 
-def _slice_and_evaluate(d: Diagram, n: int, strategy: str) -> Tensor:
-    r = d.r
-    top_arcs = sorted((a, b) for a, b in d.matching.pairs if b <= r)
-    bottom_arcs = sorted((a, b) for a, b in d.matching.pairs if a > r)
-    through = {a: b for a, b in d.matching.pairs if a <= r < b}
+def ev_sliced(d: Diagram, n: int, strategy: str) -> Tensor:
+    """Tensor of a diagram contracted layer by layer from the generators.
 
-    sweep = _Sweep(d, n)
-
-    if strategy == "left":
-        arcs = top_arcs
-    elif strategy == "right":
-        arcs = sorted(top_arcs, key=lambda ab: -ab[1])
-    else:
+    The diagram is sliced into layers of one cup, cap or crossing each; the
+    "left" and "right" strategies use different layer orders, so comparing
+    them with each other and with ev_diagram checks slicing independence.
+    """
+    if strategy not in ("left", "right"):
         raise ValueError(f"unknown slicing strategy {strategy!r}")
+    left = strategy == "left"
+    r = d.r
+    wires = list(range(1, r + 1))  # the top point, later the bottom point, of each wire
+    layers = []  # (generator kind, position of its left wire)
 
-    for a, b in arcs:
-        pa = next(i for i, w in enumerate(sweep.wires) if w.top == a)
-        pb = next(i for i, w in enumerate(sweep.wires) if w.top == b)
-        if strategy == "left":
-            sweep.move_adjacent(pb, pa)
-            sweep.apply_cap(pa)
+    def cross(p):
+        layers.append(("crossing", p))
+        wires[p:p + 2] = wires[p + 1], wires[p]
+
+    caps = sorted((ab for ab in d.matching.pairs if ab[1] <= r),
+                  key=lambda ab: ab[0] if left else -ab[1])
+    for a, b in caps:
+        pa, pb = wires.index(a), wires.index(b)
+        if left:  # bring b leftwards next to a
+            for p in range(pb - 1, pa, -1):
+                cross(p)
+        else:  # bring a rightwards next to b
+            for p in range(pa, pb - 1):
+                cross(p)
+            pa = pb - 1
+        layers.append(("cap", pa))
+        del wires[pa:pa + 2]
+    through = {a: b for a, b in d.matching.pairs if a <= r < b}
+    wires[:] = [through[w] for w in wires]
+    cups = sorted(ab for ab in d.matching.pairs if ab[0] > r)
+    for a, b in (cups if left else reversed(cups)):
+        p = len(wires) if left else 0
+        layers.append(("cup", p))
+        wires[p:p] = [a, b]
+    passes = range(len(wires) - 1) if left else range(len(wires) - 2, -1, -1)
+    unsorted = True
+    while unsorted:  # bubble passes sort the wires by destination
+        unsorted = False
+        for p in passes:
+            if wires[p] > wires[p + 1]:
+                cross(p)
+                unsorted = True
+
+    # Axes: the r top slots, then one per open wire from left to right.
+    t = Tensor.scalar(1)
+    for _ in range(r):
+        t = t.outer(identity_tensor(n))
+    t = t.transpose(tuple(range(0, 2 * r, 2)) + tuple(range(1, 2 * r, 2)))
+    generators = {kind: ev_generator(kind, n) for kind in ("cup", "cap", "crossing")}
+    for kind, p in layers:
+        if kind == "cup":
+            t = t.outer(generators[kind])
         else:
-            sweep.move_adjacent(pa, pb)
-            pb = next(i for i, w in enumerate(sweep.wires) if w.top == b)
-            sweep.apply_cap(pb - 1)
-
-    for w in sweep.wires:
-        w.dest = through[w.top]
-
-    if strategy == "left":
-        for a, b in bottom_arcs:
-            sweep.apply_cup(len(sweep.wires), a, b)
-    else:
-        for a, b in reversed(bottom_arcs):
-            sweep.apply_cup(0, a, b)
-
-    # Sort wires by destination with adjacent transpositions.
-    changed = True
-    while changed:
-        changed = False
-        rng = range(len(sweep.wires) - 1)
-        for i in (rng if strategy == "left" else reversed(rng)):
-            if sweep.wires[i].dest > sweep.wires[i + 1].dest:
-                sweep.apply_crossing(i)
-                changed = True
-
-    return sweep.finish()
+            t = t.contract(generators[kind], (r + p, r + p + 1), (0, 1))
+        if kind != "cap":  # move the two new output axes to wires p, p + 1
+            rest = tuple(range(t.ndim - 2))
+            t = t.transpose(rest[:r + p] + (t.ndim - 2, t.ndim - 1) + rest[r + p:])
+    return t
 
 
-def ev_diagram(d: Diagram, n: int, strategy: str = "left") -> Tensor:
-    """Tensor of a diagram: slots are the r top points then the s bottom points."""
-    key = (d, n, strategy)
-    cached = _EV_CACHE.get(key)
-    if cached is None:
-        cached = _EV_CACHE[key] = _slice_and_evaluate(d, n, strategy)
-    return cached
-
-
-def ev_morphism(m: Morphism, n: int, strategy: str = "left") -> Tensor:
+def ev_morphism(m: Morphism, n: int) -> Tensor:
     """Linear extension of the diagram evaluation."""
     if m.delta is None:
         raise ValueError("evaluation needs coefficients specialized at delta = -2n")
@@ -369,7 +293,7 @@ def ev_morphism(m: Morphism, n: int, strategy: str = "left") -> Tensor:
         raise ValueError(f"morphism specialized at delta={m.delta}, expected {-2 * n}")
     total = Tensor((2 * n,) * (m.r + m.s))
     for d, c in m.terms.items():
-        total = total + ev_diagram(d, n, strategy).scaled(c)
+        total = total + ev_diagram(d, n).scaled(c)
     return total
 
 

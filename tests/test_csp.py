@@ -28,6 +28,16 @@ def test_fixed_points():
     assert fixed_points(crossing, 1, 1) == 1
 
 
+def test_fixed_counts_from_orbit_sizes_match_direct_rotation():
+    instances = [matchings_instance(r, n) for r in range(1, 6) for n in range(1, 4)]
+    instances += [blocked_instance(r, n, k) for k in (2, 3, 4, 5)
+                  for r in range(1, 11) if r * k <= 10 for n in (1, 2, 3, r * k + 1)]
+    for inst in instances:
+        cert = verify_csp(inst)
+        direct = tuple(fixed_points(inst.elements, inst.step, d) for d in range(inst.order))
+        assert cert.fixed_counts == direct, (inst.order, inst.step, len(inst.elements))
+
+
 def test_orbit_polynomial():
     assert orbit_polynomial([2], 4) == QPolynomial((1, 0, 1))
     assert orbit_polynomial([2, 1], 4) == QPolynomial((2, 0, 1))

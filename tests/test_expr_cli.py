@@ -5,7 +5,7 @@ import pytest
 from brauercat.category import Morphism, e_sum, generator_s, generator_u
 from brauercat.cli import main
 from brauercat.expr import ExprError, evaluate, parse_expr, parse_morphism
-from brauercat.matchings import Diagram, PerfectMatching
+from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
 
 
 def run(expr, **kwargs):
@@ -91,6 +91,15 @@ def test_round_trip_is_idempotent():
         m = parse_morphism(text)
         canonical = str(m)
         assert str(parse_morphism(canonical)) == canonical
+
+
+def test_printed_morphism_parses_back():
+    delta = Fraction(-3, 2)
+    for points in range(0, 7, 2):
+        for pm in enumerate_matchings(points):
+            for r in range(points + 1):
+                m = Morphism.from_diagram(Diagram(r, points - r, pm), delta, Fraction(-5, 7))
+                assert parse_morphism(str(m), delta) == m, str(m)
 
 
 def test_parse_morphism_rejects_scalar():
@@ -191,6 +200,9 @@ def test_cli_usage_error():
     ["ev-rank", "--r", "2", "--n", "0"],
     ["normal-form", "/nonexistent", "--n", "1"],
     ["idempotent-check", "--n", "0"],
+    ["compose", "--delta", "abc", "id_2"],
+    ["compose", "(" * 3000 + "id_1" + ")" * 3000],
+    ["compose", "--", "-" * 3000 + "id_1"],
 ])
 def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     try:
@@ -203,3 +215,5 @@ def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "error: " in lines[0], captured.err
     assert "Traceback" not in captured.err
+    if "--delta" in argv:
+        assert "--delta" in lines[0]

@@ -207,3 +207,5 @@ def test_parse_format_round_trip():
     assert Diagram.parse(str(d)) == d
     flat = Diagram.parse("(1,3)(2,4)")
     assert (flat.r, flat.s) == (0, 4)
+    empty = Diagram.identity(0)
+    assert str(empty) == "id_0" and Diagram.parse(str(empty)) == empty

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -8,8 +9,8 @@ from brauercat.category import (Morphism, compose_diagrams, e_sum,
 from brauercat.matchings import Diagram, enumerate_matchings, enumerate_X
 from brauercat.tensors import (SymplecticSpace, Tensor, compose_maps,
                                ev_diagram, ev_generator, ev_morphism,
-                               exact_rank, identity_tensor, rank_of_span,
-                               symplectic_sample, tensor_maps)
+                               ev_sliced, exact_rank, identity_tensor,
+                               rank_of_span, symplectic_sample, tensor_maps)
 from oracles import strand_factor_tensor
 
 
@@ -78,9 +79,23 @@ def test_slicing_independence():
                 if (r + s) % 2 or not 0 < r + s <= 6:
                     continue
                 for d in diagrams(r, s):
-                    left = ev_diagram(d, n, "left")
-                    right = ev_diagram(d, n, "right")
-                    assert left == right, d
+                    left = ev_sliced(d, n, "left")
+                    right = ev_sliced(d, n, "right")
+                    assert left == right == ev_diagram(d, n), d
+
+
+def test_closed_form_matches_slicing_at_eight_points():
+    cases = [(d, n) for n in (1, 2) for d in diagrams(4, 4)]
+    cases += [(d, 3) for d in random.Random(4).sample(diagrams(4, 4), 12)]
+    for d, n in cases:
+        want = ev_sliced(d, n, "left")
+        assert ev_diagram(d, n) == want, (d, n)
+        assert ev_sliced(d, n, "right") == want, (d, n)
+
+
+def test_ev_sliced_rejects_unknown_strategy():
+    with pytest.raises(ValueError, match="strategy"):
+        ev_sliced(Diagram.identity(1), 1, "middle")
 
 
 def test_functoriality_sample():
