@@ -1,10 +1,10 @@
 """Exact diagram algebra over perfect matchings, symplectic tensor
 evaluation, noncrossing normal forms, and cyclic sieving certificates."""
 
-from .matchings import (BlockedMatching, Diagram, PerfectMatching, bend,
-                        crossing_pairs, enumerate_matchings, enumerate_X,
-                        enumerate_X_blocked, find_mutually_crossing,
-                        max_mutual_crossing, orbits, unbend)
+from .matchings import (Diagram, PerfectMatching, bend, crossing_pairs,
+                        enumerate_matchings, enumerate_X, enumerate_X_blocked,
+                        find_mutually_crossing, max_mutual_crossing, orbits,
+                        unbend)
 from .scalars import DeltaPoly
 from .category import (Morphism, check_eq_ch, compose_diagrams, e_rec, e_sum,
                        e_trace, generator_s, generator_u, r_element,

@@ -77,57 +77,45 @@ def crossing_pairs(m: PerfectMatching) -> int:
     return count
 
 
-def _crossing_chains(pairs: tuple[tuple[int, int], ...], want: int | None) -> tuple[int, tuple | None]:
-    """Search mutually crossing strand subsets.
+def find_mutually_crossing(m: PerfectMatching, size: int) -> tuple[tuple[int, int], ...] | None:
+    """Lexicographically first set of ``size`` mutually crossing strands, or None.
 
     A set of strands {(a_i, b_i)} crosses mutually iff, listed with the a_i
     increasing, the b_i increase as well and the last a is below the first b.
-    Returns (largest size found, first subset of size ``want`` in
-    lexicographic order or None).
+    The depth-first search below visits subsets in that order and stops at
+    the first one of the wanted size.
     """
-    strands = pairs  # already sorted by first endpoint
-    best = 0
-    found: tuple | None = None
+    if size <= 0:
+        return ()
+    strands = m.pairs  # already sorted by first endpoint
+    chosen: list[tuple[int, int]] = []
 
-    def extend(chosen: list, start: int, first_b: int):
-        nonlocal best, found
-        best = max(best, len(chosen))
-        if want is not None and len(chosen) == want:
-            if found is None:
-                found = tuple(chosen)
-            return
-        for idx in range(start, len(strands)):
-            if found is not None:
-                return
+    def extend(start: int) -> bool:
+        if len(chosen) == size:
+            return True
+        # stop where too few strands remain to reach ``size``
+        for idx in range(start, len(strands) - (size - len(chosen)) + 1):
             a, b = strands[idx]
             if chosen:
-                la, lb = chosen[-1]
-                if a >= first_b:
+                if a >= chosen[0][1]:
                     break  # a's only grow past this point
-                if b <= lb:
+                if b <= chosen[-1][1]:
                     continue
-                extend(chosen + [(a, b)], idx + 1, first_b)
-            else:
-                extend(chosen + [(a, b)], idx + 1, b)
+            chosen.append((a, b))
+            if extend(idx + 1):
+                return True
+            chosen.pop()
+        return False
 
-    extend([], 0, 0)
-    return best, found
+    return tuple(chosen) if extend(0) else None
 
 
 def max_mutual_crossing(m: PerfectMatching) -> int:
     """Largest j such that some j strands of m cross mutually."""
-    if not m.pairs:
-        return 0
-    best, _ = _crossing_chains(m.pairs, None)
-    return best
-
-
-def find_mutually_crossing(m: PerfectMatching, size: int) -> tuple[tuple[int, int], ...] | None:
-    """Lexicographically first set of ``size`` mutually crossing strands, or None."""
-    if size <= 0:
-        return ()
-    _, found = _crossing_chains(m.pairs, size)
-    return found
+    size = 0
+    while find_mutually_crossing(m, size + 1) is not None:
+        size += 1
+    return size
 
 
 def enumerate_matchings(points: int) -> Iterator[PerfectMatching]:
@@ -157,56 +145,24 @@ def enumerate_X(r: int, n: int) -> list[PerfectMatching]:
             if find_mutually_crossing(m, n + 1) is None]
 
 
-@dataclass(frozen=True, order=True)
-class BlockedMatching:
-    """A matching of {1..kr} split into r blocks of k consecutive points.
-
-    No pair may lie inside one block, and the endpoints of any two crossing
-    pairs must occupy four distinct blocks.
-    """
-
-    base: PerfectMatching
-    r: int
-    k: int
-
-    def __post_init__(self):
-        if self.base.n_points != self.r * self.k:
-            raise ValueError(f"matching covers {self.base.n_points} points, expected {self.r * self.k}")
-        block = lambda p: (p - 1) // self.k
-        for a, b in self.base.pairs:
-            if block(a) == block(b):
-                raise ValueError(f"pair ({a},{b}) lies inside block {block(a) + 1}")
-        for (a1, b1), (a2, b2) in combinations(self.base.pairs, 2):
-            if a1 < a2 < b1 < b2:
-                blocks = {block(a1), block(b1), block(a2), block(b2)}
-                if len(blocks) < 4:
-                    raise ValueError(
-                        f"crossing pairs ({a1},{b1}) and ({a2},{b2}) occupy only {len(blocks)} blocks")
-
-    def rotate(self, step: int | None = None) -> BlockedMatching:
-        """Rotate by one block (k points) unless an explicit point step is given."""
-        return BlockedMatching(self.base.rotate(self.k if step is None else step), self.r, self.k)
-
-    def __str__(self) -> str:
-        return str(self.base)
+def _obeys_block_rules(m: PerfectMatching, k: int) -> bool:
+    """Split the points into blocks of k consecutive points: no pair lies inside
+    one block, and the endpoints of any two crossing pairs occupy four blocks."""
+    block = lambda p: (p - 1) // k
+    if any(block(a) == block(b) for a, b in m.pairs):
+        return False
+    return all(len({block(a1), block(b1), block(a2), block(b2)}) == 4
+               for (a1, b1), (a2, b2) in combinations(m.pairs, 2) if a1 < a2 < b1 < b2)
 
 
-def enumerate_X_blocked(r: int, n: int, k: int) -> list[BlockedMatching]:
-    """All (n+1)-noncrossing matchings of {1..kr} satisfying both block rules."""
+def enumerate_X_blocked(r: int, n: int, k: int) -> list[PerfectMatching]:
+    """X(r, n, k): the matchings of X(kr/2, n) that obey both block rules for
+    r blocks of k points, in enumeration order; empty when kr is odd."""
     if r < 1 or k < 1:
         raise ValueError(f"need r, k >= 1, got r={r}, k={k}")
     if (r * k) % 2 != 0:
         return []
-    out = []
-    for m in enumerate_matchings(r * k):
-        if find_mutually_crossing(m, n + 1) is not None:
-            continue
-        try:
-            blocked = BlockedMatching(m, r, k)
-        except ValueError:
-            continue
-        out.append(blocked)
-    return out
+    return [m for m in enumerate_X(r * k // 2, n) if _obeys_block_rules(m, k)]
 
 
 def orbits(elements: Iterable, step: int = 1) -> list[int]:

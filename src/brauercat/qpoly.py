@@ -103,20 +103,10 @@ class QPolynomial:
 
     def divexact(self, other: QPolynomial) -> QPolynomial:
         """Exact polynomial division; raises if the remainder is nonzero."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        lead = other.coeffs[-1]
-        dq = len(other.coeffs) - 1
-        out = [0] * max(0, len(rem) - dq)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = Fraction(rem[i], 1) / lead
-            out[i - dq] = _norm(c)
-            for j, b in enumerate(other.coeffs):
-                rem[i - dq + j] -= c * b
+        quotient, rem = _long_division(self, other)
         if any(c != 0 for c in rem):
             raise ValueError(f"{self} is not divisible by {other}")
-        return QPolynomial(out)
+        return QPolynomial(quotient)
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -187,13 +177,22 @@ def cyclotomic(n: int) -> QPolynomial:
     return quotient
 
 
-def polynomial_mod(p: QPolynomial, modulus: QPolynomial) -> QPolynomial:
-    """Remainder of p modulo the given monic-up-to-scalar polynomial."""
-    rem = list(p.coeffs)
-    lead = modulus.coeffs[-1]
-    dq = len(modulus.coeffs) - 1
+def _long_division(num: QPolynomial, den: QPolynomial) -> tuple[list, list]:
+    """Quotient and remainder coefficient lists of num / den, lowest degree first."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = list(num.coeffs)
+    lead = den.coeffs[-1]
+    dq = len(den.coeffs) - 1
+    quotient = [0] * max(0, len(rem) - dq)
     for i in range(len(rem) - 1, dq - 1, -1):
         c = Fraction(rem[i], 1) / lead
-        for j, b in enumerate(modulus.coeffs):
+        quotient[i - dq] = c
+        for j, b in enumerate(den.coeffs):
             rem[i - dq + j] -= c * b
-    return QPolynomial(rem)
+    return quotient, rem
+
+
+def polynomial_mod(p: QPolynomial, modulus: QPolynomial) -> QPolynomial:
+    """Remainder of p modulo the given monic-up-to-scalar polynomial."""
+    return QPolynomial(_long_division(p, modulus)[1])

@@ -291,10 +291,13 @@ def ev_morphism(m: Morphism, n: int) -> Tensor:
         raise ValueError("evaluation needs coefficients specialized at delta = -2n")
     if m.delta != Fraction(-2 * n):
         raise ValueError(f"morphism specialized at delta={m.delta}, expected {-2 * n}")
-    total = Tensor((2 * n,) * (m.r + m.s))
+    data: dict = {}
     for d, c in m.terms.items():
-        total = total + ev_diagram(d, n).scaled(c)
-    return total
+        for key, v in ev_diagram(d, n).data.items():
+            value = data.pop(key, 0) + v * c
+            if value:  # cancelled entries leave, so a vanishing sum stays small
+                data[key] = value
+    return Tensor((2 * n,) * (m.r + m.s), data)
 
 
 def compose_maps(tx: Tensor, ty: Tensor, mid: int) -> Tensor:

@@ -52,14 +52,50 @@ def crossing_count_by_definition(pairs) -> int:
     return count
 
 
-def has_k_mutual_crossing(pairs, k: int) -> bool:
-    """Brute force over all strand subsets of size k."""
+def first_k_mutual_crossing(pairs, k: int):
+    """First subset of k sorted strands, in ``combinations`` order, whose
+    strands cross mutually (their 2k endpoints read a_1..a_k b_1..b_k), or None."""
     canon = sorted((min(p), max(p)) for p in pairs)
     for subset in combinations(canon, k):
         points = sorted(x for pair in subset for x in pair)
         if tuple(zip(points[:k], points[k:])) == subset:
-            return True
-    return False
+            return subset
+    return None
+
+
+def has_k_mutual_crossing(pairs, k: int) -> bool:
+    """Brute force over all strand subsets of size k."""
+    return first_k_mutual_crossing(pairs, k) is not None
+
+
+def all_matchings(points: int):
+    """Every perfect matching of 1..points as sorted pairs, the smallest free
+    point matched first and its partner tried in increasing order."""
+    def grow(free):
+        if not free:
+            yield ()
+            return
+        for i in range(1, len(free)):
+            for rest in grow(free[1:i] + free[i + 1:]):
+                yield ((free[0], free[i]),) + rest
+    if points % 2 == 0:
+        yield from grow(tuple(range(1, points + 1)))
+
+
+def blocked_by_definition(r: int, n: int, k: int) -> list:
+    """X(r, n, k) from its definition: matchings of the kr points, split into
+    r blocks of k consecutive points, with no n+1 mutually crossing strands,
+    no pair inside one block, and any two crossing pairs in four blocks."""
+    block = lambda p: (p - 1) // k
+
+    def obeys_blocks(pairs):
+        if any(block(a) == block(b) for a, b in pairs):
+            return False
+        return all(len({block(a1), block(b1), block(a2), block(b2)}) == 4
+                   for (a1, b1), (a2, b2) in combinations(pairs, 2) if a1 < a2 < b1 < b2)
+
+    return [pairs for pairs in all_matchings(r * k)
+            if obeys_blocks(pairs) and not has_k_mutual_crossing(pairs, n + 1)]
 
 
 def regular_multigraph_count(vertices: int, degree: int) -> int:

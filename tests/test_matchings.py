@@ -1,13 +1,14 @@
 import pytest
 
-from brauercat.matchings import (BlockedMatching, Diagram, PerfectMatching,
-                                 bend, count_set_partitions, crossing_pairs,
+from brauercat.matchings import (Diagram, PerfectMatching, bend,
+                                 count_set_partitions, crossing_pairs,
                                  enumerate_matchings, enumerate_X,
                                  enumerate_X_blocked, find_mutually_crossing,
                                  iter_set_partitions, max_mutual_crossing,
                                  orbits, unbend)
-from oracles import (bell, catalan, crossing_count_by_definition,
-                     double_factorial, has_k_mutual_crossing,
+from oracles import (bell, blocked_by_definition, catalan,
+                     crossing_count_by_definition, double_factorial,
+                     first_k_mutual_crossing, has_k_mutual_crossing,
                      set_partition_count)
 
 PM = PerfectMatching
@@ -53,6 +54,13 @@ def test_find_mutually_crossing():
     assert find_mutually_crossing(PM(((1, 3), (2, 4))), 2) == ((1, 3), (2, 4))
     triple = PM(((1, 4), (2, 5), (3, 6)))
     assert find_mutually_crossing(triple, 3) == ((1, 4), (2, 5), (3, 6))
+
+
+def test_find_mutually_crossing_is_first_subset():
+    for points in range(0, 11, 2):
+        for pm in enumerate_matchings(points):
+            for k in range(0, 6):
+                assert find_mutually_crossing(pm, k) == first_k_mutual_crossing(pm.pairs, k), (pm, k)
 
 
 @pytest.mark.parametrize("points,count", [(2, 1), (4, 3), (8, 105)])
@@ -121,7 +129,7 @@ def test_blocked_k1_reduces_to_plain():
     # On kr points with k = 1 both block rules are vacuous.
     for r_half, n in [(1, 1), (2, 1), (2, 2), (3, 1)]:
         blocked = enumerate_X_blocked(2 * r_half, n, 1)
-        assert [b.base for b in blocked] == enumerate_X(r_half, n)
+        assert blocked == enumerate_X(r_half, n)
 
 
 def test_blocked_two_blocks():
@@ -129,14 +137,15 @@ def test_blocked_two_blocks():
     # nested inter-block matching survives.
     for n in (1, 2, 3):
         out = enumerate_X_blocked(2, n, 2)
-        assert [b.base for b in out] == [PM(((1, 4), (2, 3)))]
+        assert out == [PM(((1, 4), (2, 3)))]
 
 
-def test_blocked_validation():
-    with pytest.raises(ValueError, match="inside block"):
-        BlockedMatching(PM(((1, 2), (3, 4))), 2, 2)
-    with pytest.raises(ValueError, match="blocks"):
-        BlockedMatching(PM(((1, 3), (2, 4))), 2, 2)
+def test_blocked_matches_definition():
+    for k in range(1, 5):
+        for r in range(1, 12 // k + 1):
+            for n in range(1, 4):
+                got = [m.pairs for m in enumerate_X_blocked(r, n, k)]
+                assert got == blocked_by_definition(r, n, k), (r, n, k)
 
 
 def test_blocked_rotation_closure():

@@ -63,3 +63,15 @@ def test_polynomial_mod():
     p = QPolynomial((0, 0, 0, 1))  # q^3
     assert polynomial_mod(p, cyclotomic(3)) == QPolynomial((1,))
     assert polynomial_mod(QPolynomial((2,)), cyclotomic(5)) == QPolynomial((2,))
+
+
+def test_polynomial_mod_and_divexact_agree():
+    quotient = QPolynomial((1, Fraction(-2, 3), 0, 5))
+    for divisor in (cyclotomic(4), QPolynomial((1, 2)), QPolynomial((Fraction(1, 2), 0, -3))):
+        for rem in (QPolynomial(), QPolynomial((2,)), QPolynomial((Fraction(-1, 7),))):
+            p = quotient * divisor + rem
+            assert polynomial_mod(p, divisor) == rem
+            assert (p - rem).divexact(divisor) == quotient
+    for divide in (lambda p, d: p.divexact(d), polynomial_mod):
+        with pytest.raises(ZeroDivisionError):
+            divide(QPolynomial((1, 1)), QPolynomial())

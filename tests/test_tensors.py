@@ -132,6 +132,18 @@ def test_ev_morphism_guards():
         ev_morphism(wrong, 1)
 
 
+def test_ev_morphism_is_sum_of_scaled_terms():
+    rng = random.Random(5)
+    for n in (1, 2):
+        pool = diagrams(2, 4)
+        terms = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for d in rng.sample(pool, 8)}
+        for m in (Morphism(2, 4, terms, Fraction(-2 * n)), e_sum(n)):
+            want = Tensor((2 * n,) * (m.r + m.s))
+            for d, c in m.terms.items():
+                want = want + ev_diagram(d, n).scaled(c)
+            assert ev_morphism(m, n) == want
+
+
 def test_ev_kills_idempotent():
     for n in (1, 2):
         assert ev_morphism(e_sum(n), n).is_zero()
