@@ -129,10 +129,13 @@ def cmd_ev_rank(args) -> int:
 
 _KINDS = ("matchings", "sym-power", "fundamental", "regular-graph",
           "partition-plethysm", "partition-multiset", "adjoint")
+_KINDS_NEEDING_K = ("sym-power", "fundamental", "regular-graph")
 
 
 def _character(args) -> sf.SymFuncP:
     kind = args.kind
+    if kind in _KINDS_NEEDING_K and args.k is None:
+        raise ValueError(f"--kind {kind} needs --k")
     if kind == "matchings":
         return sf.invariant_character_matchings(args.r, args.n)
     if kind == "sym-power":
@@ -157,7 +160,7 @@ def cmd_frobenius(args) -> int:
 
 def cmd_fake_degree(args) -> int:
     if args.shape:
-        print(tb.fake_degree_schur(parse_partition(args.shape)))
+        print(tb.fake_degree_schur_hook(parse_partition(args.shape)))
         return 0
     print(sf.fake_degree(_character(args)))
     return 0
@@ -257,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["matchings", "X", "oscillating", "syt", "set-partitions"])
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--n", type=_positive_int, default=1)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_positive_int)
     p.add_argument("--shape")
     p.add_argument("--count", action="store_true", help="print only the count")
 
@@ -287,24 +290,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", choices=_KINDS, default="matchings")
         p.add_argument("--r", type=int, default=1)
         p.add_argument("--n", type=_positive_int, default=1)
-        p.add_argument("--k", type=int)
+        p.add_argument("--k", type=_positive_int)
         if name == "fake-degree":
             p.add_argument("--shape", help="partition like 2,2: fake degree of one Schur term")
 
     p = add("csp-verify", cmd_csp_verify, help="cyclic sieving certificate")
     p.add_argument("--r", type=int)
     p.add_argument("--n", type=_positive_int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_positive_int)
     p.add_argument("--format", choices=["text", "tsv"], default="text")
     p.add_argument("--grid", help="bounds like r<=5,n<=3")
 
     p = add("littlewood-check", cmd_littlewood_check,
             help="plethysm against the even-row Schur sum")
-    p.add_argument("--r", type=int, default=5)
+    p.add_argument("--r", type=_positive_int, default=5)
 
     p = add("kronecker-check", cmd_kronecker_check,
             help="power sums against Kronecker squares")
-    p.add_argument("--r", type=int, default=6)
+    p.add_argument("--r", type=_positive_int, default=6)
 
     return parser
 

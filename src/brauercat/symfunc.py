@@ -11,12 +11,12 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from .partitions import (all_columns_even, all_rows_even, check_partition,
                          conjugate, partitions, sign_of_type, z_order)
 from .qpoly import QPolynomial
-from .tableaux import fake_degree_schur
+from .tableaux import fake_degree_schur_hook
 
 
 @cache
@@ -66,6 +66,14 @@ class SymFuncP:
         self.coeffs = {lam: c for lam, c in clean.items() if c}
 
     @classmethod
+    def _from_partitions(cls, coeffs: dict) -> SymFuncP:
+        """Wrap a map whose keys are partitions already and whose values are
+        Fractions, dropping the zeros; the arithmetic builds through this."""
+        out = cls.__new__(cls)
+        out.coeffs = {lam: c for lam, c in coeffs.items() if c}
+        return out
+
+    @classmethod
     def zero(cls) -> SymFuncP:
         return cls()
 
@@ -84,7 +92,8 @@ class SymFuncP:
         return sorted({sum(lam) for lam in self.coeffs})
 
     def homogeneous_component(self, degree: int) -> SymFuncP:
-        return SymFuncP({lam: c for lam, c in self.coeffs.items() if sum(lam) == degree})
+        return SymFuncP._from_partitions(
+            {lam: c for lam, c in self.coeffs.items() if sum(lam) == degree})
 
     def coefficient(self, lam) -> Fraction:
         return self.coeffs.get(check_partition(lam), Fraction(0))
@@ -95,10 +104,10 @@ class SymFuncP:
         out = dict(self.coeffs)
         for lam, c in other.coeffs.items():
             out[lam] = out.get(lam, Fraction(0)) + c
-        return SymFuncP(out)
+        return SymFuncP._from_partitions(out)
 
     def __neg__(self):
-        return SymFuncP({lam: -c for lam, c in self.coeffs.items()})
+        return SymFuncP._from_partitions({lam: -c for lam, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, SymFuncP):
@@ -106,7 +115,8 @@ class SymFuncP:
         return self + (-other)
 
     def scaled(self, scalar) -> SymFuncP:
-        return SymFuncP({lam: c * Fraction(scalar) for lam, c in self.coeffs.items()})
+        scalar = Fraction(scalar)
+        return SymFuncP._from_partitions({lam: c * scalar for lam, c in self.coeffs.items()})
 
     def __rmul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -124,7 +134,7 @@ class SymFuncP:
             for mu, b in other.coeffs.items():
                 key = tuple(sorted(lam + mu, reverse=True))
                 out[key] = out.get(key, Fraction(0)) + a * b
-        return SymFuncP(out)
+        return SymFuncP._from_partitions(out)
 
     def __eq__(self, other):
         if not isinstance(other, SymFuncP):
@@ -167,7 +177,7 @@ def kronecker(f: SymFuncP, g: SymFuncP) -> SymFuncP:
         b = g.coeffs.get(lam)
         if b:
             out[lam] = a * b * z_order(lam)
-    return SymFuncP(out)
+    return SymFuncP._from_partitions(out)
 
 
 @cache
@@ -195,7 +205,7 @@ def schur_to_p(lam: tuple[int, ...]) -> SymFuncP:
         chi = mn_character(lam, mu)
         if chi:
             out[mu] = Fraction(chi, z_order(mu))
-    return SymFuncP(out)
+    return SymFuncP._from_partitions(out)
 
 
 def p_to_schur_coeff(f: SymFuncP, lam) -> Fraction:
@@ -210,13 +220,24 @@ def p_to_schur_coeff(f: SymFuncP, lam) -> Fraction:
 
 
 def schur_expand(f: SymFuncP) -> dict[tuple[int, ...], Fraction]:
-    """Schur coefficients of every homogeneous component."""
+    """Schur coefficients of every homogeneous component.
+
+    The coefficients of f are scaled once to integers over their common
+    denominator, so each <f, s_lam> is an integer sum of character values.
+    """
+    if f.is_zero():
+        return {}
+    den = lcm(*(c.denominator for c in f.coeffs.values()))
+    by_degree: dict[int, list] = {}
+    for mu, c in f.coeffs.items():
+        by_degree.setdefault(sum(mu), []).append((mu, c.numerator * (den // c.denominator)))
     out = {}
-    for d in f.degrees():
+    for d in sorted(by_degree):
+        terms = by_degree[d]
         for lam in partitions(d):
-            c = p_to_schur_coeff(f, lam)
-            if c:
-                out[lam] = c
+            total = sum(c * mn_character(lam, mu) for mu, c in terms)
+            if total:
+                out[lam] = Fraction(total, den)
     return out
 
 
@@ -226,7 +247,7 @@ def plethysm_p(m: int, g: SymFuncP) -> SymFuncP:
     for lam, c in g.coeffs.items():
         key = tuple(sorted((j * m for j in lam), reverse=True))
         out[key] = out.get(key, Fraction(0)) + c
-    return SymFuncP(out)
+    return SymFuncP._from_partitions(out)
 
 
 def plethysm(f: SymFuncP, g: SymFuncP) -> SymFuncP:
@@ -261,7 +282,7 @@ def cauchy_pairing(r: int, g: SymFuncP, partner: SymFuncP) -> SymFuncP:
         c = scalar_product(term, partner)
         if c:
             out[nu] = c / z_order(nu)
-    return SymFuncP(out)
+    return SymFuncP._from_partitions(out)
 
 
 def _even_column_schur_sum(size: int, max_length: int | None) -> SymFuncP:
@@ -368,12 +389,18 @@ def dimension(f: SymFuncP) -> Fraction:
 def fake_degree(f: SymFuncP) -> QPolynomial:
     """Linear extension of the maj generating polynomial over Schur terms.
 
+    Each Schur term's polynomial comes from the q-hook length formula
+    (``fake_degree_schur_hook``); the walk over standard tableaux,
+    ``fake_degree_schur``, is the by-definition route the tests compare with.
     Non-integer Schur coefficients are reported with a warning; the
     polynomial is returned regardless.
     """
-    total = QPolynomial()
+    total: list = []
     for lam, c in sorted(schur_expand(f).items()):
         if c.denominator != 1:
             warnings.warn(f"non-integer Schur coefficient {c} at {lam}")
-        total = total + QPolynomial(tuple(x * c for x in fake_degree_schur(lam).coeffs))
-    return total
+        poly = fake_degree_schur_hook(lam).coeffs
+        total += [0] * (len(poly) - len(total))
+        for i, x in enumerate(poly):
+            total[i] += x * c
+    return QPolynomial(total)

@@ -9,6 +9,7 @@ bounded number of rows.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
@@ -16,7 +17,7 @@ from typing import Iterator
 
 from .partitions import (cells_added, cells_removed, check_partition,
                          format_partition, hooks, parse_partition)
-from .qpoly import QPolynomial, q_factorial, q_int
+from .qpoly import QPolynomial
 
 
 def enumerate_SYT(shape) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -72,15 +73,34 @@ def fake_degree_schur(shape) -> QPolynomial:
     return QPolynomial.from_dict(coeffs)
 
 
+@cache
 def fake_degree_schur_hook(shape) -> QPolynomial:
-    """Same polynomial through the q-analog of the hook length formula."""
+    """Same polynomial through the q-analog of the hook length formula,
+
+        q^n(shape) * prod_{i=1..m} (1 - q^i) / prod_{cells} (1 - q^h),
+
+    in integers only: the factors i = 1..m first cancel against the hook
+    lengths, the surviving numerator factors are multiplied out, and each
+    surviving (1 - q^h) is divided out exactly by c_i += c_{i-h}.
+    """
     shape = check_partition(shape)
-    m = sum(shape)
+    left = Counter(range(1, sum(shape) + 1))
+    left.subtract(hooks(shape))
+    coeffs = [1]
+    for i, times in left.items():
+        for _ in range(times):
+            coeffs += [0] * i
+            for j in range(len(coeffs) - 1, i - 1, -1):
+                coeffs[j] -= coeffs[j - i]
+    for h, times in left.items():
+        for _ in range(-times):
+            for j in range(h, len(coeffs)):
+                coeffs[j] += coeffs[j - h]
+            if any(coeffs[-h:]):
+                raise ValueError(f"1 - q^{h} does not divide the q-hook numerator of {shape}")
+            del coeffs[-h:]
     shift = sum(i * part for i, part in enumerate(shape))
-    numerator = QPolynomial.monomial(shift) * q_factorial(m)
-    for h in hooks(shape):
-        numerator = numerator.divexact(q_int(h))
-    return numerator
+    return QPolynomial([0] * shift + coeffs)
 
 
 @dataclass(frozen=True)

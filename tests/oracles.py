@@ -2,8 +2,10 @@
 
 Everything here is deliberately separate from the package internals: direct
 definitions, classical recurrences, and brute-force enumeration only.  The
-one exception is ``normal_form_rescan``, which drives the package's own
-rewrite step by a different strategy than ``normal_form``.
+exceptions are ``normal_form_rescan``, which drives the package's own
+rewrite step by a different strategy than ``normal_form``, and
+``fake_degree_by_syt``, which sums the package's tableau-walk fake degrees
+where ``fake_degree`` uses the q-hook formula.
 """
 
 from __future__ import annotations
@@ -205,3 +207,21 @@ def normal_form_rescan(m, n: int, trace: list | None = None):
         current = (current - Morphism.from_diagram(d, m.delta, coeff)) + replacement
         if trace is not None:
             trace.append(d)
+
+
+def fake_degree_by_syt(f):
+    """Fake degree of f with each Schur term's polynomial read off its
+    standard tableaux (the maj generating function), warning on a
+    non-integer Schur coefficient like ``fake_degree`` does."""
+    import warnings
+
+    from brauercat.qpoly import QPolynomial
+    from brauercat.symfunc import schur_expand
+    from brauercat.tableaux import fake_degree_schur
+
+    total = QPolynomial()
+    for lam, c in sorted(schur_expand(f).items()):
+        if c.denominator != 1:
+            warnings.warn(f"non-integer Schur coefficient {c} at {lam}")
+        total = total + QPolynomial(tuple(x * c for x in fake_degree_schur(lam).coeffs))
+    return total

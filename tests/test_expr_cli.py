@@ -203,6 +203,15 @@ def test_cli_usage_error():
     ["compose", "--delta", "abc", "id_2"],
     ["compose", "(" * 3000 + "id_1" + ")" * 3000],
     ["compose", "--", "-" * 3000 + "id_1"],
+    ["frobenius", "--kind", "sym-power", "--r", "2"],
+    ["fake-degree", "--kind", "fundamental", "--r", "2"],
+    ["frobenius", "--kind", "regular-graph", "--r", "2"],
+    ["frobenius", "--kind", "partition-multiset", "--r", "2", "--k", "-1"],
+    ["fake-degree", "--kind", "sym-power", "--r", "2", "--k", "-2"],
+    ["enumerate", "--what", "X", "--r", "2", "--k", "0"],
+    ["csp-verify", "--r", "2", "--n", "1", "--k", "0"],
+    ["littlewood-check", "--r", "-2"],
+    ["kronecker-check", "--r", "0"],
 ])
 def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     try:
@@ -217,3 +226,7 @@ def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert "Traceback" not in captured.err
     if "--delta" in argv:
         assert "--delta" in lines[0]
+    if argv[0] in ("frobenius", "fake-degree") and "--kind" in argv:
+        assert "--k" in lines[0]
+    if argv[0] in ("littlewood-check", "kronecker-check"):
+        assert "--r" in lines[0]

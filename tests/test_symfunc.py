@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 
@@ -16,9 +17,10 @@ from brauercat.symfunc import (SymFuncP, adjoint_character_full,
                                partition_category_character,
                                partition_category_character_multiset,
                                plethysm, plethysm_p, p_to_schur_coeff,
-                               scalar_product, schur_expand, schur_to_p)
-from oracles import (bell, multiset_partition_count, regular_multigraph_count,
-                     set_partition_count)
+                               regular_graph_character, scalar_product,
+                               schur_expand, schur_to_p)
+from oracles import (bell, fake_degree_by_syt, multiset_partition_count,
+                     regular_multigraph_count, set_partition_count)
 
 F = Fraction
 
@@ -219,6 +221,85 @@ def test_fake_degree_warns_on_non_integer():
         out = fake_degree(f)
     assert any("non-integer" in str(w.message) for w in caught)
     assert out == QPolynomial((F(1, 2),))
+
+
+def test_fake_degree_matches_tableau_route_on_invariant_characters():
+    for r in range(1, 5):
+        for k in (2, 3):
+            f = regular_graph_character(r, k)
+            assert fake_degree(f) == fake_degree_by_syt(f), ("regular-graph", r, k)
+        for n in range(1, 4):
+            cases = {"matchings": invariant_character_matchings(r, n),
+                     "sym-power k=2": invariant_character_sym_power(r, 2, n),
+                     "sym-power k=3": invariant_character_sym_power(r, 3, n),
+                     "fundamental k=2": invariant_character_fundamental(r, 2, n),
+                     "adjoint": adjoint_invariant_character(r, n)}
+            for kind, f in cases.items():
+                assert fake_degree(f) == fake_degree_by_syt(f), (kind, r, n)
+
+
+def _random_schur_combination(rng: random.Random, terms: int) -> SymFuncP:
+    f = SymFuncP.zero()
+    for _ in range(terms):
+        lam = rng.choice(partitions(rng.randrange(0, 9)))
+        c = F(rng.randrange(-6, 7), rng.choice((1, 1, 2, 3)))
+        f = f + schur_to_p(lam).scaled(c)
+    return f
+
+
+def test_fake_degree_matches_tableau_route_on_random_schur_combinations():
+    rng = random.Random(20151)
+    seen_fraction = False
+    for _ in range(40):
+        f = _random_schur_combination(rng, rng.randrange(1, 6))
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = fake_degree(f)
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = fake_degree_by_syt(f)
+        assert got == want, f
+        assert [str(w.message) for w in got_warnings] \
+            == [str(w.message) for w in want_warnings]
+        seen_fraction = seen_fraction or bool(got_warnings)
+    assert seen_fraction
+
+
+def test_schur_expand_matches_per_partition_coefficients():
+    def by_definition(f):
+        out = {}
+        for d in f.degrees():
+            for lam in partitions(d):
+                c = p_to_schur_coeff(f, lam)
+                if c:
+                    out[lam] = c
+        return out
+
+    rng = random.Random(7)
+    cases = [SymFuncP.zero(), SymFuncP.one()]
+    for _ in range(30):
+        cases.append(SymFuncP({rng.choice(partitions(rng.randrange(0, 9))):
+                               F(rng.randrange(-9, 10), rng.randrange(1, 13))
+                               for _ in range(rng.randrange(1, 8))}))
+    for f in cases:
+        assert schur_expand(f) == by_definition(f), f
+    assert schur_expand(SymFuncP.one()) == {(): 1}
+
+
+def test_arithmetic_results_are_validated_symmetric_functions():
+    with pytest.raises(ValueError, match="partition"):
+        SymFuncP({(1, 2): 1})
+    rng = random.Random(3)
+    f = _random_schur_combination(rng, 4) + SymFuncP.p((3, 1))
+    g = _random_schur_combination(rng, 4) - h_in_p(2)
+    results = [f + g, f - g, -f, f * g, f.scaled(F(-2, 3)), f.scaled(0), 3 * f,
+               plethysm_p(2, f), plethysm_p(3, g), f.homogeneous_component(4),
+               schur_to_p((3, 2, 1)), kronecker(schur_to_p((2, 1)), h_in_p(3)),
+               cauchy_pairing(2, h_in_p(2), h_series(4))]
+    for x in results:
+        rebuilt = SymFuncP(dict(x.coeffs))
+        assert x == rebuilt
+        assert all(isinstance(c, Fraction) and c for c in x.coeffs.values())
 
 
 def test_cauchy_pairing_degenerate():

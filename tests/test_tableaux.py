@@ -3,7 +3,7 @@ import pytest
 from brauercat.matchings import enumerate_X
 from brauercat.partitions import (all_columns_even, all_rows_even, conjugate,
                                   hooks, partitions, z_order)
-from brauercat.qpoly import QPolynomial
+from brauercat.qpoly import QPolynomial, q_factorial, q_int
 from brauercat.tableaux import (OscillatingTableau, count_oscillating,
                                 enumerate_oscillating, enumerate_SYT,
                                 fake_degree_schur, fake_degree_schur_hook, maj,
@@ -53,9 +53,23 @@ def test_fake_degree_routes_agree():
 
 
 def test_fake_degree_at_one_counts_tableaux():
-    for m in range(1, 11):
+    for m in range(1, 17):
         for shape in partitions(m):
             assert fake_degree_schur_hook(shape).evaluate(1) == syt_count(shape)
+
+
+def test_fake_degree_hook_matches_rational_division():
+    # the q-hook formula as a quotient of q-integers, by long division
+    for m in range(0, 11):
+        for shape in partitions(m):
+            shift = sum(i * part for i, part in enumerate(shape))
+            want = QPolynomial.monomial(shift) * q_factorial(m)
+            for h in hooks(shape):
+                want = want.divexact(q_int(h))
+            got = fake_degree_schur_hook(shape)
+            assert got == want, shape
+            assert all(type(c) is int for c in got.coeffs)
+    assert fake_degree_schur_hook(()) == QPolynomial((1,))
 
 
 def test_oscillating_examples():
