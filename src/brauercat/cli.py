@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("enumerate", cmd_enumerate, help="list combinatorial sets")
     p.add_argument("--what", required=True,
                    choices=["matchings", "X", "oscillating", "syt", "set-partitions"])
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=_positive_int, default=1)
     p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--k", type=_positive_int)
     p.add_argument("--shape")
@@ -282,20 +282,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta")
 
     p = add("ev-rank", cmd_ev_rank, help="tensor rank against noncrossing count")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
 
     for name, fn in (("frobenius", cmd_frobenius), ("fake-degree", cmd_fake_degree)):
         p = add(name, fn, help=f"{name.replace('-', ' ')} of an invariant character")
         p.add_argument("--kind", choices=_KINDS, default="matchings")
-        p.add_argument("--r", type=int, default=1)
+        p.add_argument("--r", type=_positive_int, default=1)
         p.add_argument("--n", type=_positive_int, default=1)
         p.add_argument("--k", type=_positive_int)
         if name == "fake-degree":
             p.add_argument("--shape", help="partition like 2,2: fake degree of one Schur term")
 
     p = add("csp-verify", cmd_csp_verify, help="cyclic sieving certificate")
-    p.add_argument("--r", type=int)
+    p.add_argument("--r", type=_positive_int)
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--k", type=_positive_int)
     p.add_argument("--format", choices=["text", "tsv"], default="text")

@@ -138,57 +138,112 @@ def _matchings_of(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ..
 
 
 def enumerate_X(r: int, n: int) -> list[PerfectMatching]:
-    """All (n+1)-noncrossing perfect matchings of {1, ..., 2r}, in enumeration order."""
+    """All (n+1)-noncrossing perfect matchings of {1, ..., 2r}, in the order of
+    ``enumerate_matchings``, generated without building any other matching."""
     if r < 0 or n < 1:
         raise ValueError(f"need r >= 0 and n >= 1, got r={r}, n={n}")
-    return [m for m in enumerate_matchings(2 * r)
-            if find_mutually_crossing(m, n + 1) is None]
-
-
-def _obeys_block_rules(m: PerfectMatching, k: int) -> bool:
-    """Split the points into blocks of k consecutive points: no pair lies inside
-    one block, and the endpoints of any two crossing pairs occupy four blocks."""
-    block = lambda p: (p - 1) // k
-    if any(block(a) == block(b) for a, b in m.pairs):
-        return False
-    return all(len({block(a1), block(b1), block(a2), block(b2)}) == 4
-               for (a1, b1), (a2, b2) in combinations(m.pairs, 2) if a1 < a2 < b1 < b2)
+    return _generate_X(2 * r, n, 1)
 
 
 def enumerate_X_blocked(r: int, n: int, k: int) -> list[PerfectMatching]:
-    """X(r, n, k): the matchings of X(kr/2, n) that obey both block rules for
-    r blocks of k points, in enumeration order; empty when kr is odd."""
-    if r < 1 or k < 1:
-        raise ValueError(f"need r, k >= 1, got r={r}, k={k}")
+    """X(r, n, k), in the order of ``enumerate_matchings``; empty when kr is odd.
+
+    The kr points form r blocks of k consecutive points.  A matching belongs
+    when it is (n+1)-noncrossing, no pair lies inside one block, and the
+    endpoints of any two crossing pairs occupy four blocks.
+    """
+    if r < 1 or n < 1 or k < 1:
+        raise ValueError(f"need r, n, k >= 1, got r={r}, n={n}, k={k}")
     if (r * k) % 2 != 0:
         return []
-    return [m for m in enumerate_X(r * k // 2, n) if _obeys_block_rules(m, k)]
+    return _generate_X(r * k, n, k)
 
 
-def orbits(elements: Iterable, step: int = 1) -> list[int]:
+def _generate_X(points: int, n: int, k: int) -> list[PerfectMatching]:
+    """Depth-first generation of the (n+1)-noncrossing matchings of 1..points,
+    obeying the block rules for blocks of k points when k > 1.
+
+    Strands are placed as in ``enumerate_matchings``: the smallest free point
+    a first, its partner b tried in increasing order.  Every earlier strand
+    (a', b') has a' < a, so it crosses (a, b) exactly when a < b' < b, and
+    (a, b) closes an (n+1)-crossing exactly when n of those strands have b'
+    increasing with a'.  Scanning b upward, each passed right end b' joins
+    that crossing set with the length of the longest such chain ending at it.
+    The set only grows, so once it holds a chain of n, or a strand with an
+    end in a's block, no larger b can work; b itself must avoid a's block and
+    the blocks of the right ends passed (a left end a' < a never shares b's
+    block).  Each crossing is checked when its later strand is placed, so a
+    branch is cut at its first forbidden strand.
+    """
+    mate = [0] * (points + 1)  # partner of each placed point, 0 when free
+    block = [(p - 1) // k for p in range(points + 1)]
+    placed: list[tuple[int, int]] = []
+    out: list[PerfectMatching] = []
+
+    def place(a: int):
+        while a <= points and mate[a]:
+            a += 1
+        if a > points:
+            out.append(PerfectMatching(tuple(placed)))
+            return
+        chains: list[tuple[int, int]] = []  # (a', longest chain ending at (a', b'))
+        crossed_blocks = set()
+        for b in range(a + 1, points + 1):
+            left = mate[b]
+            if left:  # b is the right end of the earlier strand (left, b)
+                length = 1 + max((c for a2, c in chains if a2 < left), default=0)
+                if length >= n:
+                    break
+                chains.append((left, length))
+                if k > 1:
+                    if block[a] in (block[left], block[b]):
+                        break
+                    crossed_blocks.add(block[b])
+                continue
+            if k > 1 and (block[b] == block[a] or block[b] in crossed_blocks):
+                continue
+            mate[a], mate[b] = b, a
+            placed.append((a, b))
+            place(a + 1)
+            placed.pop()
+            mate[a] = mate[b] = 0
+
+    place(1)
+    return out
+
+
+def orbits(elements: Iterable[PerfectMatching], step: int = 1) -> list[int]:
     """Orbit sizes of the rotation-by-``step`` action, sorted descending.
 
-    Raises ValueError with a witness if the set is not closed under the rotation.
+    Each element is rotated once, giving a permutation of the pool's indices;
+    the orbit sizes are its cycle lengths.  Raises ValueError with a witness
+    if the set is not closed under the rotation.
     """
-    pool = set(elements)
+    pool = list(dict.fromkeys(x.pairs for x in elements))
+    index = {pairs: i for i, pairs in enumerate(pool)}
+    image = []
+    for pairs in pool:
+        size = 2 * len(pairs)
+        turned = []
+        for a, b in pairs:
+            a, b = (a - 1 + step) % size + 1, (b - 1 + step) % size + 1
+            turned.append((a, b) if a < b else (b, a))
+        turned.sort()
+        j = index.get(tuple(turned))
+        if j is None:
+            raise ValueError(f"set not closed under rotation: {PerfectMatching(pairs)} "
+                             f"reaches {PerfectMatching(tuple(turned))}")
+        image.append(j)
     sizes = []
-    seen = set()
-    for x in sorted(pool):
-        if x in seen:
-            continue
-        size = 0
-        y = x
-        while True:
-            seen.add(y)
+    seen = [False] * len(pool)
+    for start in range(len(pool)):
+        size, i = 0, start
+        while not seen[i]:
+            seen[i] = True
             size += 1
-            y = y.rotate(step)
-            if y == x:
-                break
-            if y not in pool:
-                raise ValueError(f"set not closed under rotation: {x} reaches {y}")
-            if y in seen:
-                break
-        sizes.append(size)
+            i = image[i]
+        if size:
+            sizes.append(size)
     return sorted(sizes, reverse=True)
 
 

@@ -3,9 +3,11 @@
 Everything here is deliberately separate from the package internals: direct
 definitions, classical recurrences, and brute-force enumeration only.  The
 exceptions are ``normal_form_rescan``, which drives the package's own
-rewrite step by a different strategy than ``normal_form``, and
+rewrite step by a different strategy than ``normal_form``,
 ``fake_degree_by_syt``, which sums the package's tableau-walk fake degrees
-where ``fake_degree`` uses the q-hook formula.
+where ``fake_degree`` uses the q-hook formula, and ``orbits_by_rotate``,
+which walks orbits with ``PerfectMatching.rotate`` where ``orbits`` reads
+them off one index permutation.
 """
 
 from __future__ import annotations
@@ -82,6 +84,13 @@ def all_matchings(points: int):
                 yield ((free[0], free[i]),) + rest
     if points % 2 == 0:
         yield from grow(tuple(range(1, points + 1)))
+
+
+def enumerate_X_by_filter(r: int, n: int) -> list:
+    """X(r, n) by filtering: every matching of 2r points, in ``all_matchings``
+    order, kept when no n+1 of its strands cross mutually."""
+    return [pairs for pairs in all_matchings(2 * r)
+            if not has_k_mutual_crossing(pairs, n + 1)]
 
 
 def blocked_by_definition(r: int, n: int, k: int) -> list:
@@ -225,3 +234,29 @@ def fake_degree_by_syt(f):
             warnings.warn(f"non-integer Schur coefficient {c} at {lam}")
         total = total + QPolynomial(tuple(x * c for x in fake_degree_schur(lam).coeffs))
     return total
+
+
+def orbits_by_rotate(elements, step: int = 1) -> list:
+    """Orbit sizes under rotation by ``step``, sorted descending, by walking
+    each orbit with ``rotate``; raises ValueError naming an element whose
+    orbit leaves the set."""
+    pool = set(elements)
+    sizes = []
+    seen = set()
+    for x in sorted(pool):
+        if x in seen:
+            continue
+        size = 0
+        y = x
+        while True:
+            seen.add(y)
+            size += 1
+            y = y.rotate(step)
+            if y == x:
+                break
+            if y not in pool:
+                raise ValueError(f"set not closed under rotation: {x} reaches {y}")
+            if y in seen:
+                break
+        sizes.append(size)
+    return sorted(sizes, reverse=True)

@@ -212,6 +212,12 @@ def test_cli_usage_error():
     ["csp-verify", "--r", "2", "--n", "1", "--k", "0"],
     ["littlewood-check", "--r", "-2"],
     ["kronecker-check", "--r", "0"],
+    ["enumerate", "--what", "oscillating", "--r", "-1"],
+    ["enumerate", "--what", "X", "--r", "0"],
+    ["ev-rank", "--r", "0", "--n", "1"],
+    ["frobenius", "--kind", "adjoint", "--r", "-1"],
+    ["fake-degree", "--r", "0"],
+    ["csp-verify", "--r", "-2", "--n", "1"],
 ])
 def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     try:
@@ -224,9 +230,11 @@ def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "error: " in lines[0], captured.err
     assert "Traceback" not in captured.err
+    r_value = argv[argv.index("--r") + 1] if "--r" in argv else "1"
+    bad_r = not r_value.isdecimal() or int(r_value) < 1
     if "--delta" in argv:
         assert "--delta" in lines[0]
-    if argv[0] in ("frobenius", "fake-degree") and "--kind" in argv:
+    if argv[0] in ("frobenius", "fake-degree") and "--kind" in argv and not bad_r:
         assert "--k" in lines[0]
-    if argv[0] in ("littlewood-check", "kronecker-check"):
+    if argv[0] in ("littlewood-check", "kronecker-check") or bad_r:
         assert "--r" in lines[0]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from brauercat.matchings import (Diagram, PerfectMatching, bend,
@@ -6,9 +8,11 @@ from brauercat.matchings import (Diagram, PerfectMatching, bend,
                                  enumerate_X_blocked, find_mutually_crossing,
                                  iter_set_partitions, max_mutual_crossing,
                                  orbits, unbend)
+from brauercat.tableaux import count_oscillating
 from oracles import (bell, blocked_by_definition, catalan,
                      crossing_count_by_definition, double_factorial,
-                     first_k_mutual_crossing, has_k_mutual_crossing,
+                     enumerate_X_by_filter, first_k_mutual_crossing,
+                     has_k_mutual_crossing, orbits_by_rotate,
                      set_partition_count)
 
 PM = PerfectMatching
@@ -89,6 +93,27 @@ def test_enumerate_X():
         assert len(enumerate_X(r, r)) == double_factorial(2 * r - 1)
 
 
+def test_enumerate_X_matches_filter():
+    for r in range(0, 7):
+        for n in range(1, 5):
+            got = [m.pairs for m in enumerate_X(r, n)]
+            assert got == enumerate_X_by_filter(r, n), (r, n)
+
+
+def test_enumerate_X_counts_beyond_filter_reach():
+    for n in (1, 2):
+        assert len(enumerate_X(7, n)) == count_oscillating(14, n)
+
+
+def test_enumerate_X_rejects_bad_arguments():
+    for r, n in [(-1, 1), (2, 0)]:
+        with pytest.raises(ValueError):
+            enumerate_X(r, n)
+    for r, n, k in [(0, 1, 2), (2, 1, 0), (2, 0, 2)]:
+        with pytest.raises(ValueError):
+            enumerate_X_blocked(r, n, k)
+
+
 def test_rotate():
     assert PM(((1, 2), (3, 4))).rotate() == PM(((1, 4), (2, 3)))
     assert PM(((1, 3), (2, 4))).rotate() == PM(((1, 3), (2, 4)))
@@ -119,6 +144,27 @@ def test_orbits_examples():
     assert orbits([PM(((1, 3), (2, 4)))], 1) == [1]
     with pytest.raises(ValueError, match="not closed"):
         orbits([PM(((1, 2), (3, 4)))], 1)
+
+
+def test_orbits_match_rotate_walk():
+    for r in range(1, 6):
+        for n in range(1, 4):
+            xs = enumerate_X(r, n)
+            assert orbits(xs, 1) == orbits_by_rotate(xs, 1), (r, n)
+    for k in (2, 3, 4, 5):
+        for r in range(1, 10 // k + 1):
+            for n in (1, 2, 3, r * k + 1):
+                xs = enumerate_X_blocked(r, n, k)
+                assert orbits(xs, k) == orbits_by_rotate(xs, k), (r, n, k)
+
+
+def test_orbits_name_a_witness_outside_the_set():
+    for xs, step in [(enumerate_X(3, 1)[1:], 1), (enumerate_X(3, 2)[:-1], 1),
+                     (enumerate_X_blocked(4, 2, 2)[1:], 2), ([PM(((1, 2), (3, 4)))], 1)]:
+        with pytest.raises(ValueError, match="not closed") as exc:
+            orbits(xs, step)
+        inside, outside = re.search(r": (.*) reaches (.*)$", str(exc.value)).groups()
+        assert PM.parse(inside) in xs and PM.parse(outside) not in xs
 
 
 def test_blocked_figure_instance():
