@@ -20,10 +20,10 @@ from . import tableaux as tb
 from .category import check_eq_ch, e_rec, e_sum
 from .csp import CspInstance, verify_csp
 from .expr import evaluate, parse_expr, parse_morphism
-from .matchings import Diagram, enumerate_matchings
+from .matchings import enumerate_matchings
 from .partitions import parse_partition
 from .pfaffian import normal_form
-from .tensors import ev_diagram, rank_of_span
+from .tensors import ev_gram, exact_rank
 
 
 def _positive_int(text: str) -> int:
@@ -119,8 +119,7 @@ def cmd_idempotent_check(args) -> int:
 
 
 def cmd_ev_rank(args) -> int:
-    diagrams = [Diagram(0, 2 * args.r, pm) for pm in enumerate_matchings(2 * args.r)]
-    rank = rank_of_span([ev_diagram(d, args.n) for d in diagrams])
+    rank = exact_rank(ev_gram(list(enumerate_matchings(2 * args.r)), args.n))
     noncrossing = len(mt.enumerate_X(args.r, args.n))
     match = rank == noncrossing
     print(f"rank={rank} noncrossing={noncrossing} {'MATCH' if match else 'MISMATCH'}")
@@ -195,6 +194,10 @@ def _parse_grid(text: str) -> dict[str, int]:
         m = re.fullmatch(r"\s*([rnk])\s*<=\s*(\d+)\s*", part)
         if m is None:
             raise ValueError(f"bad grid clause {part!r}")
+        if m.group(1) in out:
+            raise ValueError(f"grid clause {part!r} repeats the bound on {m.group(1)}")
+        if int(m.group(2)) < 1:
+            raise ValueError(f"grid clause {part!r} needs a positive bound")
         out[m.group(1)] = int(m.group(2))
     return out
 

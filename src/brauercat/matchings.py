@@ -34,6 +34,14 @@ class PerfectMatching:
         if sorted(seen) != list(range(1, 2 * m + 1)):
             raise ValueError(f"pairs do not form a perfect matching of 1..{2 * m}: {canonical}")
 
+    @classmethod
+    def _from_canonical(cls, pairs: tuple[tuple[int, int], ...]) -> PerfectMatching:
+        """Wrap pairs that are already a canonical perfect matching, unchecked;
+        the generator of X(r, n) builds its outputs through this."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "pairs", pairs)
+        return out
+
     @property
     def n_points(self) -> int:
         return 2 * len(self.pairs)
@@ -184,7 +192,7 @@ def _generate_X(points: int, n: int, k: int) -> list[PerfectMatching]:
         while a <= points and mate[a]:
             a += 1
         if a > points:
-            out.append(PerfectMatching(tuple(placed)))
+            out.append(PerfectMatching._from_canonical(tuple(placed)))
             return
         chains: list[tuple[int, int]] = []  # (a', longest chain ending at (a', b'))
         crossed_blocks = set()

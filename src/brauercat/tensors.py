@@ -10,16 +10,23 @@ other and with the closed form.
 
 Tensors are stored sparsely: a map from index tuples to exact values.  A
 diagram on 2m points has only (2n)^m nonzero entries.
+
+Ranks are exact and integer-only.  ``ev_gram`` writes the Gram matrix of
+flat-diagram tensors down in closed form, one signed factor of 2n per loop
+of the two matchings, so ``ev-rank`` builds no tensor at all;
+``rank_of_span`` forms the Gram of arbitrary tensors by grouping their
+entries under each index key; ``exact_rank`` eliminates with gcd-reduced
+integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from .category import Morphism
-from .matchings import Diagram, bend, crossing_pairs
+from .matchings import Diagram, PerfectMatching, bend, crossing_pairs
 
 
 class Tensor:
@@ -286,18 +293,25 @@ def ev_sliced(d: Diagram, n: int, strategy: str) -> Tensor:
 
 
 def ev_morphism(m: Morphism, n: int) -> Tensor:
-    """Linear extension of the diagram evaluation."""
+    """Linear extension of the diagram evaluation, with Fraction values.
+
+    The coefficients are scaled by the lcm of their denominators, so the sum
+    runs over integers and each surviving entry is divided back once.
+    """
     if m.delta is None:
         raise ValueError("evaluation needs coefficients specialized at delta = -2n")
     if m.delta != Fraction(-2 * n):
         raise ValueError(f"morphism specialized at delta={m.delta}, expected {-2 * n}")
+    scale = lcm(*(c.denominator for c in m.terms.values()))
     data: dict = {}
     for d, c in m.terms.items():
+        c = c.numerator * (scale // c.denominator)
         for key, v in ev_diagram(d, n).data.items():
             value = data.pop(key, 0) + v * c
             if value:  # cancelled entries leave, so a vanishing sum stays small
                 data[key] = value
-    return Tensor((2 * n,) * (m.r + m.s), data)
+    return Tensor((2 * n,) * (m.r + m.s),
+                  {key: Fraction(v, scale) for key, v in data.items()})
 
 
 def compose_maps(tx: Tensor, ty: Tensor, mid: int) -> Tensor:
@@ -319,40 +333,66 @@ def tensor_maps(tx: Tensor, shape_x: tuple[int, int],
 
 
 def exact_rank(rows: list[list]) -> int:
-    """Rank of an exact rational matrix by fraction-free elimination."""
-    if not rows:
-        return 0
-    mat = []
+    """Rank of an exact rational matrix, by gcd-reduced integer elimination."""
+    return len(_echelon(rows))
+
+
+def _echelon(rows: list[list]) -> list[list[int]]:
+    """Pivot rows of an integer echelon form of ``rows``, each with content 1.
+
+    Rows are scaled to primitive integer rows.  Each column takes as pivot
+    the entry of smallest absolute value p; every other row with entry a
+    there becomes (p/g)*row - (a/g)*pivot, g = gcd(p, a), divided by the gcd
+    of its entries, and is dropped once all zero.  These are invertible row
+    operations over Q, so the number of pivots is the rank.  Rows keep only
+    the columns right of the current one.
+    """
+    scaled = []
     for row in rows:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // gcd(denom, x.denominator)
-        mat.append([int(x * denom) if isinstance(x, Fraction) else x * denom for x in row])
-    n_rows, n_cols = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if mat[i][col] != 0), None)
-        if pivot is None:
+        denom = lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (denom // x.denominator) for x in row])
+    live = _primitive(scaled)
+    pivots = []
+    while live:  # every live row is nonzero, so some column has a hit
+        hits = [row for row in live if row[0]]
+        if not hits:
+            live = [row[1:] for row in live]
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for i in range(rank + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                mat[i][j] = (mat[rank][col] * mat[i][j] - mat[i][col] * mat[rank][j]) // prev
-            mat[i][col] = 0
-        prev = mat[rank][col]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+        pivot = min(hits, key=lambda row: abs(row[0]))
+        pivots.append(pivot)
+        p, tail = pivot[0], pivot[1:]
+        kept, updated = [], []
+        for row in live:
+            a = row[0]
+            if not a:
+                kept.append(row[1:])
+            elif row is not pivot:
+                g = gcd(p, a)
+                u, v = p // g, a // g
+                updated.append([u * x - v * y for x, y in zip(row[1:], tail)])
+        live = kept + _primitive(updated)
+    return pivots
+
+
+def _primitive(rows: list[list[int]]) -> list[list[int]]:
+    """The nonzero rows, each divided by the gcd of its entries."""
+    out = []
+    for row in rows:
+        g = gcd(*row)
+        if g > 1:
+            row = [x // g for x in row]
+        if g:
+            out.append(row)
+    return out
 
 
 def rank_of_span(tensors: list[Tensor]) -> int:
     """Exact rank of the span, via the Gram matrix of the flattened tensors.
 
     Over the rationals the standard dot product is anisotropic, so the span
-    and its Gram matrix have equal rank.
+    and its Gram matrix have equal rank.  The Gram is formed by index key:
+    every pair of tensors with an entry under the same key adds its product,
+    so the work is the sum over keys of (tensors with that key)^2.
     """
     if not tensors:
         return 0
@@ -360,14 +400,65 @@ def rank_of_span(tensors: list[Tensor]) -> int:
     for t in tensors:
         if t.dims != dims:
             raise ValueError(f"shape mismatch: {t.dims} vs {dims}")
-    gram = []
-    for a in tensors:
-        row = []
-        for b in tensors:
-            small, big = (a.data, b.data) if len(a.data) <= len(b.data) else (b.data, a.data)
-            row.append(sum(v * big.get(k, 0) for k, v in small.items()))
-        gram.append(row)
+    by_key: dict[tuple, list] = {}
+    for i, t in enumerate(tensors):
+        for key, v in t.data.items():
+            by_key.setdefault(key, []).append((i, v))
+    gram = [[0] * len(tensors) for _ in tensors]
+    for entries in by_key.values():
+        for i, v in entries:
+            row = gram[i]
+            for j, w in entries:
+                row[j] += v * w
     return exact_rank(gram)
+
+
+def ev_gram(matchings: list[PerfectMatching], n: int) -> list[list[int]]:
+    """Gram matrix of the tensors of the flat diagrams ``matchings``, in closed form.
+
+    For matchings a and b the entry is s(a) s(b) times one factor +-2n per
+    loop of a and b together, s = (-1)^crossings.  A loop walked from its
+    smallest point, an a-strand step then a b-strand step, with l a-steps
+    and f steps from a smaller to a larger point, gives +2n when f + l is
+    even and -2n otherwise: each strand contributes the cup matrix C = -J or
+    its transpose -C, and C^2 = -1 on the 2n-dimensional space.
+    """
+    mates, signs = [], []
+    for m in matchings:
+        if m.n_points != matchings[0].n_points:
+            raise ValueError(f"point count mismatch: {m.n_points} vs {matchings[0].n_points}")
+        mate = [0] * (m.n_points + 1)
+        for a, b in m.pairs:
+            mate[a], mate[b] = b, a
+        mates.append(mate)
+        signs.append(-1 if crossing_pairs(m) % 2 else 1)
+    gram = [[0] * len(mates) for _ in mates]
+    for i, a in enumerate(mates):
+        for j in range(i, len(mates)):
+            value = signs[i] * signs[j] * _loop_product(a, mates[j], 2 * n)
+            gram[i][j] = gram[j][i] = value
+    return gram
+
+
+def _loop_product(a: list[int], b: list[int], dim: int) -> int:
+    """Product over the loops of the mate arrays a and b of +-dim (see ev_gram)."""
+    seen = [False] * len(a)
+    value = 1
+    for start in range(1, len(a)):
+        if seen[start]:
+            continue
+        parity = 0  # f + l mod 2
+        p = start
+        while True:
+            q = a[p]
+            seen[p] = seen[q] = True
+            parity ^= q < p  # an a-step adds 1 to l and, going up, 1 to f
+            p = b[q]
+            parity ^= p > q
+            if p == start:
+                break
+        value *= -dim if parity else dim
+    return value
 
 
 def symplectic_sample(n: int) -> list[dict[int, tuple[int, int]]]:

@@ -5,9 +5,10 @@ definitions, classical recurrences, and brute-force enumeration only.  The
 exceptions are ``normal_form_rescan``, which drives the package's own
 rewrite step by a different strategy than ``normal_form``,
 ``fake_degree_by_syt``, which sums the package's tableau-walk fake degrees
-where ``fake_degree`` uses the q-hook formula, and ``orbits_by_rotate``,
+where ``fake_degree`` uses the q-hook formula, ``orbits_by_rotate``,
 which walks orbits with ``PerfectMatching.rotate`` where ``orbits`` reads
-them off one index permutation.
+them off one index permutation, and ``gram_by_dot``, which takes dot
+products of the package's tensors where ``ev_gram`` counts loops.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 
 def double_factorial(m: int) -> int:
@@ -260,3 +261,46 @@ def orbits_by_rotate(elements, step: int = 1) -> list:
                 break
         sizes.append(size)
     return sorted(sizes, reverse=True)
+
+
+def exact_rank_bareiss(rows) -> int:
+    """Rank of an exact rational matrix by Bareiss fraction-free elimination:
+    rows scaled to integers, every update divided exactly by the previous pivot."""
+    if not rows:
+        return 0
+    mat = []
+    for row in rows:
+        denom = 1
+        for x in row:
+            if isinstance(x, Fraction):
+                denom = denom * x.denominator // gcd(denom, x.denominator)
+        mat.append([int(x * denom) if isinstance(x, Fraction) else x * denom for x in row])
+    n_rows, n_cols = len(mat), len(mat[0])
+    rank = 0
+    prev = 1
+    for col in range(n_cols):
+        pivot = next((i for i in range(rank, n_rows) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, n_rows):
+            for j in range(col + 1, n_cols):
+                mat[i][j] = (mat[rank][col] * mat[i][j] - mat[i][col] * mat[rank][j]) // prev
+            mat[i][col] = 0
+        prev = mat[rank][col]
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def gram_by_dot(tensors) -> list:
+    """Gram matrix of sparse tensors, one dict-probe dot product per pair."""
+    gram = []
+    for a in tensors:
+        row = []
+        for b in tensors:
+            small, big = (a.data, b.data) if len(a.data) <= len(b.data) else (b.data, a.data)
+            row.append(sum(v * big.get(k, 0) for k, v in small.items()))
+        gram.append(row)
+    return gram

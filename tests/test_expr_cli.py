@@ -218,6 +218,10 @@ def test_cli_usage_error():
     ["frobenius", "--kind", "adjoint", "--r", "-1"],
     ["fake-degree", "--r", "0"],
     ["csp-verify", "--r", "-2", "--n", "1"],
+    ["csp-verify", "--grid", "r<=0,n<=1"],
+    ["csp-verify", "--grid", "r<=2,n<=0"],
+    ["csp-verify", "--grid", "r<=2,n<=1,k<=0"],
+    ["csp-verify", "--grid", "r<=2,r<=3"],
 ])
 def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     try:
@@ -238,3 +242,5 @@ def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
         assert "--k" in lines[0]
     if argv[0] in ("littlewood-check", "kronecker-check") or bad_r:
         assert "--r" in lines[0]
+    if "--grid" in argv:  # the message names the offending clause
+        assert any(repr(part) in lines[0] for part in argv[argv.index("--grid") + 1].split(","))

@@ -96,8 +96,9 @@ def test_enumerate_X():
 def test_enumerate_X_matches_filter():
     for r in range(0, 7):
         for n in range(1, 5):
-            got = [m.pairs for m in enumerate_X(r, n)]
-            assert got == enumerate_X_by_filter(r, n), (r, n)
+            generated = enumerate_X(r, n)
+            assert [m.pairs for m in generated] == enumerate_X_by_filter(r, n), (r, n)
+            assert all(m == PerfectMatching(m.pairs) for m in generated), (r, n)
 
 
 def test_enumerate_X_counts_beyond_filter_reach():

@@ -1,17 +1,18 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
 from brauercat.category import (Morphism, compose_diagrams, e_sum,
                                 generator_s, generator_u, tensor_diagrams)
 from brauercat.matchings import Diagram, enumerate_matchings, enumerate_X
-from brauercat.tensors import (SymplecticSpace, Tensor, compose_maps,
-                               ev_diagram, ev_generator, ev_morphism,
+from brauercat.tensors import (SymplecticSpace, Tensor, _echelon, compose_maps,
+                               ev_diagram, ev_generator, ev_gram, ev_morphism,
                                ev_sliced, exact_rank, identity_tensor,
                                rank_of_span, symplectic_sample, tensor_maps)
-from oracles import strand_factor_tensor
+from oracles import exact_rank_bareiss, gram_by_dot, strand_factor_tensor
 
 
 def diagrams(r, s):
@@ -137,11 +138,16 @@ def test_ev_morphism_is_sum_of_scaled_terms():
     for n in (1, 2):
         pool = diagrams(2, 4)
         terms = {d: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for d in rng.sample(pool, 8)}
-        for m in (Morphism(2, 4, terms, Fraction(-2 * n)), e_sum(n)):
+        primes = {d: Fraction(rng.randint(-9, 9) or 1, rng.choice((3, 5, 7, 11)))
+                  for d in rng.sample(pool, 8)}
+        for m in (Morphism(2, 4, terms, Fraction(-2 * n)), e_sum(n),
+                  Morphism(2, 4, primes, Fraction(-2 * n))):
             want = Tensor((2 * n,) * (m.r + m.s))
             for d, c in m.terms.items():
                 want = want + ev_diagram(d, n).scaled(c)
-            assert ev_morphism(m, n) == want
+            got = ev_morphism(m, n)
+            assert got == want
+            assert all(type(v) is Fraction for v in got.data.values())
 
 
 def test_ev_kills_idempotent():
@@ -182,18 +188,77 @@ def test_exact_rank():
     assert exact_rank([[1, 2], [2, 4]]) == 1
     assert exact_rank([[1, 0, 2], [0, 1, 1], [1, 1, 3]]) == 2
     assert exact_rank([[Fraction(1, 2), 1], [1, Fraction(1, 3)]]) == 2
+    assert exact_rank([[0]]) == exact_rank([[]]) == exact_rank([[], []]) == 0
+    assert exact_rank([[-7]]) == exact_rank([[Fraction(2, 9)]]) == 1
 
 
-@pytest.mark.parametrize("r,n,expect", [(2, 1, 2), (3, 1, 5), (2, 2, 3)])
+def known_rank_matrix(rng, rows, cols, rank, fractions):
+    """A shuffled rows x cols product of a rows x rank and a rank x cols factor,
+    each holding an identity block, so its rank is exactly ``rank``."""
+    entry = (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))) if fractions \
+        else (lambda: rng.randint(-9, 9))
+    left = [[int(i == j) for j in range(rank)] if i < rank else [entry() for _ in range(rank)]
+            for i in range(rows)]
+    right = [[int(i == j) if j < rank else entry() for j in range(cols)] for i in range(rank)]
+    mat = [[sum(x * right[t][j] for t, x in enumerate(row)) for j in range(cols)]
+           for row in left]
+    rng.shuffle(mat)
+    order = list(range(cols))
+    rng.shuffle(order)
+    return [[row[j] for j in order] for row in mat]
+
+
+def test_exact_rank_against_bareiss():
+    rng = random.Random(8)
+    for case in range(240):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        rank = rng.randint(0, min(rows, cols))
+        mat = known_rank_matrix(rng, rows, cols, rank, fractions=case % 2 == 1)
+        if case % 3 == 0:  # a zero column and a zero row
+            spot = rng.randint(0, cols)
+            mat = [row[:spot] + [0] + row[spot:] for row in mat]
+            mat.insert(rng.randint(0, rows), [0] * (cols + 1))
+        assert exact_rank(mat) == exact_rank_bareiss(mat) == rank, mat
+        pivots = _echelon(mat)
+        assert len(pivots) == rank
+        assert all(gcd(*row) == 1 for row in pivots), pivots
+
+
+def test_ev_gram_matches_dot_products():
+    for n in (1, 2, 3):
+        for points in (2, 4, 6, 8):
+            pool = list(enumerate_matchings(points))
+            want = gram_by_dot([ev_diagram(Diagram(0, points, pm), n) for pm in pool])
+            assert ev_gram(pool, n) == want, (points, n)
+    sample = random.Random(10).sample(list(enumerate_matchings(10)), 60)
+    for n in (1, 2):
+        want = gram_by_dot([ev_diagram(Diagram(0, 10, pm), n) for pm in sample])
+        assert ev_gram(sample, n) == want, n
+
+
+@pytest.mark.parametrize("r,n,expect", [
+    (2, 1, 2), (3, 1, 5), (2, 2, 3), (1, 1, 1), (1, 2, 1), (1, 3, 1), (2, 3, 3), (3, 2, 14),
+    (3, 3, 15), (4, 1, 14), (4, 2, 84), (4, 3, 104)])
 def test_rank_examples(r, n, expect):
     tensors = [ev_diagram(d, n) for d in diagrams(0, 2 * r)]
     assert rank_of_span(tensors) == expect
+    assert exact_rank(ev_gram(list(enumerate_matchings(2 * r)), n)) == expect
     assert expect == len(enumerate_X(r, n))
+
+
+def test_rank_of_span_gram_matches_dot_products():
+    # rank_of_span's keyed Gram against the dot products, on a rank-deficient sum
+    rng = random.Random(12)
+    pool = [ev_diagram(d, 1) for d in rng.sample(diagrams(0, 8), 20)]
+    pool.append(pool[0].scaled(Fraction(-3, 7)) + pool[1])
+    assert rank_of_span(pool) == exact_rank_bareiss(gram_by_dot(pool))
 
 
 def test_tensor_shape_guard():
     with pytest.raises(ValueError, match="shape"):
         rank_of_span([identity_tensor(1), ev_generator("cup", 2)])
+    with pytest.raises(ValueError, match="point count"):
+        ev_gram(list(enumerate_matchings(2)) + list(enumerate_matchings(4)), 1)
 
 
 def test_tensor_dump_and_dense():
