@@ -114,14 +114,13 @@ class Morphism:
         self.r = r
         self.s = s
         self.delta = None if delta is None else Fraction(delta)
-        clean = {}
+        self.terms = {}
         for d, c in dict(terms).items():
             if d.r != r or d.s != s:
                 raise ValueError(f"diagram of shape ({d.r},{d.s}) in a ({r},{s}) morphism")
             coeff = as_scalar(c, self.delta)
             if coeff:
-                clean[d] = clean.get(d, as_scalar(0, self.delta)) + coeff
-        self.terms = {d: c for d, c in clean.items() if c}
+                self.terms[d] = coeff
 
     @classmethod
     def zero(cls, r: int, s: int, delta=None) -> Morphism:
@@ -150,7 +149,7 @@ class Morphism:
             raise ValueError(f"cannot add shapes ({self.r},{self.s}) and ({other.r},{other.s})")
         terms = dict(self.terms)
         for d, c in other.terms.items():
-            terms[d] = terms.get(d, as_scalar(0, self.delta)) + c
+            terms[d] = terms.get(d, 0) + c
         return Morphism(self.r, self.s, terms, self.delta)
 
     def __neg__(self):
@@ -162,8 +161,8 @@ class Morphism:
         return self + (-other)
 
     def scaled(self, scalar) -> Morphism:
-        return Morphism(self.r, self.s, {d: c * as_scalar(scalar, self.delta)
-                                         for d, c in self.terms.items()}, self.delta)
+        k = as_scalar(scalar, self.delta)
+        return Morphism(self.r, self.s, {d: c * k for d, c in self.terms.items()}, self.delta)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, DeltaPoly)):
@@ -187,7 +186,7 @@ class Morphism:
             for dy, cy in other.terms.items():
                 loops, glued = compose_diagrams(dx, dy)
                 coeff = cx * cy * loop_factor(loops, self.delta)
-                terms[glued] = terms.get(glued, as_scalar(0, self.delta)) + coeff
+                terms[glued] = terms.get(glued, 0) + coeff
         return Morphism(self.r, other.s, terms, self.delta)
 
     def __matmul__(self, other):
@@ -200,12 +199,14 @@ class Morphism:
         for dx, cx in self.terms.items():
             for dy, cy in other.terms.items():
                 d = tensor_diagrams(dx, dy)
-                terms[d] = terms.get(d, as_scalar(0, self.delta)) + cx * cy
+                terms[d] = terms.get(d, 0) + cx * cy
         return Morphism(self.r + other.r, self.s + other.s, terms, self.delta)
 
     def __pow__(self, exp: int):
         if self.r != self.s:
             raise ValueError("powers need a square shape")
+        if exp < 0:
+            raise ValueError("negative powers of a morphism are not defined")
         acc = Morphism.identity(self.r, self.delta)
         for _ in range(exp):
             acc = acc * self
@@ -240,7 +241,12 @@ class Morphism:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = [f"{c}*{d}" for d, c in sorted(self.terms.items(), key=lambda t: str(t[0]))]
+        parts = []
+        for d, c in sorted(self.terms.items(), key=lambda t: str(t[0])):
+            coeff = str(c)
+            if " " in coeff:  # a coefficient of two or more terms, like 1 - d
+                coeff = f"({coeff})"
+            parts.append(f"{coeff}*{d}")
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -281,6 +287,11 @@ def r_element(i: int, k: int, m: int, delta) -> Morphism:
     return Morphism(m, m, terms, delta)
 
 
+def _check_rank(n: int):
+    if n < 1:
+        raise ValueError(f"the rank n must be at least 1, got {n}")
+
+
 def _default_delta(n: int, delta):
     if delta == "auto":
         return Fraction(-2 * n)
@@ -289,6 +300,7 @@ def _default_delta(n: int, delta):
 
 def e_sum(n: int, delta="auto") -> Morphism:
     """Average of all diagrams on n+1 strands; idempotent at delta = -2n."""
+    _check_rank(n)
     m = n + 1
     delta = _default_delta(n, delta)
     coeff = Fraction(1, math.factorial(m))
@@ -303,6 +315,7 @@ def e_rec(n: int, delta="auto", chain: str = "ere") -> Morphism:
     E(n)R_n(n)R_{n-1}(n-1)...R_1(1), "right" is R_1(1)...R_n(n)E(n),
     with E built on one strand fewer and padded by an identity strand.
     """
+    _check_rank(n)
     delta = _default_delta(n, delta)
     if delta is None:
         raise ValueError("recursive construction needs a rational specialization")
@@ -344,6 +357,7 @@ class CentralityReport:
 
 def check_eq_ch(e: Morphism, n: int) -> CentralityReport:
     """Verify x*e == [pr(x) = n+1]*e == e*x for every diagram x on n+1 strands."""
+    _check_rank(n)
     m = n + 1
     if (e.r, e.s) != (m, m):
         raise ValueError(f"expected a ({m},{m}) morphism, got ({e.r},{e.s})")

@@ -63,16 +63,12 @@ def cmd_enumerate(args) -> int:
         items = [str(t) for t in tb.enumerate_oscillating(2 * args.r, args.n)]
     elif what == "syt":
         if not args.shape:
-            print("enumerate --what syt needs --shape", file=sys.stderr)
-            return 2
+            raise ValueError("enumerate --what syt needs --shape")
         items = ["/".join(",".join(map(str, row)) for row in t)
                  for t in tb.enumerate_SYT(parse_partition(args.shape))]
-    elif what == "set-partitions":
+    else:  # set-partitions
         items = ["|".join(",".join(map(str, b)) for b in p)
                  for p in mt.iter_set_partitions(args.r, args.n)]
-    else:
-        print(f"unknown enumeration {what!r}", file=sys.stderr)
-        return 2
     if args.count:
         print(len(items))
     else:
@@ -147,9 +143,7 @@ def _character(args) -> sf.SymFuncP:
         return sf.partition_category_character(args.r, args.n)
     if kind == "partition-multiset":
         return sf.partition_category_character_multiset(args.r, args.n, args.k or 1)
-    if kind == "adjoint":
-        return sf.adjoint_invariant_character(args.r, args.n)
-    raise ValueError(f"unknown kind {kind!r}")
+    return sf.adjoint_invariant_character(args.r, args.n)  # adjoint
 
 
 def cmd_frobenius(args) -> int:
@@ -216,8 +210,7 @@ def cmd_csp_verify(args) -> int:
                     jobs.append((r, n, args.k))
     else:
         if args.r is None or args.n is None:
-            print("csp-verify needs --r and --n (or --grid)", file=sys.stderr)
-            return 2
+            raise ValueError("csp-verify needs --r and --n (or --grid)")
         jobs.append((args.r, args.n, args.k))
     all_pass = True
     for r, n, k in jobs:

@@ -155,7 +155,10 @@ class _Parser:
             if self.peek(1).kind == "|":
                 return self.shaped_diagram()
             self.next()
-            return Num(Fraction(tok.text), tok.pos)
+            try:
+                return Num(Fraction(tok.text), tok.pos)
+            except ZeroDivisionError:
+                raise ExprError(f"zero denominator in {tok.text!r}", tok.pos) from None
         if tok.kind == "(":
             if self.peek(1).kind == "num" and self.peek(2).kind == ",":
                 return self.diagram_literal(0, None)
@@ -215,6 +218,8 @@ class _Parser:
             self.expect("(")
             m = int(self.expect("num").text)
             self.expect(")")
+            if m < 2:
+                raise ExprError(f"E(m) needs m >= 2 strands, got E({m})", tok.pos)
             return Name("E", m, pos=tok.pos)
         if base == "R":
             if index is None:

@@ -16,7 +16,6 @@ from typing import Iterator
 from .category import Morphism
 from .matchings import (Diagram, PerfectMatching, bend, crossing_pairs,
                         find_mutually_crossing, unbend, _matchings_of)
-from .scalars import as_scalar
 
 
 @dataclass(frozen=True)
@@ -139,10 +138,9 @@ def normal_form(m: Morphism, n: int, _trace: list | None = None) -> Morphism:
         memo[d] = out
         return out
 
-    zero = as_scalar(0, m.delta)
     terms: dict[Diagram, object] = {}
     for d in sorted(m.terms):
         c = m.terms[d]
         for e, k in reduce(d).items():
-            terms[e] = terms.get(e, zero) + c * k
+            terms[e] = terms.get(e, 0) + c * k
     return Morphism(0, m.s, terms, m.delta)

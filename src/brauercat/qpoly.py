@@ -101,6 +101,14 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
+    def __pow__(self, exp: int):
+        if exp < 0:
+            raise ValueError("negative powers are not polynomials")
+        acc = QPolynomial((1,))
+        for _ in range(exp):
+            acc = acc * self
+        return acc
+
     def divexact(self, other: QPolynomial) -> QPolynomial:
         """Exact polynomial division; raises if the remainder is nonzero."""
         quotient, rem = _long_division(self, other)
@@ -124,6 +132,10 @@ class QPolynomial:
         return f"QPolynomial({self})"
 
     def __str__(self):
+        return self.format("q")
+
+    def format(self, var: str) -> str:
+        """Lowest degree first, like ``1 - 2*q + q^3``, in the variable ``var``."""
         if not self.coeffs:
             return "0"
         parts = []
@@ -133,13 +145,13 @@ class QPolynomial:
             if e == 0:
                 parts.append(str(c))
             else:
-                var = "q" if e == 1 else f"q^{e}"
+                power = var if e == 1 else f"{var}^{e}"
                 if c == 1:
-                    parts.append(var)
+                    parts.append(power)
                 elif c == -1:
-                    parts.append(f"-{var}")
+                    parts.append(f"-{power}")
                 else:
-                    parts.append(f"{c}*{var}")
+                    parts.append(f"{c}*{power}")
         return " + ".join(parts).replace("+ -", "- ")
 
 

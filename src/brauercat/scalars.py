@@ -9,129 +9,81 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .qpoly import QPolynomial
+
 
 class DeltaPoly:
-    """Polynomial in the formal loop parameter, rational coefficients, exact."""
+    """Polynomial in the formal loop parameter, rational coefficients, exact.
 
-    __slots__ = ("coeffs",)
+    The arithmetic is QPolynomial's.  DeltaPoly stays a type of its own, so
+    that a polynomial in q is never taken for a morphism coefficient and a
+    formal coefficient is never taken for a rational one (see ``as_scalar``).
+    """
+
+    __slots__ = ("poly",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.poly = coeffs if isinstance(coeffs, QPolynomial) else QPolynomial(coeffs)
 
     @classmethod
     def const(cls, value) -> DeltaPoly:
-        return cls((Fraction(value),))
+        return cls((value,))
 
     @classmethod
     def delta(cls, power: int = 1) -> DeltaPoly:
-        return cls((0,) * power + (1,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return cls(QPolynomial.monomial(power))
 
     def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return Fraction(self.poly.evaluate(Fraction(x)))
 
-    def _coerced(self, other):
+    def _apply(self, op, other):
+        """DeltaPoly(op(self.poly, other)) for a DeltaPoly, int or Fraction other."""
         if isinstance(other, DeltaPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return DeltaPoly.const(other)
-        return None
+            other = other.poly
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return DeltaPoly(op(self.poly, other))
 
     def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return DeltaPoly(tuple(
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (o.coeffs[i] if i < len(o.coeffs) else 0) for i in range(n)))
+        return self._apply(QPolynomial.__add__, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DeltaPoly(tuple(-c for c in self.coeffs))
+        return DeltaPoly(-self.poly)
 
     def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._apply(QPolynomial.__sub__, other)
 
     def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self._apply(QPolynomial.__rsub__, other)
 
     def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero() or o.is_zero():
-            return DeltaPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return DeltaPoly(tuple(out))
+        return self._apply(QPolynomial.__mul__, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, exp: int):
-        if exp < 0:
-            raise ValueError("negative powers are not polynomials")
-        acc = DeltaPoly.const(1)
-        for _ in range(exp):
-            acc = acc * self
-        return acc
+        return DeltaPoly(self.poly ** exp)
 
     def __eq__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        if isinstance(other, DeltaPoly):
+            return self.poly == other.poly
+        if isinstance(other, (int, Fraction)):
+            return self.poly == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash(("DeltaPoly", self.coeffs))
+        return hash(self.poly)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.poly)
 
     def __repr__(self):
         return f"DeltaPoly({self})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                var = "d" if i == 1 else f"d^{i}"
-                if c == 1:
-                    parts.append(var)
-                elif c == -1:
-                    parts.append(f"-{var}")
-                else:
-                    parts.append(f"{c}*{var}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return self.poly.format("d")
 
 
 def as_scalar(value, delta: Fraction | None):
@@ -150,6 +102,4 @@ def as_scalar(value, delta: Fraction | None):
 
 def loop_factor(loops: int, delta: Fraction | None):
     """The scalar contributed by ``loops`` closed loops."""
-    if delta is None:
-        return DeltaPoly.delta(1) ** loops
-    return Fraction(delta) ** loops
+    return DeltaPoly.delta(loops) if delta is None else delta ** loops

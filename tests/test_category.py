@@ -189,6 +189,34 @@ def test_eq_ch():
     assert bad.witness == generator_u(1, 2)
 
 
+def test_rank_below_one_is_rejected():
+    with pytest.raises(ValueError, match="at least 1"):
+        e_sum(0)
+    with pytest.raises(ValueError, match="at least 1"):
+        e_rec(0)
+    with pytest.raises(ValueError, match="at least 1"):
+        check_eq_ch(Morphism.identity(1, Fraction(0)), 0)
+
+
+def test_negative_power_is_rejected():
+    u = as_m(generator_u(1, 2))
+    assert u ** 0 == Morphism.identity(2)
+    assert u ** 2 == u * u
+    with pytest.raises(ValueError, match="negative"):
+        u ** -1
+
+
+def test_multi_term_coefficients_print_in_parentheses():
+    u = as_m(generator_u(1, 2))
+    s = as_m(generator_s(1, 2))
+    assert str(u - u * u) == "(1 - d)*2|2:(1,2)(3,4)"
+    assert str(u * u * u) == "d^2*2|2:(1,2)(3,4)"
+    assert str(s - u * u) == "-d*2|2:(1,2)(3,4) + 1*2|2:(1,3)(2,4)"
+    assert str((D - 2) * u + s * 3) == "(-2 + d)*2|2:(1,2)(3,4) + 3*2|2:(1,3)(2,4)"
+    assert str(e_sum(1) - e_sum(1).scaled(3)) == \
+        "-1*2|2:(1,2)(3,4) - 1*2|2:(1,3)(2,4) - 1*2|2:(1,4)(2,3)"
+
+
 def test_trace_of_e():
     formal = e_trace(1, None)
     assert formal == (D * (D + 2)) * Fraction(1, 2)

@@ -68,6 +68,12 @@ def test_syntax_errors_have_positions():
         parse_expr("u_1 %")
     with pytest.raises(ExprError, match="unknown name"):
         parse_expr("frob_1")
+    with pytest.raises(ExprError, match=r"zero denominator in '3/0' \(at column 7\)"):
+        parse_expr("u_1 * 3/0")
+    with pytest.raises(ExprError, match=r"E\(1\) \(at column 7\)"):
+        parse_expr("u_1 o E(1)")
+    with pytest.raises(ExprError, match=r"E\(0\) \(at column 1\)"):
+        parse_expr("E(0)")
 
 
 def test_shape_errors_report_both_shapes():
@@ -147,6 +153,10 @@ def test_cli_compose_and_errors(capsys):
     assert out.startswith("1/2*")
     assert main(["compose", "u_1 o (1,2)(3,4)"]) == 2
     assert "(2,2) and (0,4)" in capsys.readouterr().err
+    assert main(["compose", "u_1 - u_1 o u_1"]) == 0
+    assert capsys.readouterr().out == "(1 - d)*2|2:(1,2)(3,4)\n"
+    assert main(["compose", "u_1 o u_1 o u_1"]) == 0
+    assert capsys.readouterr().out == "d^2*2|2:(1,2)(3,4)\n"
 
 
 def test_cli_normal_form(tmp_path, capsys):
@@ -222,6 +232,13 @@ def test_cli_usage_error():
     ["csp-verify", "--grid", "r<=2,n<=0"],
     ["csp-verify", "--grid", "r<=2,n<=1,k<=0"],
     ["csp-verify", "--grid", "r<=2,r<=3"],
+    ["compose", "E(0)"],
+    ["compose", "E(1)"],
+    ["compose", "1/0"],
+    ["compose", "u_1 - 2/0 * u_1"],
+    ["enumerate", "--what", "syt"],
+    ["csp-verify", "--n", "1"],
+    ["csp-verify"],
 ])
 def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     try:
