@@ -118,6 +118,13 @@ class _Parser:
             raise ExprError(f"expected {kind!r}, found {tok.text!r}", tok.pos)
         return tok
 
+    def integer(self, slot: str) -> int:
+        """The next number token, which must be an integer: it fills ``slot``."""
+        tok = self.expect("num")
+        if "/" in tok.text:
+            raise ExprError(f"{slot} must be an integer, found {tok.text!r}", tok.pos)
+        return int(tok.text)
+
     def parse(self):
         node = self.expr()
         tok = self.peek()
@@ -174,9 +181,9 @@ class _Parser:
         pairs = []
         while self.peek().kind == "(":
             self.next()
-            a = int(self.expect("num").text)
+            a = self.integer("diagram point")
             self.expect(",")
-            b = int(self.expect("num").text)
+            b = self.integer("diagram point")
             self.expect(")")
             pairs.append((a, b))
         return tuple(pairs)
@@ -192,10 +199,9 @@ class _Parser:
         return Diag(unbend(pm, r, s), pos)
 
     def shaped_diagram(self):
-        tok = self.next()
-        r = int(tok.text)
+        r = self.integer("r in r|s")
         self.expect("|")
-        s = int(self.expect("num").text)
+        s = self.integer("s in r|s")
         self.expect(":")
         return self.diagram_literal(r, s)
 
@@ -211,12 +217,12 @@ class _Parser:
         if base == "id":
             if index is None and self.peek().kind == "(":
                 self.next()
-                index = int(self.expect("num").text)
+                index = self.integer("k in id(k)")
                 self.expect(")")
             return Name("id", index, pos=tok.pos)
         if base == "E":
             self.expect("(")
-            m = int(self.expect("num").text)
+            m = self.integer("m in E(m)")
             self.expect(")")
             if m < 2:
                 raise ExprError(f"E(m) needs m >= 2 strands, got E({m})", tok.pos)
@@ -225,7 +231,7 @@ class _Parser:
             if index is None:
                 raise ExprError("R needs a subscript like R_1(0)", tok.pos)
             self.expect("(")
-            k = int(self.expect("num").text)
+            k = self.integer("k in R_i(k)")
             self.expect(")")
             return Name("R", index, arg=k, pos=tok.pos)
         if base == "Pf":

@@ -123,6 +123,9 @@ class QPolynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its int or Fraction value, so it hashes as one
+        if len(self.coeffs) <= 1:
+            return hash(self.coefficient(0))
         return hash(("QPolynomial", self.coeffs))
 
     def __bool__(self):

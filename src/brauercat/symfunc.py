@@ -208,22 +208,41 @@ def schur_to_p(lam: tuple[int, ...]) -> SymFuncP:
     return SymFuncP._from_partitions(out)
 
 
-def p_to_schur_coeff(f: SymFuncP, lam) -> Fraction:
-    """<f, s_lam> = sum over mu of f_mu chi^lam(mu)."""
-    lam = check_partition(lam)
-    size = sum(lam)
-    total = Fraction(0)
-    for mu, c in f.coeffs.items():
-        if sum(mu) == size:
-            total += c * mn_character(lam, mu)
-    return total
+def _add_ribbons(terms: list, beads: int) -> dict[int, int]:
+    """Schur expansion of sum c * p_mu over (mu, c) in terms, keyed by bead mask.
+
+    Bead i (from 1) sits at lam_i + beads - i, with lam_i = 0 past the last part.
+    f = sum over t of p_t * f_t, t the largest part: f_t is expanded first, then
+    p_t * s_nu adds every t-ribbon to nu (Murnaghan-Nakayama), moving a bead
+    from b to a free b + t with sign (-1)^(beads strictly between).
+    """
+    out: dict[int, int] = {}
+    by_first: dict[int, list] = {}
+    for mu, c in terms:
+        if mu:
+            by_first.setdefault(mu[0], []).append((mu[1:], c))
+        else:
+            out[(1 << beads) - 1] = c
+    for t, rest in by_first.items():
+        between = (1 << (t - 1)) - 1
+        for mask, c in _add_ribbons(rest, beads).items():
+            movable = mask & ~(mask >> t)
+            while movable:
+                low = movable & -movable
+                movable ^= low
+                new = mask ^ low ^ (low << t)
+                odd = (mask >> low.bit_length() & between).bit_count() & 1
+                out[new] = out.get(new, 0) + (-c if odd else c)
+    return out
 
 
 def schur_expand(f: SymFuncP) -> dict[tuple[int, ...], Fraction]:
-    """Schur coefficients of every homogeneous component.
+    """Schur coefficients of every homogeneous component, by ascending degree
+    and then in ``partitions(d)`` order.
 
     The coefficients of f are scaled once to integers over their common
-    denominator, so each <f, s_lam> is an integer sum of character values.
+    denominator; each degree d is expanded by ``_add_ribbons`` on d-bead
+    masks, which builds no character table.
     """
     if f.is_zero():
         return {}
@@ -233,9 +252,10 @@ def schur_expand(f: SymFuncP) -> dict[tuple[int, ...], Fraction]:
         by_degree.setdefault(sum(mu), []).append((mu, c.numerator * (den // c.denominator)))
     out = {}
     for d in sorted(by_degree):
-        terms = by_degree[d]
+        by_mask = _add_ribbons(by_degree[d], d)
         for lam in partitions(d):
-            total = sum(c * mn_character(lam, mu) for mu, c in terms)
+            padded = lam + (0,) * (d - len(lam))
+            total = by_mask.get(sum(1 << (part + d - 1 - i) for i, part in enumerate(padded)))
             if total:
                 out[lam] = Fraction(total, den)
     return out
@@ -389,7 +409,8 @@ def dimension(f: SymFuncP) -> Fraction:
 def fake_degree(f: SymFuncP) -> QPolynomial:
     """Linear extension of the maj generating polynomial over Schur terms.
 
-    Each Schur term's polynomial comes from the q-hook length formula
+    The Schur terms come from ``schur_expand`` (ribbons added on bead masks);
+    each term's polynomial from the q-hook length formula
     (``fake_degree_schur_hook``); the walk over standard tableaux,
     ``fake_degree_schur``, is the by-definition route the tests compare with.
     Non-integer Schur coefficients are reported with a warning; the

@@ -5,7 +5,9 @@ definitions, classical recurrences, and brute-force enumeration only.  The
 exceptions are ``normal_form_rescan``, which drives the package's own
 rewrite step by a different strategy than ``normal_form``,
 ``fake_degree_by_syt``, which sums the package's tableau-walk fake degrees
-where ``fake_degree`` uses the q-hook formula, ``orbits_by_rotate``,
+where ``fake_degree`` uses the q-hook formula, ``p_to_schur_coeff``, which
+sums the package's ``mn_character`` values where ``schur_expand`` adds
+ribbons, ``orbits_by_rotate``,
 which walks orbits with ``PerfectMatching.rotate`` where ``orbits`` reads
 them off one index permutation, and ``gram_by_dot``, which takes dot
 products of the package's tensors where ``ev_gram`` counts loops.
@@ -235,6 +237,33 @@ def fake_degree_by_syt(f):
             warnings.warn(f"non-integer Schur coefficient {c} at {lam}")
         total = total + QPolynomial(tuple(x * c for x in fake_degree_schur(lam).coeffs))
     return total
+
+
+def p_to_schur_coeff(f, lam) -> Fraction:
+    """By-definition Schur coefficient <f, s_lam> = sum over mu of f_mu chi^lam(mu),
+    one ``mn_character`` value per term of f of the size of lam."""
+    from brauercat.symfunc import mn_character
+
+    size = sum(lam)
+    total = Fraction(0)
+    for mu, c in f.coeffs.items():
+        if sum(mu) == size:
+            total += c * mn_character(lam, mu)
+    return total
+
+
+def schur_expand_by_definition(f) -> dict:
+    """Every nonzero ``p_to_schur_coeff``, by ascending degree and, within a
+    degree d, in ``partitions(d)`` order."""
+    from brauercat.partitions import partitions
+
+    out = {}
+    for d in f.degrees():
+        for lam in partitions(d):
+            c = p_to_schur_coeff(f, lam)
+            if c:
+                out[lam] = c
+    return out
 
 
 def orbits_by_rotate(elements, step: int = 1) -> list:

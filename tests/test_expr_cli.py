@@ -147,6 +147,20 @@ def test_cli_enumerate_lines(capsys):
     assert lines == ["(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(1/2,3)(2,4)", "diagram point must be an integer, found '1/2' (at column 2)"),
+    ("(1,2)(3,4/3)", "diagram point must be an integer, found '4/3' (at column 9)"),
+    ("1/2|2:(1,2)(3,4)", "r in r|s must be an integer, found '1/2' (at column 1)"),
+    ("2|3/2:(1,2)", "s in r|s must be an integer, found '3/2' (at column 3)"),
+    ("id(1/2)", "k in id(k) must be an integer, found '1/2' (at column 4)"),
+    ("E(3/2)", "m in E(m) must be an integer, found '3/2' (at column 3)"),
+    ("R_1(1/2)", "k in R_i(k) must be an integer, found '1/2' (at column 5)"),
+])
+def test_cli_rational_in_integer_slot_is_a_usage_error(capsys, text, message):
+    assert main(["compose", text]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_compose_and_errors(capsys):
     assert main(["compose", "E(2) * E(2)"]) == 0
     out = capsys.readouterr().out

@@ -81,6 +81,18 @@ def test_integral_fractions_normalize_and_hash_alike():
     assert type(DeltaPoly.const(Fraction(4, 2)).poly.coeffs[0]) is int
 
 
+def test_constants_hash_as_the_number_they_equal():
+    assert len({DeltaPoly.const(2), 2}) == 1
+    assert len({QPolynomial((2,)), 2}) == 1
+    assert len({QPolynomial((Fraction(1, 2),)), Fraction(1, 2)}) == 1
+    assert len({DeltaPoly(), 0}) == len({QPolynomial(), 0, Fraction(0)}) == 1
+    for a in _coeff_tuples(9):
+        for x in (DeltaPoly(a), QPolynomial(a)):
+            for c in (0, 1, -2, Fraction(1, 3)):
+                if x == c:
+                    assert hash(x) == hash(c)
+
+
 def test_evaluate_is_a_ring_homomorphism():
     cases = _coeff_tuples(7, 20)
     points = _scalars(8, 5)

@@ -16,11 +16,12 @@ from brauercat.symfunc import (SymFuncP, adjoint_character_full,
                                littlewood_check, mn_character,
                                partition_category_character,
                                partition_category_character_multiset,
-                               plethysm, plethysm_p, p_to_schur_coeff,
+                               plethysm, plethysm_p,
                                regular_graph_character, scalar_product,
                                schur_expand, schur_to_p)
 from oracles import (bell, fake_degree_by_syt, multiset_partition_count,
-                     regular_multigraph_count, set_partition_count)
+                     p_to_schur_coeff, regular_multigraph_count,
+                     schur_expand_by_definition, set_partition_count)
 
 F = Fraction
 
@@ -266,15 +267,6 @@ def test_fake_degree_matches_tableau_route_on_random_schur_combinations():
 
 
 def test_schur_expand_matches_per_partition_coefficients():
-    def by_definition(f):
-        out = {}
-        for d in f.degrees():
-            for lam in partitions(d):
-                c = p_to_schur_coeff(f, lam)
-                if c:
-                    out[lam] = c
-        return out
-
     rng = random.Random(7)
     cases = [SymFuncP.zero(), SymFuncP.one()]
     for _ in range(30):
@@ -282,8 +274,40 @@ def test_schur_expand_matches_per_partition_coefficients():
                                F(rng.randrange(-9, 10), rng.randrange(1, 13))
                                for _ in range(rng.randrange(1, 8))}))
     for f in cases:
-        assert schur_expand(f) == by_definition(f), f
+        assert list(schur_expand(f).items()) == list(schur_expand_by_definition(f).items()), f
     assert schur_expand(SymFuncP.one()) == {(): 1}
+
+
+def test_schur_expand_of_power_sums_is_the_character_column():
+    for d in range(11):
+        for mu in partitions(d):
+            want = [(lam, c) for lam in partitions(d) if (c := mn_character(lam, mu))]
+            assert list(schur_expand(SymFuncP.p(mu)).items()) == want, mu
+
+
+def test_schur_expand_matches_oracle_on_invariant_and_cancelling_inputs():
+    cases = [invariant_character_matchings(7, n) for n in (1, 2, 3)]
+    # in degree 2 the s[1,1] parts of p[2] and p[1,1] cancel; in degree 4 the
+    # five terms of h_4 cancel on every shape but (4,)
+    mixed = (SymFuncP.one().scaled(2) + SymFuncP.p((2,)) + SymFuncP.p((1, 1))
+             + h_in_p(4).scaled(3) - schur_to_p((3, 1, 1)))
+    assert mixed.degrees() == [0, 2, 4, 5]
+    assert len(mixed.homogeneous_component(4).coeffs) == 5
+    assert schur_expand(mixed) == {(): 2, (2,): 2, (4,): 3, (3, 1, 1): -1}
+    cases.append(mixed)
+    for f in cases:
+        got = schur_expand(f)
+        assert list(got.items()) == list(schur_expand_by_definition(f).items())
+        order = [(sum(lam), partitions(sum(lam)).index(lam)) for lam in got]
+        assert order == sorted(order)
+
+
+def test_schur_expand_builds_no_character_table():
+    f = invariant_character_matchings(6, 2) + SymFuncP.p((5, 3, 2, 1, 1))
+    before = mn_character.cache_info().misses
+    expansion = schur_expand(f)
+    assert mn_character.cache_info().misses == before
+    assert expansion == schur_expand_by_definition(f)
 
 
 def test_arithmetic_results_are_validated_symmetric_functions():
