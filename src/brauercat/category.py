@@ -65,7 +65,8 @@ def compose_diagrams(x: Diagram, y: Diagram) -> tuple[int, Diagram]:
             p = mx[p + r] - r
             glued[p] = True
             p = my[p]
-    return loops, Diagram(r, t, PerfectMatching(tuple(pairs)))
+    # canonical already: starts ascend, and each end is a later, unpaired point
+    return loops, Diagram(r, t, PerfectMatching._from_canonical(tuple(pairs)))
 
 
 def tensor_diagrams(x: Diagram, y: Diagram) -> Diagram:
@@ -170,7 +171,12 @@ class Morphism:
         return NotImplemented
 
     def __mul__(self, other):
-        """Composition (self on top of other), or scaling by a scalar."""
+        """Composition (self on top of other), or scaling by a scalar.
+
+        Rational coefficients are taken as integers over their lcm denominator and
+        delta = p/q as the weight p^k * q^(h-k) of k loops (h = s // 2), so a pair
+        adds an integer and each output term is one Fraction, sum / (lx * ly * q^h),
+        not three Fraction operations per pair.  Formal weights are d^k."""
         if isinstance(other, (int, Fraction, DeltaPoly)):
             return self.scaled(other)
         if isinstance(other, Diagram):
@@ -181,13 +187,26 @@ class Morphism:
         if self.s != other.r:
             raise ValueError(
                 f"cannot compose shapes ({self.r},{self.s}) and ({other.r},{other.s})")
-        terms: dict[Diagram, object] = {}
-        for dx, cx in self.terms.items():
-            for dy, cy in other.terms.items():
+        (xs, lx), (ys, ly) = self._integer_terms(), other._integer_terms()
+        h = self.s // 2  # a closed loop passes at least two glue points
+        p, q = (None, 1) if self.delta is None else self.delta.as_integer_ratio()
+        weights = [DeltaPoly.delta(k) if p is None else p ** k * q ** (h - k) for k in range(h + 1)]
+        acc: dict[Diagram, object] = {}
+        for dx, cx in xs:
+            for dy, cy in ys:
                 loops, glued = compose_diagrams(dx, dy)
-                coeff = cx * cy * loop_factor(loops, self.delta)
-                terms[glued] = terms.get(glued, 0) + coeff
-        return Morphism(self.r, other.s, terms, self.delta)
+                acc[glued] = acc.get(glued, 0) + cx * cy * weights[loops]
+        den = lx * ly * q ** h
+        return Morphism(self.r, other.s, acc if den == 1 else
+                        {d: Fraction(a, den) for d, a in acc.items()}, self.delta)
+
+    def _integer_terms(self):
+        """The terms as (diagram, numerator) over the lcm of the denominators;
+        formal coefficients as they are, over 1."""
+        if self.delta is None:
+            return self.terms.items(), 1
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return [(d, c.numerator * (den // c.denominator)) for d, c in self.terms.items()], den
 
     def __matmul__(self, other):
         if isinstance(other, Diagram):
@@ -321,6 +340,8 @@ def e_rec(n: int, delta="auto", chain: str = "ere") -> Morphism:
         raise ValueError("recursive construction needs a rational specialization")
     if chain not in ("ere", "left", "right"):
         raise ValueError(f"unknown chain {chain!r}")
+    for k in range(1, n + 1):  # reject a pole of any R_k(k) before taking a product
+        r_element(k, k, k + 1, delta)
 
     def build(j: int) -> Morphism:
         # Idempotent on j strands, embedded later as needed.

@@ -9,8 +9,10 @@ where ``fake_degree`` uses the q-hook formula, ``p_to_schur_coeff``, which
 sums the package's ``mn_character`` values where ``schur_expand`` adds
 ribbons, ``orbits_by_rotate``,
 which walks orbits with ``PerfectMatching.rotate`` where ``orbits`` reads
-them off one index permutation, and ``gram_by_dot``, which takes dot
-products of the package's tensors where ``ev_gram`` counts loops.
+them off one index permutation, ``gram_by_dot``, which takes dot
+products of the package's tensors where ``ev_gram`` counts loops, and
+``compose_by_definition``, which multiplies the package's scalars pair by
+pair where ``Morphism.__mul__`` sums integer numerators.
 """
 
 from __future__ import annotations
@@ -198,6 +200,24 @@ def glue_by_union_find(x_pairs, y_pairs, r: int, s: int, t: int):
         ends.setdefault(find(node), []).append(node if node <= r else node - s)
     loops = len({find(node) for node in range(r + 1, r + s + 1)} - set(ends))
     return loops, tuple(sorted(tuple(sorted(pair)) for pair in ends.values()))
+
+
+def compose_by_definition(x, y):
+    """The product x * y term by term: the sum over all pairs of
+    cx * cy * loop_factor(loops), in Fraction or DeltaPoly arithmetic, each
+    pair glued by ``glue_by_union_find``."""
+    from brauercat.category import Morphism
+    from brauercat.matchings import Diagram, PerfectMatching
+    from brauercat.scalars import loop_factor
+
+    terms = {}
+    for dx, cx in x.terms.items():
+        for dy, cy in y.terms.items():
+            loops, pairs = glue_by_union_find(dx.matching.pairs, dy.matching.pairs,
+                                              x.r, x.s, y.s)
+            glued = Diagram(x.r, y.s, PerfectMatching(pairs))
+            terms[glued] = terms.get(glued, 0) + cx * cy * loop_factor(loops, x.delta)
+    return Morphism(x.r, y.s, terms, x.delta)
 
 
 def normal_form_rescan(m, n: int, trace: list | None = None):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -8,8 +9,8 @@ from brauercat.category import (Morphism, check_eq_ch, compose_diagrams,
                                 generator_s, generator_u, r_element,
                                 tensor_diagrams)
 from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
-from brauercat.scalars import DeltaPoly
-from oracles import glue_by_union_find
+from brauercat.scalars import DeltaPoly, loop_factor
+from oracles import compose_by_definition, glue_by_union_find
 
 D = DeltaPoly.delta()
 
@@ -247,3 +248,73 @@ def test_morphism_ring_guard():
         formal * special
     with pytest.raises(ValueError, match="already specialized"):
         special.specialize(Fraction(-2))
+
+
+PRODUCT_DELTAS = (None, Fraction(-2), Fraction(-4), Fraction(0), Fraction(7, 3),
+                  Fraction(-19, 5))
+
+
+def _random_coeff(rng, delta):
+    c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
+    if delta is None:
+        return DeltaPoly((c, Fraction(rng.randint(-5, 5), rng.randint(1, 7))))
+    return c
+
+
+def _random_morphism(rng, r, s, delta):
+    pool = diagrams(r, s)
+    chosen = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+    return Morphism(r, s, {d: _random_coeff(rng, delta) for d in chosen}, delta)
+
+
+def _product_shapes():
+    # every (r, s, t) with r+s and s+t at most 8 points: s = 0, odd s, s up to 6
+    for s in range(7):
+        for r, t in product(range(s % 2, 9 - s, 2), repeat=2):
+            yield r, s, t
+
+
+@pytest.mark.parametrize("delta", PRODUCT_DELTAS, ids=str)
+def test_product_matches_termwise_oracle(delta):
+    rng = random.Random(f"product {delta}")
+    for r, s, t in _product_shapes():
+        x = _random_morphism(rng, r, s, delta)
+        y = _random_morphism(rng, s, t, delta)
+        assert x * y == compose_by_definition(x, y), (x, y)
+        zero_x, zero_y = Morphism.zero(r, s, delta), Morphism.zero(s, t, delta)
+        assert x * zero_y == zero_x * y == zero_x * zero_y == Morphism.zero(r, t, delta)
+
+
+@pytest.mark.parametrize("delta", PRODUCT_DELTAS, ids=str)
+def test_product_terms_cancel_to_zero(delta):
+    # dx * (c * delta^l2 * dy1 - c * delta^l1 * dy2) = 0 when dx glues dy1 and dy2
+    # to the same diagram with l1 and l2 loops
+    rng = random.Random(f"cancel {delta}")
+    cancelled = 0
+    for r, s, t in _product_shapes():
+        dx = rng.choice(diagrams(r, s))
+        by_glued = {}
+        for dy in diagrams(s, t):
+            loops, glued = compose_diagrams(dx, dy)
+            by_glued.setdefault(glued, []).append((loops, dy))
+        groups = [g for g in by_glued.values() if len(g) > 1]
+        if not groups:
+            continue
+        (l1, dy1), (l2, dy2) = rng.sample(rng.choice(groups), 2)
+        c = _random_coeff(rng, delta)
+        x = Morphism.from_diagram(dx, delta, _random_coeff(rng, delta))
+        y = Morphism(s, t, {dy1: c * loop_factor(l2, delta),
+                            dy2: -c * loop_factor(l1, delta)}, delta)
+        assert x * y == compose_by_definition(x, y) == Morphism.zero(r, t, delta), (x, y)
+        cancelled += 1
+    assert cancelled >= 20
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_e_times_e_is_e(n):
+    e = e_sum(n)
+    assert e * e == e
+    if n < 3:
+        assert e * e == compose_by_definition(e, e)
+        formal = e_sum(n, None)
+        assert formal * formal == compose_by_definition(formal, formal)

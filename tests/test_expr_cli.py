@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from brauercat import category, cli
 from brauercat.category import Morphism, e_sum, generator_s, generator_u
 from brauercat.cli import main
 from brauercat.expr import ExprError, evaluate, parse_expr, parse_morphism
@@ -210,6 +211,31 @@ def test_cli_checks(capsys):
     assert capsys.readouterr().out.count("PASS") == 4
 
 
+def test_idempotent_check_rejects_a_pole_before_any_product(monkeypatch, capsys):
+    def no_product(x, y):
+        raise AssertionError("a product was taken before the pole was rejected")
+
+    monkeypatch.setattr(category, "compose_diagrams", no_product)
+    assert main(["idempotent-check", "--n", "3", "--delta", "-4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pole: delta = -4 equals 2 - 2k for k = 3\n"
+
+
+def test_idempotent_check_size_preflight(monkeypatch, capsys):
+    class Admitted(Exception):
+        pass
+
+    def admitted(n, delta):
+        raise Admitted
+
+    monkeypatch.setattr(cli, "e_rec", admitted)
+    with pytest.raises(Admitted):  # n = 4: 945^2 = 893025 pairs, under the budget
+        main(["idempotent-check", "--n", "4"])
+    assert main(["idempotent-check", "--n", "5"]) == 2
+    assert "108056025 diagram pairs" in capsys.readouterr().err
+
+
 def test_cli_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])
@@ -253,6 +279,7 @@ def test_cli_usage_error():
     ["enumerate", "--what", "syt"],
     ["csp-verify", "--n", "1"],
     ["csp-verify"],
+    ["idempotent-check", "--n", "5"],
 ])
 def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     try:
