@@ -19,17 +19,24 @@ from .scalars import DeltaPoly, as_scalar, loop_factor
 def compose_diagrams(x: Diagram, y: Diagram) -> tuple[int, Diagram]:
     """Glue x (shape (r, s)) on top of y (shape (s, t)).
 
-    Returns (number of closed loops removed, composite diagram of shape (r, t)).
+    Returns (number of closed loops removed, composite diagram of shape (r, t)):
+    ``_glue`` on the two mate lists, wrapped in one ``Diagram``.
+    """
+    if x.s != y.r:
+        raise ValueError(f"cannot compose shapes ({x.r},{x.s}) and ({y.r},{y.s})")
+    loops, pairs = _glue(x.matching.involution(), y.matching.involution(), x.r, x.s, y.s)
+    return loops, Diagram(x.r, y.s, PerfectMatching._from_canonical(pairs))
+
+
+def _glue(mx: list[int], my: list[int], r: int, s: int, t: int):
+    """Glue the mate list mx of r+s points on top of my of s+t points.
+
+    Returns (closed loops, canonical pairs of the composite on r+t points).
     Glue point j is x-point r+j and y-point j.  A walk from each external
     point alternates between the two matchings until it leaves the glue,
     marking the glue points it passes; every glue cycle left unmarked is a
     closed loop.
     """
-    if x.s != y.r:
-        raise ValueError(f"cannot compose shapes ({x.r},{x.s}) and ({y.r},{y.s})")
-    r, s, t = x.r, x.s, y.s
-    mx = x.matching.involution()
-    my = y.matching.involution()
     glued = [False] * (s + 1)
     paired = [False] * (r + t + 1)   # composite labels: x top 1..r, y bottom r+1..r+t
     pairs = []
@@ -66,7 +73,7 @@ def compose_diagrams(x: Diagram, y: Diagram) -> tuple[int, Diagram]:
             glued[p] = True
             p = my[p]
     # canonical already: starts ascend, and each end is a later, unpaired point
-    return loops, Diagram(r, t, PerfectMatching._from_canonical(tuple(pairs)))
+    return loops, tuple(pairs)
 
 
 def tensor_diagrams(x: Diagram, y: Diagram) -> Diagram:
@@ -88,18 +95,17 @@ def closure_loops(d: Diagram) -> int:
     """Loops formed by closing top point i onto bottom point i."""
     if d.r != d.s:
         raise ValueError(f"trace needs a square shape, got ({d.r},{d.s})")
-    inv = d.matching.involution()
+    mate = d.matching.involution()
     loops = 0
-    seen = set()
+    seen = [False] * len(mate)
     for start in range(1, d.r + 1):
-        if start in seen:
+        if seen[start]:
             continue
         loops += 1
         p = start
         while True:
-            q = inv[p]
-            seen.add(p)
-            seen.add(q)
+            q = mate[p]
+            seen[p] = seen[q] = True
             p = q - d.r if q > d.r else q + d.r  # close i-top with i-bottom
             if p == start:
                 break
@@ -176,7 +182,10 @@ class Morphism:
         Rational coefficients are taken as integers over their lcm denominator and
         delta = p/q as the weight p^k * q^(h-k) of k loops (h = s // 2), so a pair
         adds an integer and each output term is one Fraction, sum / (lx * ly * q^h),
-        not three Fraction operations per pair.  Formal weights are d^k."""
+        not three Fraction operations per pair.  Formal weights are d^k.  Each
+        operand term's mate list is taken once per product, each pair is glued by
+        ``_glue`` into a canonical pairs tuple that keys the sums, and one Diagram
+        is built per output term."""
         if isinstance(other, (int, Fraction, DeltaPoly)):
             return self.scaled(other)
         if isinstance(other, Diagram):
@@ -188,17 +197,21 @@ class Morphism:
             raise ValueError(
                 f"cannot compose shapes ({self.r},{self.s}) and ({other.r},{other.s})")
         (xs, lx), (ys, ly) = self._integer_terms(), other._integer_terms()
-        h = self.s // 2  # a closed loop passes at least two glue points
+        r, s, t = self.r, self.s, other.s
+        h = s // 2  # a closed loop passes at least two glue points
         p, q = (None, 1) if self.delta is None else self.delta.as_integer_ratio()
         weights = [DeltaPoly.delta(k) if p is None else p ** k * q ** (h - k) for k in range(h + 1)]
-        acc: dict[Diagram, object] = {}
+        ys = [(dy.matching.involution(), cy) for dy, cy in ys]
+        acc: dict[tuple, object] = {}
         for dx, cx in xs:
-            for dy, cy in ys:
-                loops, glued = compose_diagrams(dx, dy)
-                acc[glued] = acc.get(glued, 0) + cx * cy * weights[loops]
+            mx = dx.matching.involution()
+            for my, cy in ys:
+                loops, pairs = _glue(mx, my, r, s, t)
+                acc[pairs] = acc.get(pairs, 0) + cx * cy * weights[loops]
         den = lx * ly * q ** h
-        return Morphism(self.r, other.s, acc if den == 1 else
-                        {d: Fraction(a, den) for d, a in acc.items()}, self.delta)
+        return Morphism(r, t, {Diagram(r, t, PerfectMatching._from_canonical(pairs)):
+                               a if den == 1 else Fraction(a, den) for pairs, a in acc.items()},
+                        self.delta)
 
     def _integer_terms(self):
         """The terms as (diagram, numerator) over the lcm of the denominators;
@@ -382,11 +395,11 @@ def check_eq_ch(e: Morphism, n: int) -> CentralityReport:
     m = n + 1
     if (e.r, e.s) != (m, m):
         raise ValueError(f"expected a ({m},{m}) morphism, got ({e.r},{e.s})")
+    zero = Morphism.zero(m, m, e.delta)
     for pm in enumerate_matchings(2 * m):
         x = Diagram(m, m, pm)
-        rho = 1 if x.propagating_number == m else 0
         xm = Morphism.from_diagram(x, e.delta)
-        want = e.scaled(rho)
+        want = e if x.propagating_number == m else zero
         if xm * e != want:
             return CentralityReport(False, x, "x*e != rho(x)*e")
         if e * xm != want:

@@ -98,13 +98,14 @@ def cmd_normal_form(args) -> int:
     return 0
 
 
-_IDEMPOTENT_PAIR_BUDGET = 10 ** 6  # pairs in E * E, (2n+1)!!^2: n = 4 has 893,025
+# pairs in E * E, x * E and E * x over all N = (2n+1)!! diagrams x, 3 N^2: n = 4 has 2,679,075
+_IDEMPOTENT_PAIR_BUDGET = 3 * 10 ** 6
 
 
 def cmd_idempotent_check(args) -> int:
     n = args.n
     delta = _delta_from(args)
-    pairs = math.prod(range(1, 2 * n + 2, 2)) ** 2
+    pairs = 3 * math.prod(range(1, 2 * n + 2, 2)) ** 2
     if pairs > _IDEMPOTENT_PAIR_BUDGET:
         raise ValueError(f"idempotent-check --n {n} composes {pairs} diagram pairs, "
                          f"over the budget of {_IDEMPOTENT_PAIR_BUDGET}")

@@ -46,12 +46,12 @@ class PerfectMatching:
     def n_points(self) -> int:
         return 2 * len(self.pairs)
 
-    def involution(self) -> dict[int, int]:
-        inv = {}
+    def involution(self) -> list[int]:
+        """The mate list: mate[p] is the partner of point p (mate[0] is unused)."""
+        mate = [0] * (2 * len(self.pairs) + 1)
         for a, b in self.pairs:
-            inv[a] = b
-            inv[b] = a
-        return inv
+            mate[a], mate[b] = b, a
+        return mate
 
     def rotate(self, step: int = 1) -> PerfectMatching:
         """Advance every point label by ``step`` cyclically (i -> i + step mod 2m)."""

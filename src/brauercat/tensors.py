@@ -427,10 +427,7 @@ def ev_gram(matchings: list[PerfectMatching], n: int) -> list[list[int]]:
     for m in matchings:
         if m.n_points != matchings[0].n_points:
             raise ValueError(f"point count mismatch: {m.n_points} vs {matchings[0].n_points}")
-        mate = [0] * (m.n_points + 1)
-        for a, b in m.pairs:
-            mate[a], mate[b] = b, a
-        mates.append(mate)
+        mates.append(m.involution())
         signs.append(-1 if crossing_pairs(m) % 2 else 1)
     gram = [[0] * len(mates) for _ in mates]
     for i, a in enumerate(mates):

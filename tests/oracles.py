@@ -12,7 +12,9 @@ which walks orbits with ``PerfectMatching.rotate`` where ``orbits`` reads
 them off one index permutation, ``gram_by_dot``, which takes dot
 products of the package's tensors where ``ev_gram`` counts loops, and
 ``compose_by_definition``, which multiplies the package's scalars pair by
-pair where ``Morphism.__mul__`` sums integer numerators.
+pair where ``Morphism.__mul__`` sums integer numerators, and
+``check_eq_ch_by_definition``, which builds ``e.scaled(rho)`` per diagram
+and multiplies through ``compose_by_definition``.
 """
 
 from __future__ import annotations
@@ -202,6 +204,22 @@ def glue_by_union_find(x_pairs, y_pairs, r: int, s: int, t: int):
     return loops, tuple(sorted(tuple(sorted(pair)) for pair in ends.values()))
 
 
+def closure_loops_by_union_find(pairs, m: int) -> int:
+    """Loops of the (m, m) diagram with these pairs once top point i is joined
+    to bottom point m+i: the connected components of the merged strands."""
+    parent = list(range(2 * m + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in list(pairs) + [(i, m + i) for i in range(1, m + 1)]:
+        parent[find(a)] = find(b)
+    return len({find(p) for p in range(1, 2 * m + 1)})
+
+
 def compose_by_definition(x, y):
     """The product x * y term by term: the sum over all pairs of
     cx * cy * loop_factor(loops), in Fraction or DeltaPoly arithmetic, each
@@ -353,3 +371,23 @@ def gram_by_dot(tensors) -> list:
             row.append(sum(v * big.get(k, 0) for k, v in small.items()))
         gram.append(row)
     return gram
+
+
+def check_eq_ch_by_definition(e, n: int):
+    """``check_eq_ch`` as defined: for every diagram x on n+1 strands, in
+    ``enumerate_matchings`` order, x*e and e*x by ``compose_by_definition``
+    against ``e.scaled(rho)``, rho = 1 when all n+1 strands propagate."""
+    from brauercat.category import CentralityReport, Morphism
+    from brauercat.matchings import Diagram, enumerate_matchings
+
+    m = n + 1
+    for pm in enumerate_matchings(2 * m):
+        x = Diagram(m, m, pm)
+        rho = 1 if sum(1 for a, b in pm.pairs if a <= m < b) == m else 0
+        xm = Morphism.from_diagram(x, e.delta)
+        want = e.scaled(rho)
+        if compose_by_definition(xm, e) != want:
+            return CentralityReport(False, x, "x*e != rho(x)*e")
+        if compose_by_definition(e, xm) != want:
+            return CentralityReport(False, x, "e*x != rho(x)*e")
+    return CentralityReport(True)

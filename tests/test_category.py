@@ -10,7 +10,8 @@ from brauercat.category import (Morphism, check_eq_ch, compose_diagrams,
                                 tensor_diagrams)
 from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
 from brauercat.scalars import DeltaPoly, loop_factor
-from oracles import compose_by_definition, glue_by_union_find
+from oracles import (check_eq_ch_by_definition, closure_loops_by_union_find,
+                     compose_by_definition, glue_by_union_find)
 
 D = DeltaPoly.delta()
 
@@ -241,6 +242,12 @@ def test_closure_loops():
     assert closure_loops(generator_u(1, 2)) == 1
 
 
+def test_closure_loops_match_union_find():
+    for m in range(4):
+        for d in diagrams(m, m):
+            assert closure_loops(d) == closure_loops_by_union_find(d.matching.pairs, m), d
+
+
 def test_morphism_ring_guard():
     formal = Morphism.identity(2)
     special = Morphism.identity(2, Fraction(-2))
@@ -318,3 +325,21 @@ def test_e_times_e_is_e(n):
         assert e * e == compose_by_definition(e, e)
         formal = e_sum(n, None)
         assert formal * formal == compose_by_definition(formal, formal)
+
+
+@pytest.mark.parametrize("n, delta", [(1, Fraction(-2)), (2, Fraction(-4)),
+                                      (1, Fraction(-4)), (1, Fraction(7, 3))], ids=str)
+def test_eq_ch_matches_definition_on_e(n, delta):
+    report = check_eq_ch(e_sum(n, delta), n)
+    assert report == check_eq_ch_by_definition(e_sum(n, delta), n)
+    assert report.passed == (delta == -2 * n)
+
+
+@pytest.mark.parametrize("m", (2, 3))
+def test_eq_ch_matches_definition_on_random_morphisms(m):
+    rng = random.Random(f"eq_ch {m}")
+    for _ in range(20):
+        e = _random_morphism(rng, m, m, rng.choice(PRODUCT_DELTAS[1:]))
+        report = check_eq_ch(e, m - 1)
+        assert report == check_eq_ch_by_definition(e, m - 1), e
+        assert not report.passed and report.witness is not None

@@ -230,10 +230,10 @@ def test_idempotent_check_size_preflight(monkeypatch, capsys):
         raise Admitted
 
     monkeypatch.setattr(cli, "e_rec", admitted)
-    with pytest.raises(Admitted):  # n = 4: 945^2 = 893025 pairs, under the budget
+    with pytest.raises(Admitted):  # n = 4: 3 * 945^2 = 2679075 pairs, under the budget
         main(["idempotent-check", "--n", "4"])
     assert main(["idempotent-check", "--n", "5"]) == 2
-    assert "108056025 diagram pairs" in capsys.readouterr().err
+    assert "324168075 diagram pairs" in capsys.readouterr().err
 
 
 def test_cli_usage_error():

@@ -9,7 +9,7 @@ from brauercat.matchings import (Diagram, PerfectMatching, bend,
                                  iter_set_partitions, max_mutual_crossing,
                                  orbits, unbend)
 from brauercat.tableaux import count_oscillating
-from oracles import (bell, blocked_by_definition, catalan,
+from oracles import (all_matchings, bell, blocked_by_definition, catalan,
                      crossing_count_by_definition, double_factorial,
                      enumerate_X_by_filter, first_k_mutual_crossing,
                      has_k_mutual_crossing, orbits_by_rotate,
@@ -25,6 +25,14 @@ def test_canonical_storage():
         PM(((1, 2), (2, 3)))
     with pytest.raises(ValueError):
         PM(((1, 2), (4, 5)))
+
+
+def test_involution_is_the_mate_list():
+    for points in range(0, 10, 2):
+        for pairs in all_matchings(points):
+            mate = PM(pairs).involution()
+            assert len(mate) == points + 1 and mate[0] == 0
+            assert all(mate[a] == b and mate[b] == a for a, b in pairs)
 
 
 def test_crossing_pairs_examples():
