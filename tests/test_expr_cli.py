@@ -212,10 +212,11 @@ def test_cli_checks(capsys):
 
 
 def test_idempotent_check_rejects_a_pole_before_any_product(monkeypatch, capsys):
-    def no_product(x, y):
+    def no_product(*args):
         raise AssertionError("a product was taken before the pole was rejected")
 
-    monkeypatch.setattr(category, "compose_diagrams", no_product)
+    # _glue is the kernel that compose_diagrams and Morphism.__mul__ both run through.
+    monkeypatch.setattr(category, "_glue", no_product)
     assert main(["idempotent-check", "--n", "3", "--delta", "-4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
