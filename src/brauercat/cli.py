@@ -13,6 +13,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import matchings as mt
@@ -51,6 +52,13 @@ def _delta_from(args) -> Fraction | None:
     return None
 
 
+def _shape_from(args) -> tuple[int, ...]:
+    try:
+        return parse_partition(args.shape)
+    except ValueError as err:
+        raise ValueError(f"--shape {err}") from None
+
+
 def cmd_enumerate(args) -> int:
     what = args.what
     if what == "matchings":
@@ -66,7 +74,7 @@ def cmd_enumerate(args) -> int:
         if not args.shape:
             raise ValueError("enumerate --what syt needs --shape")
         items = ["/".join(",".join(map(str, row)) for row in t)
-                 for t in tb.enumerate_SYT(parse_partition(args.shape))]
+                 for t in tb.enumerate_SYT(_shape_from(args))]
     else:  # set-partitions
         items = ["|".join(",".join(map(str, b)) for b in p)
                  for p in mt.iter_set_partitions(args.r, args.n)]
@@ -163,7 +171,7 @@ def cmd_frobenius(args) -> int:
 
 def cmd_fake_degree(args) -> int:
     if args.shape:
-        print(tb.fake_degree_schur_hook(parse_partition(args.shape)))
+        print(tb.fake_degree_schur_hook(_shape_from(args)))
         return 0
     print(sf.fake_degree(_character(args)))
     return 0
@@ -255,13 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact diagram algebra, symplectic tensor evaluation, "
                     "and cyclic sieving certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = sub.add_parser
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("enumerate", cmd_enumerate, help="list combinatorial sets")
+    p = add("enumerate", help="list combinatorial sets")
     p.add_argument("--what", required=True,
                    choices=["matchings", "X", "oscillating", "syt", "set-partitions"])
     p.add_argument("--r", type=_positive_int, default=1)
@@ -270,29 +274,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape")
     p.add_argument("--count", action="store_true", help="print only the count")
 
-    p = add("compose", cmd_compose, help="evaluate a morphism expression")
+    p = add("compose", help="evaluate a morphism expression")
     p.add_argument("expression")
     p.add_argument("--n", type=_positive_int, help="rank; sets delta = -2n")
     p.add_argument("--delta", help="explicit rational loop value, e.g. -3/2")
-    p.add_argument("--strands", type=int, help="strand count for u_i/s_i/R_i")
+    p.add_argument("--strands", type=_positive_int, help="strand count for u_i/s_i/R_i")
 
-    p = add("normal-form", cmd_normal_form, help="reduce to noncrossing support")
+    p = add("normal-form", help="reduce to noncrossing support")
     p.add_argument("file", help="morphism file, or - for stdin")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--delta")
     p.add_argument("--trace", action="store_true")
 
-    p = add("idempotent-check", cmd_idempotent_check,
-            help="idempotent, centrality, trace and recursion certificates")
+    p = add("idempotent-check", help="idempotent, centrality, trace and recursion certificates")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--delta")
 
-    p = add("ev-rank", cmd_ev_rank, help="tensor rank against noncrossing count")
+    p = add("ev-rank", help="tensor rank against noncrossing count")
     p.add_argument("--r", type=_positive_int, required=True)
     p.add_argument("--n", type=_positive_int, required=True)
 
-    for name, fn in (("frobenius", cmd_frobenius), ("fake-degree", cmd_fake_degree)):
-        p = add(name, fn, help=f"{name.replace('-', ' ')} of an invariant character")
+    for name in ("frobenius", "fake-degree"):
+        p = add(name, help=f"{name.replace('-', ' ')} of an invariant character")
         p.add_argument("--kind", choices=_KINDS, default="matchings")
         p.add_argument("--r", type=_positive_int, default=1)
         p.add_argument("--n", type=_positive_int, default=1)
@@ -300,28 +303,33 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fake-degree":
             p.add_argument("--shape", help="partition like 2,2: fake degree of one Schur term")
 
-    p = add("csp-verify", cmd_csp_verify, help="cyclic sieving certificate")
+    p = add("csp-verify", help="cyclic sieving certificate")
     p.add_argument("--r", type=_positive_int)
     p.add_argument("--n", type=_positive_int)
     p.add_argument("--k", type=_positive_int)
     p.add_argument("--format", choices=["text", "tsv"], default="text")
     p.add_argument("--grid", help="bounds like r<=5,n<=3")
 
-    p = add("littlewood-check", cmd_littlewood_check,
-            help="plethysm against the even-row Schur sum")
+    p = add("littlewood-check", help="plethysm against the even-row Schur sum")
     p.add_argument("--r", type=_positive_int, default=5)
 
-    p = add("kronecker-check", cmd_kronecker_check,
-            help="power sums against Kronecker squares")
+    p = add("kronecker-check", help="power sums against Kronecker squares")
     p.add_argument("--r", type=_positive_int, default=6)
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a wrapper set on cli.cmd_* after the parser is built still runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (ValueError, ZeroDivisionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

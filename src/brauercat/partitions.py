@@ -74,10 +74,18 @@ def format_partition(lam: tuple[int, ...]) -> str:
 
 
 def parse_partition(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text or text == "[]":
+    """Read a partition like 3,2,1 (optionally in brackets); a ValueError quotes the text."""
+    body = text.strip()
+    if not body or body == "[]":
         return ()
-    return check_partition(int(p) for p in text.strip("[]").split(","))
+    try:
+        lam = tuple(int(p) for p in body.strip("[]").split(","))
+        if is_partition(lam):
+            return lam
+    except ValueError:
+        pass
+    raise ValueError(f"{text!r} is not a partition: expected weakly decreasing "
+                     f"positive integers like 3,2,1")
 
 
 def cells_added(lam: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

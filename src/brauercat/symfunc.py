@@ -2,8 +2,12 @@
 
 Everything is stored as a map from partitions to rational coefficients of
 p_lambda; Schur and complete/elementary functions exist only at conversion
-boundaries, through symmetric group characters.  Plethysm is the power-sum
-substitution p_j -> p_{jm}, which covers every composition used here.
+boundaries.  Both directions are integer walks on bead masks by the
+Murnaghan-Nakayama rule: ``_schur_sum_to_p`` removes ribbons to take a sum
+of Schur functions to the p basis, ``_add_ribbons`` adds them to expand back.
+``mn_character`` is the one-value character route the tests compare with.
+Plethysm is the power-sum substitution p_j -> p_{jm}, which covers every
+composition used here.
 """
 
 from __future__ import annotations
@@ -154,6 +158,12 @@ class SymFuncP:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _integer_coeffs(f: SymFuncP) -> tuple[dict, int]:
+    """f's coefficients as integers over their lcm denominator, and that denominator."""
+    den = lcm(*(c.denominator for c in f.coeffs.values()))
+    return {lam: c.numerator * (den // c.denominator) for lam, c in f.coeffs.items()}, den
+
+
 def scalar_product(f: SymFuncP, g: SymFuncP) -> Fraction:
     """Hall inner product: <p_lam, p_mu> = z_lam [lam = mu]."""
     small, big = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
@@ -200,11 +210,54 @@ def e_in_p(k: int) -> SymFuncP:
 def schur_to_p(lam: tuple[int, ...]) -> SymFuncP:
     """s_lam = sum over mu of chi^lam(mu) p_mu / z_mu."""
     lam = check_partition(lam)
+    return _schur_sum_to_p((lam,), sum(lam))
+
+
+def _bead_mask(lam: tuple[int, ...], beads: int) -> int:
+    """Bead i (from 1) at lam_i + beads - i, with lam_i = 0 past the last part."""
+    mask = (1 << (beads - len(lam))) - 1
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + beads - 1 - i)
+    return mask
+
+
+def _schur_sum_to_p(shapes, d: int) -> SymFuncP:
+    """Sum of s_lam over the shapes (partitions of d, with repeats) in the p basis.
+
+    The coefficient of p_mu is sum over lam of chi^lam(mu) / z_mu.  The walk
+    runs over ``partitions(d)`` order, removing the parts t of mu largest
+    first from a ``dict[mask, int]`` on d-bead masks: each bead at b with
+    b - t free moves down to b - t with sign (-1)^(beads strictly between)
+    (Murnaghan-Nakayama).  Partitions sharing a prefix share its removals;
+    mu's total is the weight left on the empty shape.
+    """
+    start: dict[int, int] = {}
+    for lam in shapes:
+        mask = _bead_mask(lam, d)
+        start[mask] = start.get(mask, 0) + 1
     out = {}
-    for mu in partitions(sum(lam)):
-        chi = mn_character(lam, mu)
-        if chi:
-            out[mu] = Fraction(chi, z_order(mu))
+
+    def walk(state: dict[int, int], remaining: int, largest: int, mu: tuple[int, ...]):
+        if not remaining:
+            out[mu] = Fraction(state[(1 << d) - 1], z_order(mu))
+            return
+        for t in range(min(largest, remaining), 0, -1):
+            between = (1 << (t - 1)) - 1
+            nxt: dict[int, int] = {}
+            for mask, c in state.items():
+                movable = mask >> t & ~mask
+                while movable:
+                    low = movable & -movable
+                    movable ^= low
+                    new = mask ^ low ^ (low << t)
+                    odd = (mask >> low.bit_length() & between).bit_count() & 1
+                    nxt[new] = nxt.get(new, 0) + (-c if odd else c)
+            nxt = {mask: c for mask, c in nxt.items() if c}
+            if nxt:
+                walk(nxt, remaining - t, t, mu + (t,))
+
+    if start:
+        walk(start, d, d, ())
     return SymFuncP._from_partitions(out)
 
 
@@ -246,16 +299,15 @@ def schur_expand(f: SymFuncP) -> dict[tuple[int, ...], Fraction]:
     """
     if f.is_zero():
         return {}
-    den = lcm(*(c.denominator for c in f.coeffs.values()))
+    scaled, den = _integer_coeffs(f)
     by_degree: dict[int, list] = {}
-    for mu, c in f.coeffs.items():
-        by_degree.setdefault(sum(mu), []).append((mu, c.numerator * (den // c.denominator)))
+    for mu, c in scaled.items():
+        by_degree.setdefault(sum(mu), []).append((mu, c))
     out = {}
     for d in sorted(by_degree):
         by_mask = _add_ribbons(by_degree[d], d)
         for lam in partitions(d):
-            padded = lam + (0,) * (d - len(lam))
-            total = by_mask.get(sum(1 << (part + d - 1 - i) for i, part in enumerate(padded)))
+            total = by_mask.get(_bead_mask(lam, d))
             if total:
                 out[lam] = Fraction(total, den)
     return out
@@ -293,27 +345,47 @@ def cauchy_pairing(r: int, g: SymFuncP, partner: SymFuncP) -> SymFuncP:
     """<h_r(X * g(Y)), partner(Y)>_Y as a degree-r function of X.
 
     Uses h_r(XZ) = sum over nu of p_nu(X) p_nu[Z](Y) / z_nu with Z = g(Y).
+    g and partner are scaled once to integers (z_lam folded into the
+    partner), each product of the p_t[g] is built along a walk over
+    ``partitions(r)`` that shares common prefixes, and each nu gets one
+    ``Fraction``.
     """
+    g_int, g_den = _integer_coeffs(g)
+    partner_int, partner_den = _integer_coeffs(partner)
+    weight = {lam: c * z_order(lam) for lam, c in partner_int.items()}
+    # p_t[g]: scaling the parts of a partition keeps it sorted and distinct
+    pleth = {t: [(tuple(t * j for j in lam), c) for lam, c in g_int.items()]
+             for t in range(1, r + 1)}
     out = {}
-    for nu in partitions(r):
-        term = SymFuncP.one()
-        for part in nu:
-            term = term * plethysm_p(part, g)
-        c = scalar_product(term, partner)
-        if c:
-            out[nu] = c / z_order(nu)
+
+    def walk(term: dict, remaining: int, largest: int, nu: tuple[int, ...]):
+        if not remaining:
+            total = sum(c * weight[lam] for lam, c in term.items() if lam in weight)
+            if total:
+                out[nu] = Fraction(total, g_den ** len(nu) * partner_den * z_order(nu))
+            return
+        for t in range(min(largest, remaining), 0, -1):
+            nxt: dict = {}
+            for lam, a in term.items():
+                for mu, b in pleth[t]:
+                    key = tuple(sorted(lam + mu, reverse=True))
+                    nxt[key] = nxt.get(key, 0) + a * b
+            nxt = {lam: c for lam, c in nxt.items() if c}
+            if nxt:
+                walk(nxt, remaining - t, t, nu + (t,))
+
+    walk({(): 1}, r, r, ())
     return SymFuncP._from_partitions(out)
 
 
+@cache
 def _even_column_schur_sum(size: int, max_length: int | None) -> SymFuncP:
-    total = SymFuncP.zero()
-    for lam in partitions(size):
-        if not all_columns_even(lam):
-            continue
-        if max_length is not None and len(lam) > max_length:
-            continue
-        total = total + schur_to_p(conjugate(lam))
-    return total
+    """Sum of s over transposed partitions of size with even columns and at
+    most max_length rows (no bound for None)."""
+    return _schur_sum_to_p(
+        [conjugate(lam) for lam in partitions(size)
+         if all_columns_even(lam) and (max_length is None or len(lam) <= max_length)],
+        size)
 
 
 def invariant_character_matchings(r: int, n: int) -> SymFuncP:
@@ -324,7 +396,8 @@ def invariant_character_matchings(r: int, n: int) -> SymFuncP:
     """
     if r < 0 or n < 1:
         raise ValueError(f"need r >= 0 and n >= 1, got r={r}, n={n}")
-    return _even_column_schur_sum(2 * r, 2 * n)
+    # a copy: the memo entry is shared with the other builders
+    return SymFuncP._from_partitions(_even_column_schur_sum(2 * r, 2 * n).coeffs)
 
 
 def invariant_character_sym_power(r: int, k: int, n: int | None = None) -> SymFuncP:
@@ -340,9 +413,11 @@ def invariant_character_fundamental(r: int, k: int, n: int | None = None) -> Sym
     representation; the pairing partner ranges over all sizes up to kr."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    partner = SymFuncP.zero()
-    for size in range(k * r + 1):
-        partner = partner + _even_column_schur_sum(size, None if n is None else 2 * n)
+    bound = None if n is None else 2 * n
+    # the sizes are the degrees, so their terms never share a partition
+    partner = SymFuncP._from_partitions(
+        {lam: c for size in range(k * r + 1)
+         for lam, c in _even_column_schur_sum(size, bound).coeffs.items()})
     g = h_in_p(k) - h_in_p(k - 2)
     return cauchy_pairing(r, g, partner)
 
@@ -359,10 +434,7 @@ def regular_graph_character(r: int, k: int) -> SymFuncP:
 def littlewood_check(r: int) -> bool:
     """h_r composed with h_2 equals the even-row Schur sum in degree 2r."""
     lhs = plethysm(h_in_p(r), h_in_p(2))
-    rhs = SymFuncP.zero()
-    for lam in partitions(2 * r):
-        if all_rows_even(lam):
-            rhs = rhs + schur_to_p(lam)
+    rhs = _schur_sum_to_p([lam for lam in partitions(2 * r) if all_rows_even(lam)], 2 * r)
     return lhs == rhs
 
 

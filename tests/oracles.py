@@ -12,9 +12,13 @@ which walks orbits with ``PerfectMatching.rotate`` where ``orbits`` reads
 them off one index permutation, ``gram_by_dot``, which takes dot
 products of the package's tensors where ``ev_gram`` counts loops, and
 ``compose_by_definition``, which multiplies the package's scalars pair by
-pair where ``Morphism.__mul__`` sums integer numerators, and
+pair where ``Morphism.__mul__`` sums integer numerators,
 ``check_eq_ch_by_definition``, which builds ``e.scaled(rho)`` per diagram
-and multiplies through ``compose_by_definition``.
+and multiplies through ``compose_by_definition``, ``schur_sum_by_mn``, which
+sums the package's ``mn_character`` columns where ``_schur_sum_to_p``
+removes ribbons, and ``cauchy_pairing_by_definition``, which multiplies and
+pairs the package's ``SymFuncP`` values where ``cauchy_pairing`` walks
+integer numerators.
 """
 
 from __future__ import annotations
@@ -302,6 +306,36 @@ def schur_expand_by_definition(f) -> dict:
             if c:
                 out[lam] = c
     return out
+
+
+def schur_sum_by_mn(shapes):
+    """Sum of s_lam over the shapes in the p basis, one ``mn_character`` column
+    chi^lam(mu) / z_mu per shape, added as ``SymFuncP`` values."""
+    from brauercat.partitions import partitions, z_order
+    from brauercat.symfunc import SymFuncP, mn_character
+
+    total = SymFuncP.zero()
+    for lam in shapes:
+        total = total + SymFuncP({mu: Fraction(mn_character(lam, mu), z_order(mu))
+                                  for mu in partitions(sum(lam))})
+    return total
+
+
+def cauchy_pairing_by_definition(r: int, g, partner):
+    """<h_r(X * g(Y)), partner(Y)>_Y: for each nu of r the product of the
+    plethysms p_t[g] over the parts t of nu, Hall-paired with partner, over z_nu."""
+    from brauercat.partitions import partitions, z_order
+    from brauercat.symfunc import SymFuncP, plethysm_p, scalar_product
+
+    out = {}
+    for nu in partitions(r):
+        term = SymFuncP.one()
+        for part in nu:
+            term = term * plethysm_p(part, g)
+        c = scalar_product(term, partner)
+        if c:
+            out[nu] = c / z_order(nu)
+    return SymFuncP(out)
 
 
 def orbits_by_rotate(elements, step: int = 1) -> list:

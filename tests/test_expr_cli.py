@@ -237,6 +237,23 @@ def test_idempotent_check_size_preflight(monkeypatch, capsys):
     assert "324168075 diagram pairs" in capsys.readouterr().err
 
 
+def test_cli_runs_a_command_wrapper_set_after_the_parser_is_built(monkeypatch, capsys):
+    args = ["frobenius", "--kind", "matchings", "--r", "2", "--n", "1"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == str(cli.sf.invariant_character_matchings(2, 1)) + "\n"
+    assert cli._parser() is cli._parser()  # built once per process
+    seen = []
+
+    def stub(parsed):
+        seen.append((parsed.command, parsed.r, parsed.n))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_frobenius", stub)
+    assert main(args) == 0
+    assert seen == [("frobenius", 2, 1)]
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate"])
@@ -281,6 +298,11 @@ def test_cli_usage_error():
     ["csp-verify", "--n", "1"],
     ["csp-verify"],
     ["idempotent-check", "--n", "5"],
+    ["compose", "id_2", "--strands", "-1"],
+    ["compose", "u_1", "--strands", "-3"],
+    ["fake-degree", "--shape", ","],
+    ["enumerate", "--what", "syt", "--shape", "2,,1"],
+    ["fake-degree", "--shape", "1,3"],
 ])
 def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     try:
@@ -295,8 +317,9 @@ def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     assert "Traceback" not in captured.err
     r_value = argv[argv.index("--r") + 1] if "--r" in argv else "1"
     bad_r = not r_value.isdecimal() or int(r_value) < 1
-    if "--delta" in argv:
-        assert "--delta" in lines[0]
+    for flag in ("--delta", "--strands", "--shape"):
+        if flag in argv:
+            assert flag in lines[0]
     if argv[0] in ("frobenius", "fake-degree") and "--kind" in argv and not bad_r:
         assert "--k" in lines[0]
     if argv[0] in ("littlewood-check", "kronecker-check") or bad_r:

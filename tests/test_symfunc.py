@@ -7,7 +7,8 @@ import pytest
 from brauercat.matchings import enumerate_X, enumerate_X_blocked
 from brauercat.partitions import partitions, sign_of_type, z_order
 from brauercat.qpoly import QPolynomial
-from brauercat.symfunc import (SymFuncP, adjoint_character_full,
+from brauercat.symfunc import (SymFuncP, _even_column_schur_sum,
+                               _schur_sum_to_p, adjoint_character_full,
                                adjoint_invariant_character, cauchy_pairing,
                                dimension, e_in_p, fake_degree, h_in_p,
                                h_series, invariant_character_fundamental,
@@ -19,9 +20,10 @@ from brauercat.symfunc import (SymFuncP, adjoint_character_full,
                                plethysm, plethysm_p,
                                regular_graph_character, scalar_product,
                                schur_expand, schur_to_p)
-from oracles import (bell, fake_degree_by_syt, multiset_partition_count,
-                     p_to_schur_coeff, regular_multigraph_count,
-                     schur_expand_by_definition, set_partition_count)
+from oracles import (bell, cauchy_pairing_by_definition, fake_degree_by_syt,
+                     multiset_partition_count, p_to_schur_coeff,
+                     regular_multigraph_count, schur_expand_by_definition,
+                     schur_sum_by_mn, set_partition_count)
 
 F = Fraction
 
@@ -87,6 +89,14 @@ def test_invariant_character_matchings():
         for n in range(1, 4):
             f = invariant_character_matchings(r, n)
             assert dimension(f) == len(enumerate_X(r, n))
+
+
+def test_matchings_character_is_not_the_shared_memo_entry():
+    f = invariant_character_matchings(3, 1)
+    want = dict(f.coeffs)
+    f.coeffs.clear()
+    assert invariant_character_matchings(3, 1).coeffs == want
+    assert invariant_character_sym_power(6, 1, 1).coeffs == want
 
 
 def test_sym_power_reduces_at_k1():
@@ -338,3 +348,85 @@ def test_h_series():
     assert h.homogeneous_component(0) == SymFuncP.one()
     assert h.homogeneous_component(2) == h_in_p(2)
     assert h.degrees() == [0, 1, 2, 3]
+
+
+def _even_row_shapes(size: int, bound: int | None) -> list:
+    """Even-row partitions of size with at most bound columns: the transposes
+    of the even-column shapes with at most bound rows."""
+    return [lam for lam in partitions(size) if all(p % 2 == 0 for p in lam)
+            and (bound is None or not lam or lam[0] <= bound)]
+
+
+def test_even_column_schur_sum_matches_mn_columns():
+    cases = [(size, bound) for size in range(15) for bound in (None, 2, 4, 6)] + [(16, 4)]
+    for size, bound in cases:
+        want = schur_sum_by_mn(_even_row_shapes(size, bound))
+        assert _even_column_schur_sum(size, bound) == want, (size, bound)
+    assert _even_column_schur_sum(0, 2) == SymFuncP.one()
+    assert _even_column_schur_sum(7, None).is_zero()
+
+
+def test_schur_to_p_matches_mn_column():
+    for d in range(11):
+        for lam in partitions(d):
+            assert schur_to_p(lam) == schur_sum_by_mn([lam]), lam
+
+
+def test_schur_sum_kernel_builds_no_character_table():
+    shapes = [(6, 4, 2), (6, 4, 2), (5, 5, 1, 1), (12,), (1,) * 12]
+    before = mn_character.cache_info().misses
+    got = _schur_sum_to_p(shapes, 12)
+    assert mn_character.cache_info().misses == before
+    assert got == schur_sum_by_mn(shapes)  # a repeated shape counts twice
+    assert _schur_sum_to_p([], 5).is_zero()
+
+
+def test_cauchy_pairing_matches_definition_through_the_builders():
+    for r in range(1, 6):
+        for k in (2, 3):
+            for n in (1, 2, None):
+                bound = None if n is None else 2 * n
+                partner = schur_sum_by_mn(_even_row_shapes(k * r, bound))
+                want = cauchy_pairing_by_definition(r, e_in_p(k), partner)
+                assert invariant_character_sym_power(r, k, n) == want, ("sym-power", r, k, n)
+                partner = schur_sum_by_mn(
+                    [lam for size in range(k * r + 1) for lam in _even_row_shapes(size, bound)])
+                want = cauchy_pairing_by_definition(r, h_in_p(k) - h_in_p(k - 2), partner)
+                assert invariant_character_fundamental(r, k, n) == want, ("fundamental", r, k, n)
+            if k * r > 12:  # the partner plethysm, not the pairing, grows fast
+                continue
+            want = cauchy_pairing_by_definition(r, h_in_p(k) - h_in_p(k - 2),
+                                                plethysm(h_series(k * r), h_in_p(2)))
+            assert regular_graph_character(r, k) == want, ("regular-graph", r, k)
+        for k, n in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2)]:
+            if k * r * n <= 20:
+                want = cauchy_pairing_by_definition(r, h_in_p(k),
+                                                    plethysm(h_in_p(n), h_series(k * r)))
+                got = partition_category_character_multiset(r, n, k)
+                assert got == want, ("partition-multiset", r, n, k)
+
+
+def _random_p_combination(rng: random.Random, max_degree: int) -> SymFuncP:
+    return SymFuncP({rng.choice(partitions(rng.randrange(0, max_degree + 1))):
+                     F(rng.randrange(-9, 10), rng.randrange(1, 13))
+                     for _ in range(rng.randrange(1, 7))})
+
+
+def test_cauchy_pairing_matches_definition_on_random_pairs():
+    rng = random.Random(13)
+    pairs = [(_random_p_combination(rng, 3), _random_p_combination(rng, 8)) for _ in range(24)]
+    g, partner = pairs[0]
+    # zero on either side; and in degree 1 the p[1] and p[2] terms of g pair
+    # to 1 * 1 * z_(1) + 1 * (-1/2) * z_(2) = 0 against this partner
+    cancelling = SymFuncP({(1,): 1, (2,): 1}), SymFuncP({(1,): 1, (2,): F(-1, 2), (2, 2): 3})
+    pairs += [(SymFuncP.zero(), partner), (g, SymFuncP.zero()), cancelling,
+              (h_in_p(2) - h_in_p(2), partner), (e_in_p(2), h_in_p(4) - h_in_p(4)),
+              (SymFuncP.one(), SymFuncP.one())]
+    assert len(pairs) == 30
+    assert cauchy_pairing(1, *cancelling).is_zero()
+    assert not cauchy_pairing(2, *cancelling).is_zero()
+    for g, partner in pairs:
+        for r in range(5):
+            got = cauchy_pairing(r, g, partner)
+            assert got == cauchy_pairing_by_definition(r, g, partner), (r, g, partner)
+            assert all(isinstance(c, Fraction) and c for c in got.coeffs.values())
