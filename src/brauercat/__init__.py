@@ -11,8 +11,8 @@ from .category import (Morphism, check_eq_ch, compose_diagrams, e_rec, e_sum,
                        tensor_diagrams)
 from .pfaffian import (PfGenerator, enumerate_pf_generators, find_violation,
                        normal_form, pfaffian, rewrite_step)
-from .tensors import (SymplecticSpace, Tensor, ev_diagram, ev_generator,
-                      ev_morphism, rank_of_span)
+from .tensors import (Tensor, ev_diagram, ev_generator, ev_morphism,
+                      rank_of_span)
 from .tableaux import (OscillatingTableau, count_oscillating,
                        enumerate_oscillating, enumerate_SYT, fake_degree_schur,
                        fake_degree_schur_hook, maj, syt_count)

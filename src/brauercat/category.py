@@ -340,41 +340,21 @@ def e_sum(n: int, delta="auto") -> Morphism:
     return Morphism(m, m, terms, delta)
 
 
-def e_rec(n: int, delta="auto", chain: str = "ere") -> Morphism:
-    """The same idempotent built recursively from the deformation elements.
-
-    chain selects the construction: "ere" is E(n)R_n(n)E(n), "left" is
-    E(n)R_n(n)R_{n-1}(n-1)...R_1(1), "right" is R_1(1)...R_n(n)E(n),
-    with E built on one strand fewer and padded by an identity strand.
-    """
+def e_rec(n: int, delta="auto") -> Morphism:
+    """The same idempotent built recursively from the deformation elements:
+    E on j strands is E' R_{j-1}(j-1) E', where E' is E on j - 1 strands
+    padded by an identity strand."""
     _check_rank(n)
     delta = _default_delta(n, delta)
     if delta is None:
         raise ValueError("recursive construction needs a rational specialization")
-    if chain not in ("ere", "left", "right"):
-        raise ValueError(f"unknown chain {chain!r}")
     for k in range(1, n + 1):  # reject a pole of any R_k(k) before taking a product
         r_element(k, k, k + 1, delta)
-
-    def build(j: int) -> Morphism:
-        # Idempotent on j strands, embedded later as needed.
-        if j == 1:
-            return Morphism.identity(1, delta)
-        prev = build(j - 1) @ Morphism.identity(1, delta)
-        i = j - 1
-        if chain == "ere":
-            return prev * r_element(i, i, j, delta) * prev
-        if chain == "left":
-            acc = prev
-            for idx in range(i, 0, -1):
-                acc = acc * r_element(idx, idx, j, delta)
-            return acc
-        acc = prev
-        for idx in range(i, 0, -1):
-            acc = r_element(idx, idx, j, delta) * acc
-        return acc
-
-    return build(n + 1)
+    e = Morphism.identity(1, delta)
+    for j in range(2, n + 2):
+        prev = e @ Morphism.identity(1, delta)
+        e = prev * r_element(j - 1, j - 1, j, delta) * prev
+    return e
 
 
 def e_trace(n: int, delta="auto"):

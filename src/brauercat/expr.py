@@ -266,24 +266,25 @@ def infer_strands(node) -> int | None:
     return None
 
 
-def shape_of(node, strands: int | None):
-    """Scalar shape is None; morphisms carry (r, s).  Checks arities."""
+def shape_of(node, strands: int | None, n: int | None = None):
+    """Scalar shape is None; morphisms carry (r, s).  Checks arities, and
+    the Pf literals against the rank n."""
     if isinstance(node, Num):
         return None
     if isinstance(node, Diag):
         return (node.diagram.r, node.diagram.s)
     if isinstance(node, Neg):
-        return shape_of(node.child, strands)
+        return shape_of(node.child, strands, n)
     if isinstance(node, Name):
         if node.kind == "Pf":
-            return None  # depends on the rank flag; resolved at evaluation
+            return (0, _pf_generator(node, n).points)
         m = strands if node.kind in ("u", "s", "R") else node.index
         if node.kind in ("u", "s", "R") and strands is None:
             m = node.index + 1
         return (m, m)
     if isinstance(node, BinOp):
-        ls = shape_of(node.left, strands)
-        rs = shape_of(node.right, strands)
+        ls = shape_of(node.left, strands, n)
+        rs = shape_of(node.right, strands, n)
         if node.op in ("+", "-"):
             if ls != rs:
                 raise ExprError(f"cannot add shapes {ls} and {rs}", node.pos)
@@ -306,6 +307,18 @@ def shape_of(node, strands: int | None):
     raise ExprError("malformed expression", getattr(node, "pos", 0))
 
 
+def _pf_generator(node: Name, n: int | None) -> PfGenerator:
+    """The kernel generator of a Pf literal: its pairs fixed, the rest the subset."""
+    if n is None:
+        raise ExprError("Pf needs the rank flag --n", node.pos)
+    used = {p for pair in node.arg for p in pair}
+    points = 2 * (n + 1) + 2 * len(node.arg)
+    subset = tuple(p for p in range(1, points + 1) if p not in used)
+    if len(subset) != 2 * (n + 1):
+        raise ExprError("Pf pairs must leave exactly 2(n+1) free points", node.pos)
+    return PfGenerator(n, points, subset, node.arg)
+
+
 def evaluate(node, delta=None, strands: int | None = None, n: int | None = None):
     """Evaluate an AST to a Fraction or a Morphism.
 
@@ -314,7 +327,7 @@ def evaluate(node, delta=None, strands: int | None = None, n: int | None = None)
     """
     if strands is None:
         strands = infer_strands(node)
-    shape_of(node, strands)  # arity check before any evaluation
+    shape_of(node, strands, n)  # arity and Pf checks before any evaluation
     return _eval(node, delta, strands, n)
 
 
@@ -342,15 +355,7 @@ def _eval(node, delta, strands, n):
                                 node.pos)
             return r_element(node.index, node.arg, strands, delta)
         if node.kind == "Pf":
-            if n is None:
-                raise ExprError("Pf needs the rank flag --n", node.pos)
-            used = {p for pair in node.arg for p in pair}
-            points = 2 * (n + 1) + 2 * len(node.arg)
-            subset = tuple(p for p in range(1, points + 1) if p not in used)
-            if len(subset) != 2 * (n + 1):
-                raise ExprError("Pf pairs must leave exactly 2(n+1) free points",
-                                node.pos)
-            return pfaffian(PfGenerator(n, points, subset, node.arg), delta)
+            return pfaffian(_pf_generator(node, n), delta)
     if isinstance(node, BinOp):
         left = _eval(node.left, delta, strands, n)
         right = _eval(node.right, delta, strands, n)

@@ -11,13 +11,9 @@ Two strands (a1, b1), (a2, b2) cross when a1 < a2 < b1 < b2; a matching is
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
-
-
-_PAIR_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
 @dataclass(frozen=True, order=True)
@@ -61,19 +57,6 @@ class PerfectMatching:
 
     def __str__(self) -> str:
         return "".join(f"({a},{b})" for a, b in self.pairs)
-
-    @classmethod
-    def parse(cls, text: str) -> PerfectMatching:
-        stripped = re.sub(r"\s+", "", text)
-        pairs = []
-        pos = 0
-        while pos < len(stripped):
-            m = _PAIR_RE.match(stripped, pos)
-            if m is None:
-                raise ValueError(f"malformed matching {text!r} at offset {pos}")
-            pairs.append((int(m.group(1)), int(m.group(2))))
-            pos = m.end()
-        return cls(tuple(pairs))
 
 
 def crossing_pairs(m: PerfectMatching) -> int:
@@ -284,18 +267,6 @@ class Diagram:
         if self.r == 0:
             return str(self.matching)
         return f"{self.r}|{self.s}:{bend(self).matching}"
-
-    @classmethod
-    def parse(cls, text: str) -> Diagram:
-        stripped = re.sub(r"\s+", "", text)
-        if stripped == "id_0":
-            return cls.identity(0)
-        m = re.match(r"^(\d+)\|(\d+):", stripped)
-        if m is None:
-            pm = PerfectMatching.parse(stripped)
-            return cls(0, pm.n_points, pm)
-        r, s = int(m.group(1)), int(m.group(2))
-        return unbend(PerfectMatching.parse(stripped[m.end():]), r, s)
 
 
 def bend(d: Diagram) -> Diagram:

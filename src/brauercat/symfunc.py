@@ -16,6 +16,7 @@ import warnings
 from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
+from types import MappingProxyType
 
 from .partitions import (all_columns_even, all_rows_even, check_partition,
                          conjugate, partitions, sign_of_type, z_order)
@@ -56,7 +57,9 @@ def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 
 class SymFuncP:
-    """A symmetric function as a finite rational combination of p_lambda."""
+    """A symmetric function as a finite rational combination of p_lambda.
+
+    ``coeffs`` is a read-only mapping, so a memoized value can be shared."""
 
     __slots__ = ("coeffs",)
 
@@ -67,14 +70,14 @@ class SymFuncP:
             c = Fraction(c)
             if c:
                 clean[lam] = clean.get(lam, Fraction(0)) + c
-        self.coeffs = {lam: c for lam, c in clean.items() if c}
+        self.coeffs = MappingProxyType({lam: c for lam, c in clean.items() if c})
 
     @classmethod
     def _from_partitions(cls, coeffs: dict) -> SymFuncP:
         """Wrap a map whose keys are partitions already and whose values are
         Fractions, dropping the zeros; the arithmetic builds through this."""
         out = cls.__new__(cls)
-        out.coeffs = {lam: c for lam, c in coeffs.items() if c}
+        out.coeffs = MappingProxyType({lam: c for lam, c in coeffs.items() if c})
         return out
 
     @classmethod
@@ -396,8 +399,7 @@ def invariant_character_matchings(r: int, n: int) -> SymFuncP:
     """
     if r < 0 or n < 1:
         raise ValueError(f"need r >= 0 and n >= 1, got r={r}, n={n}")
-    # a copy: the memo entry is shared with the other builders
-    return SymFuncP._from_partitions(_even_column_schur_sum(2 * r, 2 * n).coeffs)
+    return _even_column_schur_sum(2 * r, 2 * n)
 
 
 def invariant_character_sym_power(r: int, k: int, n: int | None = None) -> SymFuncP:
@@ -423,12 +425,11 @@ def invariant_character_fundamental(r: int, k: int, n: int | None = None) -> Sym
 
 
 def regular_graph_character(r: int, k: int) -> SymFuncP:
-    """Character of the permutation action on loopless k-regular multigraphs."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    g = h_in_p(k) - h_in_p(k - 2)
-    partner = plethysm(h_series(k * r), h_in_p(2))
-    return cauchy_pairing(r, g, partner)
+    """Character of the permutation action on loopless k-regular multigraphs:
+    the pairing partner is sum_j h_j[h_2], and by Littlewood's identity
+    h_j[h_2] is the even-row Schur sum of degree 2j, so this is the stable
+    fundamental character."""
+    return invariant_character_fundamental(r, k)
 
 
 def littlewood_check(r: int) -> bool:

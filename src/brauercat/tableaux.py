@@ -8,7 +8,6 @@ bounded number of rows.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -16,7 +15,7 @@ from math import factorial
 from typing import Iterator
 
 from .partitions import (cells_added, cells_removed, check_partition,
-                         format_partition, hooks, parse_partition)
+                         format_partition, hooks)
 from .qpoly import QPolynomial
 
 
@@ -126,11 +125,6 @@ class OscillatingTableau:
 
     def __str__(self) -> str:
         return ";".join(f"[{format_partition(s)}]" for s in self.steps)
-
-    @classmethod
-    def parse(cls, text: str) -> OscillatingTableau:
-        parts = re.sub(r"\s+", "", text).split(";")
-        return cls(tuple(parse_partition(p) for p in parts))
 
 
 def enumerate_oscillating(length: int, n: int) -> Iterator[OscillatingTableau]:

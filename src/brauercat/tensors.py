@@ -3,10 +3,11 @@
 The defining 2n-dimensional space carries the skew form <e_i, f_j> = d_ij in
 the basis e_1..e_n, f_1..f_n.  ``ev_diagram`` writes the tensor of a diagram
 down in closed form: a crossing-parity sign times one symplectic pairing per
-strand.  ``ev_sliced`` instead cuts the diagram into elementary layers (one
-cup, cap or crossing each) and contracts the generator tensors in sequence;
-it exists so tests can check that two different slicings agree with each
-other and with the closed form.
+strand; the generator tensors are its values on the cup, cap and crossing
+diagrams.  ``ev_sliced`` instead cuts the diagram into elementary layers
+(one cup, cap or crossing each) and contracts the generator tensors in
+sequence; it exists so tests can check that two different slicings agree
+with each other and with the closed form.
 
 Tensors are stored sparsely: a map from index tuples to exact values.  A
 diagram on 2m points has only (2n)^m nonzero entries.
@@ -124,97 +125,39 @@ class Tensor:
         return Tensor(tuple(self.dims[i] for i in self_keep)
                       + tuple(other.dims[i] for i in other_keep), data)
 
-    def to_dense(self):
-        """Nested lists of values, for debugging at small sizes."""
-        if not self.dims:
-            return self.data.get((), 0)
-
-        def build(prefix):
-            axis = len(prefix)
-            if axis == self.ndim:
-                return self.data.get(tuple(prefix), 0)
-            return [build(prefix + [i]) for i in range(self.dims[axis])]
-
-        return build([])
-
-    def dump(self) -> str:
-        lines = [f"{','.join(map(str, k))}\t{v}" for k, v in sorted(self.data.items())]
-        return "\n".join(lines)
-
-
-class SymplecticSpace:
-    """Rank-n symplectic space with the standard basis e_1..e_n, f_1..f_n."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("rank must be at least 1")
-        self.n = n
-        self.dim = 2 * n
-
-    def form(self, i: int, j: int) -> int:
-        """<basis_i, basis_j> with indices 0..2n-1."""
-        if j == i + self.n:
-            return 1
-        if i == j + self.n:
-            return -1
-        return 0
-
-    def dual(self, i: int) -> tuple[int, int]:
-        """Index and sign of the dual basis vector paired with basis_i."""
-        if i < self.n:
-            return i + self.n, -1
-        return i - self.n, 1
-
-    def form_matrix(self) -> list[list[int]]:
-        return [[self.form(i, j) for j in range(self.dim)] for i in range(self.dim)]
-
 
 def ev_generator(kind: str, n: int) -> Tensor:
     """Tensor of an elementary generator: "cup", "cap" or "crossing".
 
     Cup has two output slots, cap two input slots, crossing inputs then outputs.
     """
-    sp = SymplecticSpace(n)
-    d = sp.dim
-    if kind == "cup":
-        data = {}
-        for i in range(d):
-            j, sign = sp.dual(i)
-            data[(i, j)] = sign
-        return Tensor((d, d), data)
-    if kind == "cap":
-        data = {}
-        for i in range(d):
-            for j in range(d):
-                v = sp.form(i, j)
-                if v:
-                    data[(i, j)] = v
-        return Tensor((d, d), data)
-    if kind == "crossing":
-        data = {}
-        for i in range(d):
-            for j in range(d):
-                data[(i, j, j, i)] = -1
-        return Tensor((d, d, d, d), data)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    shapes = {"cup": (0, 2, ((1, 2),)), "cap": (2, 0, ((1, 2),)),
+              "crossing": (2, 2, ((1, 4), (2, 3)))}
+    if kind not in shapes:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    r, s, pairs = shapes[kind]
+    return ev_diagram(Diagram(r, s, PerfectMatching(pairs)), n)
 
 
 def identity_tensor(n: int) -> Tensor:
-    d = 2 * n
-    return Tensor((d, d), {(i, i): 1 for i in range(d)})
+    return ev_diagram(Diagram.identity(1), n)
 
 
 def ev_diagram(d: Diagram, n: int) -> Tensor:
     """Tensor of a diagram: slots are the r top points then the s bottom points.
 
     Closed form: the sign (-1)^(crossings of the flattened diagram) times one
-    factor per strand (a, b), a < b, on the indices (i_a, i_b): the cap
-    tensor <i_a, i_b> for a cap, the cup tensor (its negative) for a cup and
-    the identity for a through strand.
+    factor per strand (a, b), a < b, on the indices (i_a, i_b).  With e_i at
+    index i and f_i at index n + i, the factor of a cap is the form
+    <e_i, f_i> = 1, <f_i, e_i> = -1; a cup takes its negative and a through
+    strand the identity.
     """
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     sign = -1 if crossing_pairs(bend(d).matching) % 2 else 1
-    cap, cup, ident = (list(t.data.items()) for t in (
-        ev_generator("cap", n), ev_generator("cup", n), identity_tensor(n)))
+    cap = [((i, n + i), 1) for i in range(n)] + [((n + i, i), -1) for i in range(n)]
+    cup = [(ij, -v) for ij, v in cap]
+    ident = [((i, i), 1) for i in range(2 * n)]
     pairs = d.matching.pairs
     factors = [ident if a <= d.r < b else cap if b <= d.r else cup for a, b in pairs]
     data = {}

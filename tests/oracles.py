@@ -184,6 +184,32 @@ def strand_factor_tensor(pairs, n: int):
     return out
 
 
+def symplectic_form(i: int, j: int, n: int) -> int:
+    """<basis_i, basis_j> in the basis e_1..e_n, f_1..f_n (indices 0..2n-1)."""
+    if j == i + n:
+        return 1
+    if i == j + n:
+        return -1
+    return 0
+
+
+def generator_tensor_by_form(kind: str, n: int) -> dict:
+    """Entries of the cup, cap, crossing or identity tensor, from the form:
+    the cap is <i, j>, the cup pairs i with its dual (i + n with sign -1 for
+    i < n, i - n with sign +1 after), the crossing is -1 on (i, j, j, i)."""
+    d = 2 * n
+    if kind == "cup":
+        return {(i, i + n if i < n else i - n): -1 if i < n else 1 for i in range(d)}
+    if kind == "cap":
+        return {(i, j): symplectic_form(i, j, n) for i in range(d) for j in range(d)
+                if symplectic_form(i, j, n)}
+    if kind == "crossing":
+        return {(i, j, j, i): -1 for i in range(d) for j in range(d)}
+    if kind == "identity":
+        return {(i, i): 1 for i in range(d)}
+    raise ValueError(f"unknown generator kind {kind!r}")
+
+
 def glue_by_union_find(x_pairs, y_pairs, r: int, s: int, t: int):
     """Compose matchings of r+s and s+t points by identifying x-point r+j with
     y-point j and merging strands.  Returns (closed loops, composite pairs),

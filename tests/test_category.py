@@ -179,8 +179,7 @@ def test_e_sum_small():
 
 def test_e_rec_matches_sum():
     for n in (1, 2):
-        for chain in ("ere", "left", "right"):
-            assert e_rec(n, chain=chain) == e_sum(n)
+        assert e_rec(n) == e_sum(n)
 
 
 def test_eq_ch():

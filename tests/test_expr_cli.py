@@ -5,7 +5,8 @@ import pytest
 from brauercat import category, cli
 from brauercat.category import Morphism, e_sum, generator_s, generator_u
 from brauercat.cli import main
-from brauercat.expr import ExprError, evaluate, parse_expr, parse_morphism
+from brauercat.expr import (ExprError, evaluate, parse_expr, parse_morphism,
+                            shape_of)
 from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
 
 
@@ -62,6 +63,19 @@ def test_shaped_literal_and_names():
     assert (pf2.r, pf2.s) == (0, 6) and len(pf2.terms) == 3
 
 
+def test_pf_has_a_static_shape():
+    node = parse_expr("Pf((5,6)) x (1,2)")
+    assert shape_of(node, None, 1) == (0, 8)
+    got = run("Pf((5,6)) x (1,2)", n=1)
+    assert (got.r, got.s) == (0, 8) and len(got.terms) == 3
+    with pytest.raises(ExprError, match=r"cannot add shapes \(0, 6\) and \(0, 2\)"):
+        run("Pf((5,6)) + (1,2)", n=1)
+    with pytest.raises(ExprError, match="rank flag"):
+        shape_of(parse_expr("Pf()"), None)
+    with pytest.raises(ExprError, match="free points"):
+        shape_of(parse_expr("Pf((5,5))"), None, 1)
+
+
 def test_syntax_errors_have_positions():
     with pytest.raises(ExprError, match="column"):
         parse_expr("(1,")
@@ -102,7 +116,7 @@ def test_round_trip_is_idempotent():
 
 def test_printed_morphism_parses_back():
     delta = Fraction(-3, 2)
-    for points in range(0, 7, 2):
+    for points in range(0, 9, 2):
         for pm in enumerate_matchings(points):
             for r in range(points + 1):
                 m = Morphism.from_diagram(Diagram(r, points - r, pm), delta, Fraction(-5, 7))
@@ -303,6 +317,8 @@ def test_cli_usage_error():
     ["fake-degree", "--shape", ","],
     ["enumerate", "--what", "syt", "--shape", "2,,1"],
     ["fake-degree", "--shape", "1,3"],
+    ["compose", "Pf((5,6)) + 1", "--n", "1"],
+    ["compose", "Pf((5,6)) o 2", "--n", "1"],
 ])
 def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     try:

@@ -91,12 +91,28 @@ def test_invariant_character_matchings():
             assert dimension(f) == len(enumerate_X(r, n))
 
 
+def _assert_read_only(f: SymFuncP):
+    want = dict(f.coeffs)
+    with pytest.raises(AttributeError):
+        f.coeffs.clear()
+    with pytest.raises(TypeError):
+        f.coeffs[(1,)] = F(7)
+    assert dict(f.coeffs) == want
+
+
 def test_matchings_character_is_not_the_shared_memo_entry():
     f = invariant_character_matchings(3, 1)
     want = dict(f.coeffs)
-    f.coeffs.clear()
+    _assert_read_only(f)
     assert invariant_character_matchings(3, 1).coeffs == want
     assert invariant_character_sym_power(6, 1, 1).coeffs == want
+
+
+def test_memoized_tables_are_read_only():
+    for table, arg in [(schur_to_p, (2, 1)), (h_in_p, 3), (e_in_p, 3)]:
+        want = dict(table(arg).coeffs)
+        _assert_read_only(table(arg))
+        assert table(arg).coeffs == want, table
 
 
 def test_sym_power_reduces_at_k1():
@@ -393,17 +409,20 @@ def test_cauchy_pairing_matches_definition_through_the_builders():
                     [lam for size in range(k * r + 1) for lam in _even_row_shapes(size, bound)])
                 want = cauchy_pairing_by_definition(r, h_in_p(k) - h_in_p(k - 2), partner)
                 assert invariant_character_fundamental(r, k, n) == want, ("fundamental", r, k, n)
-            if k * r > 12:  # the partner plethysm, not the pairing, grows fast
-                continue
-            want = cauchy_pairing_by_definition(r, h_in_p(k) - h_in_p(k - 2),
-                                                plethysm(h_series(k * r), h_in_p(2)))
-            assert regular_graph_character(r, k) == want, ("regular-graph", r, k)
         for k, n in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2)]:
             if k * r * n <= 20:
                 want = cauchy_pairing_by_definition(r, h_in_p(k),
                                                     plethysm(h_in_p(n), h_series(k * r)))
                 got = partition_category_character_multiset(r, n, k)
                 assert got == want, ("partition-multiset", r, n, k)
+    # the regular-graph partner sum_j h_j[h_2] by plethysm, where the builder
+    # reads the even-row Schur sums (Littlewood)
+    for r in range(1, 7):
+        for k in (1, 2, 3):
+            if k * r <= 12:  # the partner plethysm, not the pairing, grows fast
+                want = cauchy_pairing_by_definition(r, h_in_p(k) - h_in_p(k - 2),
+                                                    plethysm(h_series(k * r), h_in_p(2)))
+                assert regular_graph_character(r, k) == want, ("regular-graph", r, k)
 
 
 def _random_p_combination(rng: random.Random, max_degree: int) -> SymFuncP:

@@ -8,25 +8,24 @@ import pytest
 from brauercat.category import (Morphism, compose_diagrams, e_sum,
                                 generator_s, generator_u, tensor_diagrams)
 from brauercat.matchings import Diagram, enumerate_matchings, enumerate_X
-from brauercat.tensors import (SymplecticSpace, Tensor, _echelon, compose_maps,
+from brauercat.tensors import (Tensor, _echelon, compose_maps,
                                ev_diagram, ev_generator, ev_gram, ev_morphism,
                                ev_sliced, exact_rank, identity_tensor,
                                rank_of_span, symplectic_sample, tensor_maps)
-from oracles import exact_rank_bareiss, gram_by_dot, strand_factor_tensor
+from oracles import (exact_rank_bareiss, generator_tensor_by_form, gram_by_dot,
+                     strand_factor_tensor, symplectic_form)
 
 
 def diagrams(r, s):
     return [Diagram(r, s, pm) for pm in enumerate_matchings(r + s)]
 
 
-def test_space_form():
-    sp = SymplecticSpace(2)
-    J = sp.form_matrix()
-    assert all(J[i][j] == -J[j][i] for i in range(4) for j in range(4))
-    assert J[0][2] == 1 and J[2][0] == -1
-    for i in range(4):
-        j, sign = sp.dual(i)
-        assert sp.form(j, i) * sign == 1
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_generator_tensors_match_the_form(n):
+    # the closed form defines the generators; the form-based tables anchor it
+    for kind, slots in (("cup", 2), ("cap", 2), ("crossing", 4), ("identity", 2)):
+        got = identity_tensor(n) if kind == "identity" else ev_generator(kind, n)
+        assert got == Tensor((2 * n,) * slots, generator_tensor_by_form(kind, n)), kind
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -158,14 +157,13 @@ def test_ev_kills_idempotent():
 def test_equivariance_spot_check():
     for n in (1, 2):
         d = 2 * n
-        sp = SymplecticSpace(n)
         for g in symplectic_sample(n):
             # check the map preserves the form
             for i in range(d):
                 for j in range(d):
                     ri, si = g[i]
                     rj, sj = g[j]
-                    assert si * sj * sp.form(ri, rj) == sp.form(i, j)
+                    assert si * sj * symplectic_form(ri, rj, n) == symplectic_form(i, j, n)
             # conjugating a monomial map hits every slot with the same
             # signed permutation (the +-1 scalings are self-inverse)
             for shape in [(1, 1), (0, 2), (2, 2), (0, 4)]:
@@ -259,9 +257,3 @@ def test_tensor_shape_guard():
         rank_of_span([identity_tensor(1), ev_generator("cup", 2)])
     with pytest.raises(ValueError, match="point count"):
         ev_gram(list(enumerate_matchings(2)) + list(enumerate_matchings(4)), 1)
-
-
-def test_tensor_dump_and_dense():
-    t = ev_generator("cup", 1)
-    assert t.to_dense() == [[0, -1], [1, 0]]
-    assert t.dump().splitlines() == ["0,1\t-1", "1,0\t1"]
