@@ -7,8 +7,7 @@ from .matchings import (Diagram, PerfectMatching, bend, crossing_pairs,
                         unbend)
 from .scalars import DeltaPoly
 from .category import (Morphism, check_eq_ch, compose_diagrams, e_rec, e_sum,
-                       e_trace, generator_s, generator_u, r_element,
-                       tensor_diagrams)
+                       generator_s, generator_u, r_element, tensor_diagrams)
 from .pfaffian import (PfGenerator, enumerate_pf_generators, find_violation,
                        normal_form, pfaffian, rewrite_step)
 from .tensors import (Tensor, ev_diagram, ev_generator, ev_morphism,

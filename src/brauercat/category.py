@@ -92,24 +92,13 @@ def tensor_diagrams(x: Diagram, y: Diagram) -> Diagram:
 
 
 def closure_loops(d: Diagram) -> int:
-    """Loops formed by closing top point i onto bottom point i."""
+    """Loops formed by closing top point i onto bottom point i: the closing
+    matching (i, r+i) glued on top of d."""
     if d.r != d.s:
         raise ValueError(f"trace needs a square shape, got ({d.r},{d.s})")
-    mate = d.matching.involution()
-    loops = 0
-    seen = [False] * len(mate)
-    for start in range(1, d.r + 1):
-        if seen[start]:
-            continue
-        loops += 1
-        p = start
-        while True:
-            q = mate[p]
-            seen[p] = seen[q] = True
-            p = q - d.r if q > d.r else q + d.r  # close i-top with i-bottom
-            if p == start:
-                break
-    return loops
+    r = d.r
+    close = [0, *range(r + 1, 2 * r + 1), *range(1, r + 1)]
+    return _glue(close, d.matching.involution(), 0, 2 * r, 0)[0]
 
 
 class Morphism:
@@ -188,8 +177,6 @@ class Morphism:
         is built per output term."""
         if isinstance(other, (int, Fraction, DeltaPoly)):
             return self.scaled(other)
-        if isinstance(other, Diagram):
-            other = Morphism.from_diagram(other, self.delta)
         if not isinstance(other, Morphism):
             return NotImplemented
         self._check_ring(other)
@@ -222,8 +209,6 @@ class Morphism:
         return [(d, c.numerator * (den // c.denominator)) for d, c in self.terms.items()], den
 
     def __matmul__(self, other):
-        if isinstance(other, Diagram):
-            other = Morphism.from_diagram(other, self.delta)
         if not isinstance(other, Morphism):
             return NotImplemented
         self._check_ring(other)
@@ -282,22 +267,23 @@ class Morphism:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def generator_u(i: int, m: int) -> Diagram:
-    """Cap-cup diagram: pairs (i, i+1) on top and on the bottom, rest vertical."""
+def _generator(i: int, m: int, first, second) -> Diagram:
+    """The (m, m) diagram joining strands i, i+1 by the pairs first and second,
+    the rest vertical."""
     if not 1 <= i <= m - 1:
         raise ValueError(f"generator index {i} out of range for {m} strands")
-    pairs = [(i, i + 1), (m + i, m + i + 1)]
-    pairs += [(a, m + a) for a in range(1, m + 1) if a not in (i, i + 1)]
+    pairs = [first, second] + [(a, m + a) for a in range(1, m + 1) if a not in (i, i + 1)]
     return Diagram(m, m, PerfectMatching(tuple(pairs)))
+
+
+def generator_u(i: int, m: int) -> Diagram:
+    """Cap-cup diagram: pairs (i, i+1) on top and on the bottom, rest vertical."""
+    return _generator(i, m, (i, i + 1), (m + i, m + i + 1))
 
 
 def generator_s(i: int, m: int) -> Diagram:
     """Simple transposition: strand i to bottom i+1 and vice versa."""
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"generator index {i} out of range for {m} strands")
-    pairs = [(i, m + i + 1), (i + 1, m + i)]
-    pairs += [(a, m + a) for a in range(1, m + 1) if a not in (i, i + 1)]
-    return Diagram(m, m, PerfectMatching(tuple(pairs)))
+    return _generator(i, m, (i, m + i + 1), (i + 1, m + i))
 
 
 def r_element(i: int, k: int, m: int, delta) -> Morphism:
@@ -355,11 +341,6 @@ def e_rec(n: int, delta="auto") -> Morphism:
         prev = e @ Morphism.identity(1, delta)
         e = prev * r_element(j - 1, j - 1, j, delta) * prev
     return e
-
-
-def e_trace(n: int, delta="auto"):
-    """Closure trace of the idempotent; vanishes exactly at delta = -2n."""
-    return e_sum(n, delta).trace()
 
 
 @dataclass(frozen=True)

@@ -239,25 +239,26 @@ def cmd_csp_verify(args) -> int:
     return 0 if all_pass else 1
 
 
-def cmd_littlewood_check(args) -> int:
+def _check_each(label: str, check, r_max: int) -> int:
     ok = True
-    for r in range(1, args.r + 1):
-        passed = sf.littlewood_check(r)
-        print(f"littlewood r={r}: {'PASS' if passed else 'FAIL'}")
+    for r in range(1, r_max + 1):
+        passed = check(r)
+        print(f"{label} r={r}: {'PASS' if passed else 'FAIL'}")
         ok = ok and passed
     return 0 if ok else 1
+
+
+def cmd_littlewood_check(args) -> int:
+    return _check_each("littlewood", sf.littlewood_check, args.r)
 
 
 def cmd_kronecker_check(args) -> int:
-    ok = True
-    for r in range(1, args.r + 1):
-        passed = sf.adjoint_character_full(r) == sf.adjoint_invariant_character(r, r)
-        print(f"kronecker r={r}: {'PASS' if passed else 'FAIL'}")
-        ok = ok and passed
-    return 0 if ok else 1
+    return _check_each("kronecker", lambda r: sf.adjoint_character_full(r)
+                       == sf.adjoint_invariant_character(r, r), args.r)
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="brauercat",
         description="Exact diagram algebra, symplectic tensor evaluation, "
@@ -317,11 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_positive_int, default=6)
 
     return parser
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -128,25 +128,6 @@ def verify_csp(inst: CspInstance) -> CspCertificate:
                           reduced, orbit_poly, fixed, failure, message)
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _moebius(n: int) -> int:
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def orbit_multiplicities(p: QPolynomial, order: int) -> dict[int, object] | None:
     """Orbit-size multiplicities any sieving set for p would need.
 
@@ -162,12 +143,11 @@ def orbit_multiplicities(p: QPolynomial, order: int) -> dict[int, object] | None
         if c in by_class and by_class[c] != value:
             return None
         by_class.setdefault(c, value)
-    mult = {}
-    for c in _divisors(order):
-        b = sum(_moebius(c // cc) * by_class[cc] for cc in _divisors(c))
-        if b:
-            mult[order // c] = b
-    return mult
+    # by_class[c] sums b[c'] over the divisors c' of c; peel them off, smallest c first
+    b: dict[int, object] = {}
+    for c in sorted(by_class):  # every divisor of order
+        b[c] = by_class[c] - sum(v for cc, v in b.items() if c % cc == 0)
+    return {order // c: v for c, v in b.items() if v}
 
 
 def is_cyclic_sieving_polynomial(p: QPolynomial, order: int) -> bool:

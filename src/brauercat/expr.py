@@ -2,10 +2,10 @@
 
 Atoms are rational literals, diagram literals like ``(1,3)(2,4)`` or
 ``2|2:(1,2)(3,4)``, the named elements ``u_i``, ``s_i``, ``id_m``, ``R_i(k)``,
-``E(m)`` and ``Pf(pairs)``.  ``o`` composes (tightest), ``x`` is the tensor
-product, ``+``/``-`` add; ``*`` multiplies with type dispatch, so it scales by
-rationals and composes morphisms.  Unicode spellings of the operators are
-accepted as aliases.
+``E(m)`` and ``Pf(pairs)``; a bare ``id``, like ``u_i``, ``s_i`` and ``R_i(k)``,
+takes the expression's strand count.  ``o`` composes two morphisms (tightest),
+``x`` is the tensor product, ``+``/``-`` add; ``*`` composes or scales by
+rationals.  Unicode spellings of the operators are accepted as aliases.
 """
 
 from __future__ import annotations
@@ -250,9 +250,7 @@ def parse_expr(text: str):
 def infer_strands(node) -> int | None:
     """Smallest strand count accommodating every named generator."""
     if isinstance(node, Name):
-        if node.kind in ("u", "s"):
-            return node.index + 1
-        if node.kind == "R":
+        if node.kind in ("u", "s", "R"):
             return node.index + 1
         if node.kind in ("id", "E"):
             return node.index
@@ -264,6 +262,21 @@ def infer_strands(node) -> int | None:
     if isinstance(node, Neg):
         return infer_strands(node.child)
     return None
+
+
+def _strands_of(node: Name, strands: int | None) -> int:
+    """Strand count of a named generator: E(m) and id_m carry their own;
+    u_i, s_i, R_i(k) and a bare id take the expression's."""
+    if node.kind == "E" or (node.kind == "id" and node.index is not None):
+        return node.index
+    if strands is None:
+        raise ExprError(f"{node.kind} needs a strand count (pass --strands, or write id_m)",
+                        node.pos)
+    return strands
+
+
+def _shape_text(shape) -> str:
+    return "a scalar" if shape is None else f"({shape[0]},{shape[1]})"
 
 
 def shape_of(node, strands: int | None, n: int | None = None):
@@ -278,31 +291,26 @@ def shape_of(node, strands: int | None, n: int | None = None):
     if isinstance(node, Name):
         if node.kind == "Pf":
             return (0, _pf_generator(node, n).points)
-        m = strands if node.kind in ("u", "s", "R") else node.index
-        if node.kind in ("u", "s", "R") and strands is None:
-            m = node.index + 1
+        m = _strands_of(node, strands)
         return (m, m)
     if isinstance(node, BinOp):
         ls = shape_of(node.left, strands, n)
         rs = shape_of(node.right, strands, n)
         if node.op in ("+", "-"):
             if ls != rs:
-                raise ExprError(f"cannot add shapes {ls} and {rs}", node.pos)
+                raise ExprError(
+                    f"cannot add shapes {_shape_text(ls)} and {_shape_text(rs)}", node.pos)
             return ls
+        if ls is None or rs is None:
+            if node.op == "*":  # scaling
+                return rs if ls is None else ls
+            what = "tensor product" if node.op == "x" else "composition"
+            raise ExprError(f"{what} needs two morphisms", node.pos)
         if node.op == "x":
-            if ls is None or rs is None:
-                raise ExprError("tensor product needs two morphisms", node.pos)
             return (ls[0] + rs[0], ls[1] + rs[1])
-        # "*" or "o"
-        if ls is None:
-            return rs
-        if rs is None:
-            if node.op == "o":
-                raise ExprError("composition needs two morphisms", node.pos)
-            return ls
         if ls[1] != rs[0]:
             raise ExprError(
-                f"cannot compose shapes ({ls[0]},{ls[1]}) and ({rs[0]},{rs[1]})", node.pos)
+                f"cannot compose shapes {_shape_text(ls)} and {_shape_text(rs)}", node.pos)
         return (ls[0], rs[1])
     raise ExprError("malformed expression", getattr(node, "pos", 0))
 
@@ -340,22 +348,21 @@ def _eval(node, delta, strands, n):
         child = _eval(node.child, delta, strands, n)
         return -child
     if isinstance(node, Name):
-        if node.kind in ("u", "s"):
-            gen = generator_u if node.kind == "u" else generator_s
-            return Morphism.from_diagram(gen(node.index, strands), delta)
+        if node.kind == "Pf":
+            return pfaffian(_pf_generator(node, n), delta)
+        m = _strands_of(node, strands)
         if node.kind == "id":
-            m = node.index if node.index is not None else strands
             return Morphism.identity(m, delta)
         if node.kind == "E":
-            d = delta if delta is not None else Fraction(-2 * (node.index - 1))
-            return e_sum(node.index - 1, d)
+            d = delta if delta is not None else Fraction(-2 * (m - 1))
+            return e_sum(m - 1, d)
         if node.kind == "R":
             if delta is None:
                 raise ExprError("R needs a rational specialization (--n or --delta)",
                                 node.pos)
-            return r_element(node.index, node.arg, strands, delta)
-        if node.kind == "Pf":
-            return pfaffian(_pf_generator(node, n), delta)
+            return r_element(node.index, node.arg, m, delta)
+        gen = generator_u if node.kind == "u" else generator_s
+        return Morphism.from_diagram(gen(node.index, m), delta)
     if isinstance(node, BinOp):
         left = _eval(node.left, delta, strands, n)
         right = _eval(node.right, delta, strands, n)
@@ -365,16 +372,7 @@ def _eval(node, delta, strands, n):
             return left - right
         if node.op == "x":
             return left @ right
-        if node.op == "o":
-            return left * right
-        # "*": scale or compose by type
-        if isinstance(left, Fraction) and isinstance(right, Fraction):
-            return left * right
-        if isinstance(left, Fraction):
-            return right.scaled(left)
-        if isinstance(right, Fraction):
-            return left.scaled(right)
-        return left * right
+        return left * right  # "o" or "*": Morphism.__mul__/__rmul__ scale by rationals
     raise ExprError("malformed expression", getattr(node, "pos", 0))
 
 

@@ -90,14 +90,10 @@ def parse_partition(text: str) -> tuple[int, ...]:
 
 def cells_added(lam: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Partitions obtained by adding one cell."""
-    for i in range(len(lam) + 1):
-        if i == 0 or (i < len(lam) and lam[i] < lam[i - 1]) or (i == len(lam)):
-            if i < len(lam):
-                new = lam[:i] + (lam[i] + 1,) + lam[i + 1:]
-            else:
-                new = lam + (1,)
-            if is_partition(new):
-                yield new
+    ext = lam + (0,)
+    for i in range(len(ext)):
+        if i == 0 or ext[i] < ext[i - 1]:
+            yield lam[:i] + (ext[i] + 1,) + lam[i + 1:]
 
 
 def cells_removed(lam: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

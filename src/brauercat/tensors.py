@@ -55,9 +55,6 @@ class Tensor:
             return NotImplemented
         return self.dims == other.dims and self.data == other.data
 
-    def __hash__(self):
-        return hash((self.dims, frozenset(self.data.items())))
-
     def __add__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented

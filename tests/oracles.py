@@ -16,9 +16,11 @@ pair where ``Morphism.__mul__`` sums integer numerators,
 ``check_eq_ch_by_definition``, which builds ``e.scaled(rho)`` per diagram
 and multiplies through ``compose_by_definition``, ``schur_sum_by_mn``, which
 sums the package's ``mn_character`` columns where ``_schur_sum_to_p``
-removes ribbons, and ``cauchy_pairing_by_definition``, which multiplies and
+removes ribbons, ``cauchy_pairing_by_definition``, which multiplies and
 pairs the package's ``SymFuncP`` values where ``cauchy_pairing`` walks
-integer numerators.
+integer numerators, and ``orbit_multiplicities_by_moebius``, which inverts
+the package's reduction mod q^N - 1 by the Moebius function where
+``orbit_multiplicities`` peels divisor classes.
 """
 
 from __future__ import annotations
@@ -388,6 +390,58 @@ def orbits_by_rotate(elements, step: int = 1) -> list:
                 break
         sizes.append(size)
     return sorted(sizes, reverse=True)
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _moebius(n: int) -> int:
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if n > 1:
+        result = -result
+    return result
+
+
+def orbit_multiplicities_by_moebius(p, order: int):
+    """Orbit-size multiplicities by Moebius inversion over the divisor lattice:
+    b_c = sum over c' | c of mu(c / c') * (the coefficient on gcd class c').
+    None when the reduction of p mod q^order - 1 is not constant on gcd classes."""
+    reduced = p.reduce_mod_cyclic(order)
+    by_class: dict[int, object] = {}
+    for e in range(order):
+        c = gcd(e, order) if e else order
+        value = reduced.coefficient(e)
+        if c in by_class and by_class[c] != value:
+            return None
+        by_class.setdefault(c, value)
+    mult = {}
+    for c in _divisors(order):
+        b = sum(_moebius(c // cc) * by_class[cc] for cc in _divisors(c))
+        if b:
+            mult[order // c] = b
+    return mult
+
+
+def cells_added_by_filter(lam) -> list:
+    """Every one-cell increment of lam, row 0 to a new last row, kept when
+    the rows still weakly decrease."""
+    out = []
+    for i in range(len(lam) + 1):
+        new = list(lam) + [0]
+        new[i] += 1
+        new = tuple(p for p in new if p)
+        if all(a >= b for a, b in zip(new, new[1:])):
+            out.append(new)
+    return out
 
 
 def exact_rank_bareiss(rows) -> int:

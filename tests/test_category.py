@@ -5,9 +5,8 @@ from itertools import product
 import pytest
 
 from brauercat.category import (Morphism, check_eq_ch, compose_diagrams,
-                                closure_loops, e_rec, e_sum, e_trace,
-                                generator_s, generator_u, r_element,
-                                tensor_diagrams)
+                                closure_loops, e_rec, e_sum, generator_s,
+                                generator_u, r_element, tensor_diagrams)
 from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
 from brauercat.scalars import DeltaPoly, loop_factor
 from oracles import (check_eq_ch_by_definition, closure_loops_by_union_find,
@@ -219,10 +218,10 @@ def test_multi_term_coefficients_print_in_parentheses():
 
 
 def test_trace_of_e():
-    formal = e_trace(1, None)
+    formal = e_sum(1, None).trace()
     assert formal == (D * (D + 2)) * Fraction(1, 2)
-    assert e_trace(1) == 0
-    assert e_trace(2) == 0
+    assert e_sum(1).trace() == 0
+    assert e_sum(2).trace() == 0
 
 
 def test_specialize_commutes_with_composition():
@@ -242,9 +241,37 @@ def test_closure_loops():
 
 
 def test_closure_loops_match_union_find():
-    for m in range(4):
+    for m in range(6):
         for d in diagrams(m, m):
             assert closure_loops(d) == closure_loops_by_union_find(d.matching.pairs, m), d
+
+
+# (m, i): the pairs of u_i and of s_i on m strands, top 1..m, bottom m+1..2m
+GENERATOR_PAIRS = {
+    (2, 1): ("(1,2)(3,4)", "(1,4)(2,3)"),
+    (3, 1): ("(1,2)(3,6)(4,5)", "(1,5)(2,4)(3,6)"),
+    (3, 2): ("(1,4)(2,3)(5,6)", "(1,4)(2,6)(3,5)"),
+    (4, 1): ("(1,2)(3,7)(4,8)(5,6)", "(1,6)(2,5)(3,7)(4,8)"),
+    (4, 2): ("(1,5)(2,3)(4,8)(6,7)", "(1,5)(2,7)(3,6)(4,8)"),
+    (4, 3): ("(1,5)(2,6)(3,4)(7,8)", "(1,5)(2,6)(3,8)(4,7)"),
+    (5, 1): ("(1,2)(3,8)(4,9)(5,10)(6,7)", "(1,7)(2,6)(3,8)(4,9)(5,10)"),
+    (5, 2): ("(1,6)(2,3)(4,9)(5,10)(7,8)", "(1,6)(2,8)(3,7)(4,9)(5,10)"),
+    (5, 3): ("(1,6)(2,7)(3,4)(5,10)(8,9)", "(1,6)(2,7)(3,9)(4,8)(5,10)"),
+    (5, 4): ("(1,6)(2,7)(3,8)(4,5)(9,10)", "(1,6)(2,7)(3,8)(4,10)(5,9)"),
+}
+
+
+def test_generators_match_explicit_pairs():
+    for m in range(1, 6):
+        for i in range(-1, m + 1):
+            if (m, i) in GENERATOR_PAIRS:
+                for gen, want in zip((generator_u, generator_s), GENERATOR_PAIRS[m, i]):
+                    d = gen(i, m)
+                    assert (d.r, d.s, str(d.matching)) == (m, m, want), (gen, i, m)
+                continue
+            for gen in (generator_u, generator_s):
+                with pytest.raises(ValueError, match=f"index {i} out of range for {m} strands"):
+                    gen(i, m)
 
 
 def test_morphism_ring_guard():

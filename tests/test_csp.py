@@ -1,3 +1,7 @@
+import random
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from brauercat.csp import (CspInstance, evaluate_at_root_of_unity,
@@ -7,6 +11,7 @@ from brauercat.matchings import enumerate_X, enumerate_X_blocked
 from brauercat.qpoly import QPolynomial
 from brauercat.symfunc import (fake_degree, invariant_character_matchings,
                                invariant_character_sym_power)
+from oracles import orbit_multiplicities_by_moebius
 
 
 def matchings_instance(r, n):
@@ -109,6 +114,52 @@ def test_not_a_sieving_polynomial():
     assert is_cyclic_sieving_polynomial(orbit_polynomial([2, 1], 4), 4)
     assert is_cyclic_sieving_polynomial(QPolynomial((3,)), 5)
     assert not is_cyclic_sieving_polynomial(QPolynomial((1, -1)), 2)
+
+
+def _typed(mult):
+    """Items in order with their types, so 1 and Fraction(1) differ."""
+    return None if mult is None else [(k, v, type(v)) for k, v in mult.items()]
+
+
+def _random_poly(rng, order):
+    """Coefficients constant on gcd classes mod q^order - 1 (sometimes not),
+    integer, negative or fractional, spread over several periods."""
+    kind = rng.choice(("int", "negative", "fraction", "arbitrary"))
+    values = {}
+    coeffs = [0] * (3 * order)
+    for e in range(order):
+        c = gcd(e, order) if e else order
+        if kind == "arbitrary":
+            values[c] = rng.randint(0, 3)
+        elif c not in values:
+            values[c] = {"int": rng.randint(0, 4), "negative": rng.randint(-3, 3),
+                         "fraction": Fraction(rng.randint(-4, 4), rng.randint(1, 3))}[kind]
+        part = Fraction(rng.randint(0, 2), 1)
+        coeffs[e + order * rng.randint(1, 2)] += part
+        coeffs[e] += values[c] - part
+    return QPolynomial(coeffs)
+
+
+def test_peeled_multiplicities_match_moebius_inversion():
+    polys = [(fake_degree(invariant_character_matchings(r, n)), 2 * r)
+             for r in range(1, 7) for n in range(1, 4)]
+    polys += [(fake_degree(invariant_character_sym_power(r, k, n)), r)
+              for k in (2, 3, 4, 5) for r in range(1, 11) if r * k <= 10
+              for n in (1, 2, 3, r * k + 1)]
+    rng = random.Random(20041)
+    polys += [(_random_poly(rng, order), order)
+              for order in (rng.randint(1, 36) for _ in range(500))]
+    seen = set()
+    for p, order in polys:
+        got = orbit_multiplicities(p, order)
+        assert _typed(got) == _typed(orbit_multiplicities_by_moebius(p, order)), (p, order)
+        if got is None:
+            seen.add("none")
+        else:
+            seen.update("negative" for v in got.values() if v < 0)
+            seen.update("fraction" for v in got.values()
+                        if isinstance(v, Fraction) and v.denominator > 1)
+    assert seen == {"none", "negative", "fraction"}
 
 
 def test_fundamental_fail_certificate():

@@ -68,7 +68,7 @@ def test_pf_has_a_static_shape():
     assert shape_of(node, None, 1) == (0, 8)
     got = run("Pf((5,6)) x (1,2)", n=1)
     assert (got.r, got.s) == (0, 8) and len(got.terms) == 3
-    with pytest.raises(ExprError, match=r"cannot add shapes \(0, 6\) and \(0, 2\)"):
+    with pytest.raises(ExprError, match=r"cannot add shapes \(0,6\) and \(0,2\)"):
         run("Pf((5,6)) + (1,2)", n=1)
     with pytest.raises(ExprError, match="rank flag"):
         shape_of(parse_expr("Pf()"), None)
@@ -186,6 +186,30 @@ def test_cli_compose_and_errors(capsys):
     assert capsys.readouterr().out == "(1 - d)*2|2:(1,2)(3,4)\n"
     assert main(["compose", "u_1 o u_1 o u_1"]) == 0
     assert capsys.readouterr().out == "d^2*2|2:(1,2)(3,4)\n"
+
+
+def test_bare_id_takes_the_expression_strand_count(tmp_path, capsys):
+    assert main(["compose", "u_1 + id"]) == 0
+    assert main(["compose", "u_1 + id_2"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second == "1*2|2:(1,2)(3,4) + 1*2|2:(1,4)(2,3)"
+    assert main(["compose", "id_0"]) == 0
+    assert capsys.readouterr().out == "1*id_0\n"
+    assert main(["compose", "id", "--strands", "2"]) == 0
+    assert capsys.readouterr().out == "1*2|2:(1,4)(2,3)\n"
+    f = tmp_path / "id.txt"
+    f.write_text("id\n")
+    assert main(["normal-form", str(f), "--n", "1"]) == 2
+    assert capsys.readouterr().err \
+        == "error: id needs a strand count (pass --strands, or write id_m) (at column 1)\n"
+
+
+def test_shapes_print_as_pairs_or_a_scalar(capsys):
+    assert main(["compose", "id_1 + 2"]) == 2
+    assert capsys.readouterr().err == "error: cannot add shapes (1,1) and a scalar (at column 6)\n"
+    with pytest.raises(ExprError, match=r"cannot add shapes a scalar and \(2,2\)"):
+        run("2 - u_1")
+    assert run("2 * u_1") == run("u_1 * 2") == Morphism.from_diagram(generator_u(1, 2)).scaled(2)
 
 
 def test_cli_normal_form(tmp_path, capsys):
@@ -319,6 +343,10 @@ def test_cli_usage_error():
     ["fake-degree", "--shape", "1,3"],
     ["compose", "Pf((5,6)) + 1", "--n", "1"],
     ["compose", "Pf((5,6)) o 2", "--n", "1"],
+    ["compose", "id"],
+    ["compose", "id x id"],
+    ["compose", "2 o u_1"],
+    ["compose", "2 o 3"],
 ])
 def test_cli_bad_input_is_a_one_line_usage_error(argv, capsys):
     try:

@@ -1,14 +1,15 @@
 import pytest
 
 from brauercat.matchings import enumerate_X
-from brauercat.partitions import (all_columns_even, all_rows_even, conjugate,
-                                  hooks, partitions, z_order)
+from brauercat.partitions import (all_columns_even, all_rows_even,
+                                  cells_added, conjugate, hooks, partitions,
+                                  z_order)
 from brauercat.qpoly import QPolynomial, q_factorial, q_int
 from brauercat.tableaux import (OscillatingTableau, count_oscillating,
                                 enumerate_oscillating, enumerate_SYT,
                                 fake_degree_schur, fake_degree_schur_hook, maj,
                                 syt_count)
-from oracles import double_factorial
+from oracles import cells_added_by_filter, double_factorial
 
 
 def test_partition_basics():
@@ -20,6 +21,13 @@ def test_partition_basics():
     assert all_rows_even((4, 2)) and not all_rows_even((3, 2))
     assert all_columns_even((2, 2)) and not all_columns_even((2, 1))
     assert len(partitions(12)) == 77
+
+
+def test_cells_added_matches_filter():
+    for m in range(11):
+        for lam in partitions(m):
+            assert list(cells_added(lam)) == cells_added_by_filter(lam), lam
+    assert list(cells_added((2, 2, 1))) == [(3, 2, 1), (2, 2, 2), (2, 2, 1, 1)]
 
 
 @pytest.mark.parametrize("shape,count", [((2, 2), 2), ((5,), 1), ((2, 1), 2)])
