@@ -6,6 +6,8 @@ Atoms are rational literals, diagram literals like ``(1,3)(2,4)`` or
 takes the expression's strand count.  ``o`` composes two morphisms (tightest),
 ``x`` is the tensor product, ``+``/``-`` add; ``*`` composes or scales by
 rationals.  Unicode spellings of the operators are accepted as aliases.
+With no loop value given, an expression holding ``E(m)`` is evaluated at
+delta = -2(m-1), where E(m) is idempotent; any other stays formal.
 """
 
 from __future__ import annotations
@@ -330,13 +332,43 @@ def _pf_generator(node: Name, n: int | None) -> PfGenerator:
 def evaluate(node, delta=None, strands: int | None = None, n: int | None = None):
     """Evaluate an AST to a Fraction or a Morphism.
 
-    delta picks the coefficient ring; strands sizes the named generators
-    (inferred when omitted); n sizes Pf literals.
+    delta picks the coefficient ring; without it an expression holding E(m)
+    atoms is specialized at delta = -2(m-1), and any other is formal.
+    strands sizes the named generators (inferred when omitted); n sizes Pf
+    literals.
     """
     if strands is None:
         strands = infer_strands(node)
     shape_of(node, strands, n)  # arity and Pf checks before any evaluation
+    if delta is None:
+        delta = _implied_delta(node)
     return _eval(node, delta, strands, n)
+
+
+def _e_atoms(node) -> list[Name]:
+    """The E(m) atoms of an expression, left to right."""
+    if isinstance(node, Name):
+        return [node] if node.kind == "E" else []
+    if isinstance(node, BinOp):
+        return _e_atoms(node.left) + _e_atoms(node.right)
+    if isinstance(node, Neg):
+        return _e_atoms(node.child)
+    return []
+
+
+def _implied_delta(node) -> Fraction | None:
+    """The delta = -2(m-1) at which the expression's E(m) atoms are idempotent,
+    or None (the formal ring) when it has none."""
+    atoms = _e_atoms(node)
+    if not atoms:
+        return None
+    first = atoms[0].index
+    for atom in atoms[1:]:
+        if atom.index != first:
+            raise ExprError(f"E({atom.index}) implies delta={-2 * (atom.index - 1)}, but "
+                            f"E({first}) implies delta={-2 * (first - 1)}; pass --n or --delta",
+                            atom.pos)
+    return Fraction(-2 * (first - 1))
 
 
 def _eval(node, delta, strands, n):
@@ -354,8 +386,7 @@ def _eval(node, delta, strands, n):
         if node.kind == "id":
             return Morphism.identity(m, delta)
         if node.kind == "E":
-            d = delta if delta is not None else Fraction(-2 * (m - 1))
-            return e_sum(m - 1, d)
+            return e_sum(m - 1, delta)
         if node.kind == "R":
             if delta is None:
                 raise ExprError("R needs a rational specialization (--n or --delta)",

@@ -402,6 +402,7 @@ def invariant_character_matchings(r: int, n: int) -> SymFuncP:
     return _even_column_schur_sum(2 * r, 2 * n)
 
 
+@cache
 def invariant_character_sym_power(r: int, k: int, n: int | None = None) -> SymFuncP:
     """Character of the invariants in r-fold tensors of the k-th symmetric power.
 
@@ -410,6 +411,7 @@ def invariant_character_sym_power(r: int, k: int, n: int | None = None) -> SymFu
     return cauchy_pairing(r, e_in_p(k), partner)
 
 
+@cache
 def invariant_character_fundamental(r: int, k: int, n: int | None = None) -> SymFuncP:
     """Character of the invariants in r-fold tensors of the k-th fundamental
     representation; the pairing partner ranges over all sizes up to kr."""

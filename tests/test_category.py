@@ -4,9 +4,11 @@ from itertools import product
 
 import pytest
 
+from brauercat import category
 from brauercat.category import (Morphism, check_eq_ch, compose_diagrams,
                                 closure_loops, e_rec, e_sum, generator_s,
                                 generator_u, r_element, tensor_diagrams)
+from brauercat.cli import _is_idempotent
 from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
 from brauercat.scalars import DeltaPoly, loop_factor
 from oracles import (check_eq_ch_by_definition, closure_loops_by_union_find,
@@ -369,3 +371,33 @@ def test_eq_ch_matches_definition_on_random_morphisms(m):
         report = check_eq_ch(e, m - 1)
         assert report == check_eq_ch_by_definition(e, m - 1), e
         assert not report.passed and report.witness is not None
+
+
+def _certificate_cases():
+    for n in (1, 2, 3):
+        for delta in (Fraction(-2 * n), Fraction(7, 3), Fraction(-2 * n - 2)):
+            yield pytest.param(n, e_sum(n, delta), id=f"e_sum({n}, {delta})")
+        yield pytest.param(n, Morphism.zero(n + 1, n + 1, Fraction(-2 * n)), id=f"zero({n})")
+        yield pytest.param(n, e_sum(n).scaled(2), id=f"2*e_sum({n})")  # central, not idempotent
+        yield pytest.param(n, e_sum(n, None), id=f"e_sum({n}, None)")
+
+
+@pytest.mark.parametrize("n, e", _certificate_cases())
+def test_generator_certificate_matches_definition(n, e):
+    report = check_eq_ch(e, n)
+    assert report == check_eq_ch_by_definition(e, n)
+    assert _is_idempotent(e, report.passed) == (e * e == e)
+
+
+def test_generator_certificate_glues_4n_products(monkeypatch):
+    e = e_sum(3)
+    glue = category._glue
+    glued = []
+
+    def counting_glue(*args):
+        glued.append(1)
+        return glue(*args)
+
+    monkeypatch.setattr(category, "_glue", counting_glue)
+    assert check_eq_ch(e, 3).passed
+    assert len(glued) <= 4 * 3 * 105  # 4n generator products with the 105 terms of e

@@ -188,6 +188,21 @@ def test_cli_compose_and_errors(capsys):
     assert capsys.readouterr().out == "d^2*2|2:(1,2)(3,4)\n"
 
 
+def test_e_atoms_specialize_the_whole_expression(capsys):
+    assert main(["compose", "E(2) + id_2"]) == 0
+    want = e_sum(1) + Morphism.identity(2, Fraction(-2))
+    assert capsys.readouterr().out == f"{want}\n"
+    assert main(["compose", "E(2) o u_1"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["compose", "E(3)*E(3) - E(3)"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["compose", "E(2) x E(3)"]) == 2
+    assert capsys.readouterr().err == ("error: E(3) implies delta=-4, but E(2) implies "
+                                       "delta=-2; pass --n or --delta (at column 8)\n")
+    d = Fraction(7, 3)
+    assert run("E(2) x E(3)", delta=d) == e_sum(1, d) @ e_sum(2, d)
+
+
 def test_bare_id_takes_the_expression_strand_count(tmp_path, capsys):
     assert main(["compose", "u_1 + id"]) == 0
     assert main(["compose", "u_1 + id_2"]) == 0

@@ -115,6 +115,14 @@ def test_memoized_tables_are_read_only():
         assert table(arg).coeffs == want, table
 
 
+def test_character_builders_are_memoized_and_read_only():
+    for builder, args in [(invariant_character_sym_power, (4, 2, 1)),
+                          (invariant_character_fundamental, (4, 2, 1))]:
+        f = builder(*args)
+        assert builder(*args) is f, builder
+        _assert_read_only(f)
+
+
 def test_sym_power_reduces_at_k1():
     # X(2m, n, 1) lives on 2m points, so the k=1 character is the matchings one
     for m in (1, 2):
