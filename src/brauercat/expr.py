@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .category import Morphism, e_sum, generator_s, generator_u, r_element
 from .matchings import Diagram, PerfectMatching, unbend
@@ -249,21 +250,24 @@ def parse_expr(text: str):
     return _Parser(tokenize(text)).parse()
 
 
+def _names(node) -> Iterator[Name]:
+    """The named atoms of an expression, left to right (an explicit stack, so a
+    long sum does not nest generators)."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Name):
+            yield node
+        elif isinstance(node, BinOp):
+            stack += (node.right, node.left)
+        elif isinstance(node, Neg):
+            stack.append(node.child)
+
+
 def infer_strands(node) -> int | None:
     """Smallest strand count accommodating every named generator."""
-    if isinstance(node, Name):
-        if node.kind in ("u", "s", "R"):
-            return node.index + 1
-        if node.kind in ("id", "E"):
-            return node.index
-        return None
-    if isinstance(node, BinOp):
-        values = [infer_strands(node.left), infer_strands(node.right)]
-        values = [v for v in values if v is not None]
-        return max(values) if values else None
-    if isinstance(node, Neg):
-        return infer_strands(node.child)
-    return None
+    return max((a.index + 1 if a.kind in ("u", "s", "R") else a.index
+                for a in _names(node) if a.index is not None), default=None)
 
 
 def _strands_of(node: Name, strands: int | None) -> int:
@@ -294,6 +298,9 @@ def shape_of(node, strands: int | None, n: int | None = None):
         if node.kind == "Pf":
             return (0, _pf_generator(node, n).points)
         m = _strands_of(node, strands)
+        if node.kind in ("u", "s", "R") and not 1 <= node.index <= m - 1:
+            raise ExprError(f"subscript of {node.kind}_{node.index} out of range for {m} strands",
+                            node.pos)
         return (m, m)
     if isinstance(node, BinOp):
         ls = shape_of(node.left, strands, n)
@@ -345,21 +352,10 @@ def evaluate(node, delta=None, strands: int | None = None, n: int | None = None)
     return _eval(node, delta, strands, n)
 
 
-def _e_atoms(node) -> list[Name]:
-    """The E(m) atoms of an expression, left to right."""
-    if isinstance(node, Name):
-        return [node] if node.kind == "E" else []
-    if isinstance(node, BinOp):
-        return _e_atoms(node.left) + _e_atoms(node.right)
-    if isinstance(node, Neg):
-        return _e_atoms(node.child)
-    return []
-
-
 def _implied_delta(node) -> Fraction | None:
     """The delta = -2(m-1) at which the expression's E(m) atoms are idempotent,
     or None (the formal ring) when it has none."""
-    atoms = _e_atoms(node)
+    atoms = [a for a in _names(node) if a.kind == "E"]
     if not atoms:
         return None
     first = atoms[0].index

@@ -102,45 +102,42 @@ def rewrite_step(d: Diagram, violation: tuple[tuple[int, int], ...],
 def normal_form(m: Morphism, n: int, _trace: list | None = None) -> Morphism:
     """Reduce a morphism to an equal one supported on (n+1)-noncrossing diagrams.
 
-    Works on Hom(0, 2r); other shapes are bent flat, reduced, and unbent.
+    Works on Hom(0, 2r); other shapes are bent flat before and unbent after.
     The (n+1)-noncrossing diagrams are a basis of the quotient (the second
-    fundamental theorem), so the result does not depend on the rewrite order:
-    each distinct diagram is reduced once per call, to minus the sum of the
-    reductions of its rewrite terms, and the result is reused by linearity.
-    The recursion ends because every rewrite lowers the crossing count.
+    fundamental theorem), so the result does not depend on the rewrite order.
+    Every rewrite lowers the crossing count, so coefficients are pushed down
+    buckets keyed by crossing count, highest first: each diagram is visited
+    once, with its accumulated coefficient, and either kept (noncrossing),
+    skipped (the coefficient cancelled to 0) or rewritten into lower buckets.
     ``_trace`` (what ``normal-form --trace`` prints) receives each rewritten
-    diagram once, in order of first rewrite.
+    diagram, from most crossings down and in sorted order within a count.
     """
-    if m.r != 0:
-        flat = Morphism(0, m.r + m.s,
-                        {bend(d): c for d, c in m.terms.items()}, m.delta)
-        reduced = normal_form(flat, n, _trace)
-        return Morphism(m.r, m.s,
-                        {unbend(d, m.r, m.s): c for d, c in reduced.terms.items()}, m.delta)
+    if n < 1:
+        raise ValueError(f"normal form needs rank n >= 1, got n = {n}")
+    buckets: dict[int, dict[Diagram, object]] = {}
 
-    memo: dict[Diagram, dict[Diagram, int]] = {}
+    def push(d: Diagram, c) -> None:
+        bucket = buckets.setdefault(crossing_pairs(d.matching), {})
+        bucket[d] = bucket.get(d, 0) + c
 
-    def reduce(d: Diagram) -> dict[Diagram, int]:
-        out = memo.get(d)
-        if out is not None:
-            return out
-        violation = find_violation(d, n)
-        if violation is None:
-            out = {d: 1}
-        else:
+    for d, c in m.terms.items():
+        push(bend(d) if m.r else d, c)
+    out: dict[Diagram, object] = {}
+    # rewrites fill lower buckets during the walk, so walk the counts, not a snapshot
+    for k in range(max(buckets, default=-1), -1, -1):
+        bucket = buckets.get(k, {})
+        for d in sorted(bucket):
+            c = bucket[d]
+            if not c:
+                continue
+            violation = find_violation(d, n)
+            if violation is None:
+                out[d] = c
+                continue
             if _trace is not None:
                 _trace.append(d)
-            acc: dict[Diagram, int] = {}
-            for term in rewrite_step(d, violation).terms:
-                for e, k in reduce(term).items():
-                    acc[e] = acc.get(e, 0) - k
-            out = {e: k for e, k in acc.items() if k}
-        memo[d] = out
-        return out
-
-    terms: dict[Diagram, object] = {}
-    for d in sorted(m.terms):
-        c = m.terms[d]
-        for e, k in reduce(d).items():
-            terms[e] = terms.get(e, 0) + c * k
-    return Morphism(0, m.s, terms, m.delta)
+            for e in rewrite_step(d, violation).terms:
+                push(e, -c)
+    if m.r:
+        out = {unbend(d, m.r, m.s): c for d, c in out.items()}
+    return Morphism(m.r, m.s, out, m.delta)

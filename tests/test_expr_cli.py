@@ -219,6 +219,18 @@ def test_bare_id_takes_the_expression_strand_count(tmp_path, capsys):
         == "error: id needs a strand count (pass --strands, or write id_m) (at column 1)\n"
 
 
+def test_generator_subscripts_are_checked_with_a_column(capsys):
+    assert main(["compose", "u_0 + id", "--strands", "3"]) == 2
+    assert capsys.readouterr().err \
+        == "error: subscript of u_0 out of range for 3 strands (at column 1)\n"
+    for text, strands in (("id_3 + s_3", 3), ("id_2 - R_2(1)", 2), ("id_1 + u_1", 1)):
+        with pytest.raises(ExprError, match=r"out of range .* \(at column 8\)"):
+            shape_of(parse_expr(text), strands)
+    assert shape_of(parse_expr("u_2 + s_1"), 3) == (3, 3)
+    with pytest.raises(ValueError, match="out of range"):  # the library check stays
+        generator_u(0, 3)
+
+
 def test_shapes_print_as_pairs_or_a_scalar(capsys):
     assert main(["compose", "id_1 + 2"]) == 2
     assert capsys.readouterr().err == "error: cannot add shapes (1,1) and a scalar (at column 6)\n"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from brauercat.category import Morphism, e_sum
-from brauercat.matchings import (Diagram, PerfectMatching, bend,
+from brauercat.matchings import (Diagram, PerfectMatching, bend, crossing_pairs,
                                  enumerate_matchings, enumerate_X,
                                  find_mutually_crossing, unbend)
 from brauercat.pfaffian import (PfGenerator, enumerate_pf_generators,
@@ -138,6 +138,27 @@ def test_trace_hook():
         assert steps and all(isinstance(d, Diagram) for d in steps)
         assert len(set(steps)) == len(steps)
         assert all(find_violation(d, n) is not None for d in steps)
+        counts = [crossing_pairs(d.matching) for d in steps]
+        assert counts == sorted(counts, reverse=True)
+
+
+def test_cancelled_diagram_is_not_rewritten():
+    # (1,4)(2,5)(3,6) rewrites to -(1,5)(2,4)(3,6) among others, which cancels
+    # the second input term before its bucket is reached
+    first = flat(((1, 4), (2, 5), (3, 6)))
+    m = Morphism(0, 6, {first: 1, flat(((1, 5), (2, 4), (3, 6))): 1})
+    steps = []
+    reduced = normal_form(m, 1, steps)
+    assert steps == [first]
+    assert reduced == normal_form_rescan(m, 1)
+    assert reduced == Morphism(0, 6, {flat(((1, 2), (3, 6), (4, 5))): -1})
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_normal_form_rejects_rank_below_one(n):
+    m = Morphism.from_diagram(flat(((1, 3), (2, 4))))
+    with pytest.raises(ValueError, match=f"n = {n}$"):
+        normal_form(m, n)
 
 
 @pytest.mark.parametrize("n", [1, 2])
