@@ -137,16 +137,24 @@ class Morphism:
         if self.delta != other.delta:
             raise ValueError(f"mixed coefficient rings: delta={self.delta} vs delta={other.delta}")
 
+    def accumulate(self, signed) -> Morphism:
+        """self + sign_1*m_1 + sign_2*m_2 + ... for (sign, m) pairs with sign
+        +1 or -1: every coefficient is added into one dict, and one Morphism
+        is built at the end."""
+        terms = dict(self.terms)
+        for sign, other in signed:
+            self._check_ring(other)
+            if (self.r, self.s) != (other.r, other.s):
+                raise ValueError(
+                    f"cannot add shapes ({self.r},{self.s}) and ({other.r},{other.s})")
+            for d, c in other.terms.items():
+                terms[d] = terms.get(d, 0) + (c if sign > 0 else -c)
+        return Morphism(self.r, self.s, terms, self.delta)
+
     def __add__(self, other):
         if not isinstance(other, Morphism):
             return NotImplemented
-        self._check_ring(other)
-        if (self.r, self.s) != (other.r, other.s):
-            raise ValueError(f"cannot add shapes ({self.r},{self.s}) and ({other.r},{other.s})")
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            terms[d] = terms.get(d, 0) + c
-        return Morphism(self.r, self.s, terms, self.delta)
+        return self.accumulate([(1, other)])
 
     def __neg__(self):
         return Morphism(self.r, self.s, {d: -c for d, c in self.terms.items()}, self.delta)
@@ -154,7 +162,7 @@ class Morphism:
     def __sub__(self, other):
         if not isinstance(other, Morphism):
             return NotImplemented
-        return self + (-other)
+        return self.accumulate([(-1, other)])
 
     def scaled(self, scalar) -> Morphism:
         k = as_scalar(scalar, self.delta)

@@ -71,7 +71,7 @@ def cmd_enumerate(args) -> int:
     elif what == "oscillating":
         items = [str(t) for t in tb.enumerate_oscillating(2 * args.r, args.n)]
     elif what == "syt":
-        if not args.shape:
+        if args.shape is None:
             raise ValueError("enumerate --what syt needs --shape")
         items = ["/".join(",".join(map(str, row)) for row in t)
                  for t in tb.enumerate_SYT(_shape_from(args))]
@@ -182,7 +182,7 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_fake_degree(args) -> int:
-    if args.shape:
+    if args.shape is not None:
         print(tb.fake_degree_schur_hook(_shape_from(args)))
         return 0
     print(sf.fake_degree(_character(args)))

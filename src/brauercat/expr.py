@@ -8,6 +8,9 @@ takes the expression's strand count.  ``o`` composes two morphisms (tightest),
 rationals.  Unicode spellings of the operators are accepted as aliases.
 With no loop value given, an expression holding ``E(m)`` is evaluated at
 delta = -2(m-1), where E(m) is idempotent; any other stays formal.
+The AST has Num, Diag and Name leaves under flat ``Chain`` nodes, one per run
+of same-level operators; unary minus is a product with -1.  So a tree nests
+only as deep as its parentheses and unary minuses.
 """
 
 from __future__ import annotations
@@ -89,17 +92,14 @@ class Name:
 
 
 @dataclass(frozen=True)
-class BinOp:
-    op: str             # "+", "-", "*", "o", "x"
-    left: object
-    right: object
-    pos: int
+class Chain:
+    """Operands joined by the operators of one precedence level, folded left
+    to right: ``first`` then each (op, op position, operand) of ``rest``."""
+    first: object
+    rest: tuple
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: object
-    pos: int
+_LEVELS = (("+", "-"), ("x",), ("o", "*"))  # loosest first
 
 
 class _Parser:
@@ -129,38 +129,28 @@ class _Parser:
         return int(tok.text)
 
     def parse(self):
-        node = self.expr()
+        node = self.chain(0)
         tok = self.peek()
         if tok.kind != "end":
             raise ExprError(f"trailing input {tok.text!r}", tok.pos)
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
+    def chain(self, level: int):
+        """Operands of the next tighter level joined by this level's operators."""
+        if level == len(_LEVELS):
+            return self.atom()
+        first = self.chain(level + 1)
+        rest = []
+        while self.peek().kind in _LEVELS[level]:
             op = self.next()
-            node = BinOp(op.kind, node, self.term(), op.pos)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek().kind == "x":
-            op = self.next()
-            node = BinOp("x", node, self.factor(), op.pos)
-        return node
-
-    def factor(self):
-        node = self.atom()
-        while self.peek().kind in ("o", "*"):
-            op = self.next()
-            node = BinOp(op.kind, node, self.atom(), op.pos)
-        return node
+            rest.append((op.kind, op.pos, self.chain(level + 1)))
+        return Chain(first, tuple(rest)) if rest else first
 
     def atom(self):
         tok = self.peek()
-        if tok.kind == "-":
+        if tok.kind == "-":  # unary minus: a product with the literal -1
             self.next()
-            return Neg(self.atom(), tok.pos)
+            return Chain(Num(Fraction(-1), tok.pos), (("*", tok.pos, self.atom()),))
         if tok.kind == "num":
             if self.peek(1).kind == "|":
                 return self.shaped_diagram()
@@ -173,7 +163,7 @@ class _Parser:
             if self.peek(1).kind == "num" and self.peek(2).kind == ",":
                 return self.diagram_literal(0, None)
             self.next()
-            node = self.expr()
+            node = self.chain(0)
             self.expect(")")
             return node
         if tok.kind == "name":
@@ -251,17 +241,14 @@ def parse_expr(text: str):
 
 
 def _names(node) -> Iterator[Name]:
-    """The named atoms of an expression, left to right (an explicit stack, so a
-    long sum does not nest generators)."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Name):
-            yield node
-        elif isinstance(node, BinOp):
-            stack += (node.right, node.left)
-        elif isinstance(node, Neg):
-            stack.append(node.child)
+    """The named atoms of an expression, left to right.  Chains are flat, so
+    this nests only as deep as the parentheses and unary minuses."""
+    if isinstance(node, Name):
+        yield node
+    elif isinstance(node, Chain):
+        yield from _names(node.first)
+        for *_, operand in node.rest:
+            yield from _names(operand)
 
 
 def infer_strands(node) -> int | None:
@@ -292,8 +279,6 @@ def shape_of(node, strands: int | None, n: int | None = None):
         return None
     if isinstance(node, Diag):
         return (node.diagram.r, node.diagram.s)
-    if isinstance(node, Neg):
-        return shape_of(node.child, strands, n)
     if isinstance(node, Name):
         if node.kind == "Pf":
             return (0, _pf_generator(node, n).points)
@@ -302,26 +287,30 @@ def shape_of(node, strands: int | None, n: int | None = None):
             raise ExprError(f"subscript of {node.kind}_{node.index} out of range for {m} strands",
                             node.pos)
         return (m, m)
-    if isinstance(node, BinOp):
-        ls = shape_of(node.left, strands, n)
-        rs = shape_of(node.right, strands, n)
-        if node.op in ("+", "-"):
-            if ls != rs:
-                raise ExprError(
-                    f"cannot add shapes {_shape_text(ls)} and {_shape_text(rs)}", node.pos)
-            return ls
-        if ls is None or rs is None:
-            if node.op == "*":  # scaling
-                return rs if ls is None else ls
-            what = "tensor product" if node.op == "x" else "composition"
-            raise ExprError(f"{what} needs two morphisms", node.pos)
-        if node.op == "x":
-            return (ls[0] + rs[0], ls[1] + rs[1])
-        if ls[1] != rs[0]:
-            raise ExprError(
-                f"cannot compose shapes {_shape_text(ls)} and {_shape_text(rs)}", node.pos)
-        return (ls[0], rs[1])
+    if isinstance(node, Chain):
+        shape = shape_of(node.first, strands, n)
+        for op, pos, operand in node.rest:
+            shape = _combine(op, shape, shape_of(operand, strands, n), pos)
+        return shape
     raise ExprError("malformed expression", getattr(node, "pos", 0))
+
+
+def _combine(op: str, ls, rs, pos: int):
+    """The shape of ``ls op rs``; a mismatch is reported at the operator."""
+    if op in ("+", "-"):
+        if ls != rs:
+            raise ExprError(f"cannot add shapes {_shape_text(ls)} and {_shape_text(rs)}", pos)
+        return ls
+    if ls is None or rs is None:
+        if op == "*":  # scaling
+            return rs if ls is None else ls
+        what = "tensor product" if op == "x" else "composition"
+        raise ExprError(f"{what} needs two morphisms", pos)
+    if op == "x":
+        return (ls[0] + rs[0], ls[1] + rs[1])
+    if ls[1] != rs[0]:
+        raise ExprError(f"cannot compose shapes {_shape_text(ls)} and {_shape_text(rs)}", pos)
+    return (ls[0], rs[1])
 
 
 def _pf_generator(node: Name, n: int | None) -> PfGenerator:
@@ -342,7 +331,8 @@ def evaluate(node, delta=None, strands: int | None = None, n: int | None = None)
     delta picks the coefficient ring; without it an expression holding E(m)
     atoms is specialized at delta = -2(m-1), and any other is formal.
     strands sizes the named generators (inferred when omitted); n sizes Pf
-    literals.
+    literals.  Each Chain folds left to right, except that a ``+``/``-`` chain
+    of morphisms is summed into one dict by ``Morphism.accumulate``.
     """
     if strands is None:
         strands = infer_strands(node)
@@ -372,9 +362,6 @@ def _eval(node, delta, strands, n):
         return node.value
     if isinstance(node, Diag):
         return Morphism.from_diagram(node.diagram, delta)
-    if isinstance(node, Neg):
-        child = _eval(node.child, delta, strands, n)
-        return -child
     if isinstance(node, Name):
         if node.kind == "Pf":
             return pfaffian(_pf_generator(node, n), delta)
@@ -390,16 +377,17 @@ def _eval(node, delta, strands, n):
             return r_element(node.index, node.arg, m, delta)
         gen = generator_u if node.kind == "u" else generator_s
         return Morphism.from_diagram(gen(node.index, m), delta)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, delta, strands, n)
-        right = _eval(node.right, delta, strands, n)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "x":
-            return left @ right
-        return left * right  # "o" or "*": Morphism.__mul__/__rmul__ scale by rationals
+    if isinstance(node, Chain):
+        left = _eval(node.first, delta, strands, n)
+        rights = ((op, _eval(operand, delta, strands, n)) for op, _, operand in node.rest)
+        if node.rest[0][0] in ("+", "-"):  # a sum, accumulated once
+            signed = ((-1 if op == "-" else 1, right) for op, right in rights)
+            if isinstance(left, Morphism):
+                return left.accumulate(signed)
+            return left + sum(sign * right for sign, right in signed)
+        for op, right in rights:  # "o", "*": Morphism.__mul__/__rmul__ scale by rationals
+            left = left @ right if op == "x" else left * right
+        return left
     raise ExprError("malformed expression", getattr(node, "pos", 0))
 
 

@@ -401,3 +401,24 @@ def test_generator_certificate_glues_4n_products(monkeypatch):
     monkeypatch.setattr(category, "_glue", counting_glue)
     assert check_eq_ch(e, 3).passed
     assert len(glued) <= 4 * 3 * 105  # 4n generator products with the 105 terms of e
+
+
+def test_accumulate_is_one_signed_sum():
+    rng = random.Random(18)
+    pool = diagrams(2, 2)
+    delta = Fraction(-2)
+    ms = [Morphism(2, 2, {d: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                          for d in rng.sample(pool, 2)}, delta) for _ in range(6)]
+    signs = [rng.choice((1, -1)) for _ in ms]
+    want = {}
+    for sign, m in zip(signs, ms):
+        for d, c in m.terms.items():
+            want[d] = want.get(d, 0) + sign * c
+    got = ms[0].scaled(signs[0]).accumulate(zip(signs[1:], ms[1:]))
+    assert got == Morphism(2, 2, want, delta)
+    assert ms[0] - ms[1] == ms[0] + ms[1].scaled(-1) == ms[0].accumulate([(-1, ms[1])])
+    # the two-term operators keep their ring and shape checks
+    with pytest.raises(ValueError, match=r"mixed coefficient rings: delta=-2 vs delta=None"):
+        ms[0] - as_m(generator_u(1, 2))
+    with pytest.raises(ValueError, match=r"cannot add shapes \(2,2\) and \(1,1\)"):
+        ms[0] + Morphism.identity(1, delta)

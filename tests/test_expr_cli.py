@@ -8,6 +8,7 @@ from brauercat.cli import main
 from brauercat.expr import (ExprError, evaluate, parse_expr, parse_morphism,
                             shape_of)
 from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
+from brauercat.pfaffian import normal_form
 
 
 def run(expr, **kwargs):
@@ -126,6 +127,39 @@ def test_printed_morphism_parses_back():
 def test_parse_morphism_rejects_scalar():
     with pytest.raises(ExprError, match="scalar"):
         parse_morphism("3/4")
+
+
+def test_long_operator_chains_evaluate():
+    # a chain is one flat node, so its length does not nest the evaluation
+    s1 = Morphism.from_diagram(generator_s(1, 2))
+    assert run(" + ".join(["s_1"] * 5000)) == s1.scaled(5000)
+    assert run(" - ".join(["s_1"] * 5000)) == s1.scaled(-4998)
+    assert run(" * ".join(["s_1"] * 5000)) == Morphism.identity(2)
+    assert run(" x ".join(["id_0"] * 2000)) == Morphism.identity(0)
+
+
+def test_printed_normal_form_parses_back():
+    delta = Fraction(-4)
+    crossing = Diagram(0, 12, PerfectMatching(tuple((i, i + 6) for i in range(1, 7))))
+    nf = normal_form(Morphism.from_diagram(crossing, delta), 2)
+    assert len(nf.terms) == 3565
+    assert parse_morphism(str(nf), delta) == nf
+
+
+def test_minus_is_left_associative_and_unary_minus_scales():
+    assert str(run("id_1 - id_1 - id_1")) == "-1*1|1:(1,2)"
+    assert run("1 - 2 - 3") == -4
+    s1 = Morphism.from_diagram(generator_s(1, 2))
+    assert run("- - s_1") == s1
+    assert run("2*-s_1") == s1.scaled(-2)
+    assert run("-2 * s_1 - -s_1") == s1.scaled(-1)
+
+
+def test_sum_shape_error_points_at_the_operator_before_the_bad_operand():
+    with pytest.raises(ExprError, match=r"cannot add shapes \(1,1\) and \(2,2\) \(at column 13\)"):
+        run("id_1 + id_1 + id_2")
+    with pytest.raises(ExprError, match=r"composition needs two morphisms \(at column 11\)"):
+        run("u_1 o s_1 o 2 o u_1")
 
 
 # --- command line ---
@@ -260,6 +294,15 @@ def test_cli_fake_degree(capsys):
     assert capsys.readouterr().out == "q^2 + q^4\n"
     assert main(["fake-degree", "--kind", "matchings", "--r", "2", "--n", "2"]) == 0
     assert capsys.readouterr().out == "1 + q^2 + q^4\n"
+
+
+def test_empty_shape_is_the_empty_partition(capsys):
+    # --shape "" is the empty partition, as --shape "[]" is; it is not a missing flag
+    for shape in ("", "[]"):
+        assert main(["fake-degree", "--shape", shape, "--r", "3"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        assert main(["enumerate", "--what", "syt", "--shape", shape, "--count"]) == 0
+        assert capsys.readouterr().out == "1\n"
 
 
 def test_cli_frobenius(capsys):
