@@ -9,8 +9,8 @@ diagrams.  ``ev_sliced`` instead cuts the diagram into elementary layers
 sequence; it exists so tests can check that two different slicings agree
 with each other and with the closed form.
 
-Tensors are stored sparsely: a map from index tuples to exact values.  A
-diagram on 2m points has only (2n)^m nonzero entries.
+Tensors are sparse, index tuples to exact values ((2n)^m nonzero on 2m points);
+``ev_morphism`` sums on integer-coded keys and decodes only the survivors.
 
 Ranks are exact and integer-only.  ``ev_gram`` writes the Gram matrix of
 flat-diagram tensors down in closed form, one signed factor of 2n per loop
@@ -140,6 +140,17 @@ def identity_tensor(n: int) -> Tensor:
     return ev_diagram(Diagram.identity(1), n)
 
 
+def _closed_form(d: Diagram, n: int) -> tuple[int, list]:
+    """The sign and strand tables of ``ev_diagram``, in the order of the pairs."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    sign = -1 if crossing_pairs(bend(d).matching) % 2 else 1
+    cap = [((i, n + i), 1) for i in range(n)] + [((n + i, i), -1) for i in range(n)]
+    cup = [(ij, -v) for ij, v in cap]
+    ident = [((i, i), 1) for i in range(2 * n)]
+    return sign, [ident if a <= d.r < b else cap if b <= d.r else cup for a, b in d.matching.pairs]
+
+
 def ev_diagram(d: Diagram, n: int) -> Tensor:
     """Tensor of a diagram: slots are the r top points then the s bottom points.
 
@@ -147,16 +158,10 @@ def ev_diagram(d: Diagram, n: int) -> Tensor:
     factor per strand (a, b), a < b, on the indices (i_a, i_b).  With e_i at
     index i and f_i at index n + i, the factor of a cap is the form
     <e_i, f_i> = 1, <f_i, e_i> = -1; a cup takes its negative and a through
-    strand the identity.
+    strand the identity.  ``_closed_form`` holds the sign and the tables.
     """
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    sign = -1 if crossing_pairs(bend(d).matching) % 2 else 1
-    cap = [((i, n + i), 1) for i in range(n)] + [((n + i, i), -1) for i in range(n)]
-    cup = [(ij, -v) for ij, v in cap]
-    ident = [((i, i), 1) for i in range(2 * n)]
+    sign, factors = _closed_form(d, n)
     pairs = d.matching.pairs
-    factors = [ident if a <= d.r < b else cap if b <= d.r else cup for a, b in pairs]
     data = {}
     key = [0] * (d.r + d.s)
     for choice in product(*factors):
@@ -235,23 +240,29 @@ def ev_sliced(d: Diagram, n: int, strategy: str) -> Tensor:
 def ev_morphism(m: Morphism, n: int) -> Tensor:
     """Linear extension of the diagram evaluation, with Fraction values.
 
-    The coefficients are scaled by the lcm of their denominators, so the sum
-    runs over integers and each surviving entry is divided back once.
+    The terms' closed forms, lcm-scaled to integers, are summed with no tensor
+    on integer keys (slot p of P weighs (2n)^(P-p)); only survivors are decoded.
     """
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     if m.delta is None:
         raise ValueError("evaluation needs coefficients specialized at delta = -2n")
     if m.delta != Fraction(-2 * n):
         raise ValueError(f"morphism specialized at delta={m.delta}, expected {-2 * n}")
+    weights = [(2 * n) ** p for p in range(m.r + m.s - 1, -1, -1)]
     scale = lcm(*(c.denominator for c in m.terms.values()))
-    data: dict = {}
+    data: dict[int, int] = {}
     for d, c in m.terms.items():
-        c = c.numerator * (scale // c.denominator)
-        for key, v in ev_diagram(d, n).data.items():
-            value = data.pop(key, 0) + v * c
-            if value:  # cancelled entries leave, so a vanishing sum stays small
-                data[key] = value
-    return Tensor((2 * n,) * (m.r + m.s),
-                  {key: Fraction(v, scale) for key, v in data.items()})
+        sign, factors = _closed_form(d, n)
+        entries = [(0, sign * c.numerator * (scale // c.denominator))]
+        for (a, b), table in zip(d.matching.pairs, factors):
+            offsets = [(i * weights[a - 1] + j * weights[b - 1], v) for (i, j), v in table]
+            entries = [(k + o, x * v) for k, x in entries for o, v in offsets]
+        for k, x in entries:  # cancelled entries leave, so a vanishing sum stays small
+            if x := x + data.pop(k, 0):
+                data[k] = x
+    return Tensor((2 * n,) * len(weights), {tuple(k // w % (2 * n) for w in weights):
+                                            Fraction(x, scale) for k, x in data.items()})
 
 
 def compose_maps(tx: Tensor, ty: Tensor, mid: int) -> Tensor:
@@ -287,6 +298,8 @@ def _echelon(rows: list[list]) -> list[list[int]]:
     operations over Q, so the number of pivots is the rank.  Rows keep only
     the columns right of the current one.
     """
+    if len(lengths := {len(row) for row in rows}) > 1:
+        raise ValueError(f"ragged rows: lengths {sorted(lengths)}")
     scaled = []
     for row in rows:
         denom = lcm(*(x.denominator for x in row))

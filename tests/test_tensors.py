@@ -149,6 +149,65 @@ def test_ev_morphism_is_sum_of_scaled_terms():
             assert all(type(v) is Fraction for v in got.data.values())
 
 
+def test_ev_morphism_matches_scaled_terms_for_every_shape():
+    # the integer-keyed sum against the tensor sum of scaled ev_diagram terms
+    rng = random.Random(19)
+    for n in (1, 2, 3):
+        for points in (0, 2, 4, 6, 8):
+            for r in range(points + 1):
+                pool = diagrams(r, points - r)
+                picked = rng.sample(pool, min(len(pool), 4 if n == 3 else 7))
+                terms = {d: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
+                         for d in picked}
+                m = Morphism(r, points - r, terms, Fraction(-2 * n))
+                want = Tensor((2 * n,) * points)
+                for d, c in m.terms.items():
+                    want = want + ev_diagram(d, n).scaled(c)
+                got = ev_morphism(m, n)
+                assert got == want, (r, points - r, n)
+                assert all(type(v) is Fraction for v in got.data.values())
+
+
+def test_ev_morphism_of_cancelling_and_empty_morphisms():
+    rng = random.Random(20)
+    for n in (1, 2):
+        for r, s in ((0, 0), (1, 1), (2, 4), (3, 3)):
+            pool = diagrams(r, s)
+            terms = {d: Fraction(rng.randint(1, 9), rng.randint(1, 5))
+                     for d in rng.sample(pool, min(len(pool), 5))}
+            m = Morphism(r, s, terms, Fraction(-2 * n))
+            empty = Tensor((2 * n,) * (r + s))
+            assert ev_morphism(m - m, n) == empty
+            assert ev_morphism(Morphism.zero(r, s, Fraction(-2 * n)), n) == empty
+    assert ev_morphism(Morphism.identity(0, Fraction(-2)), 1) == Tensor.scalar(1)
+
+
+def test_ev_morphism_builds_no_term_tensor(monkeypatch):
+    import brauercat.tensors as tensors
+
+    def refuse(d, n):
+        raise AssertionError("ev_morphism built a per-term tensor")
+
+    monkeypatch.setattr(tensors, "ev_diagram", refuse)
+    assert ev_morphism(e_sum(3), 3).is_zero()
+
+
+def test_ev_morphism_rejects_rank_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            ev_morphism(Morphism.zero(1, 1, Fraction(-2 * n)), n)
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            ev_morphism(Morphism.identity(1, Fraction(-2 * n)), n)
+
+
+def test_exact_rank_rejects_ragged_rows():
+    with pytest.raises(ValueError, match=r"ragged rows: lengths \[1, 2\]"):
+        exact_rank([[1], [2, 5]])
+    with pytest.raises(ValueError, match=r"lengths \[0, 3\]"):
+        _echelon([[1, 2, 3], []])
+    assert exact_rank([[]]) == exact_rank([[], []]) == 0
+
+
 def test_ev_kills_idempotent():
     for n in (1, 2):
         assert ev_morphism(e_sum(n), n).is_zero()
