@@ -20,7 +20,7 @@ from . import matchings as mt
 from . import symfunc as sf
 from . import tableaux as tb
 from .category import Morphism, check_eq_ch, e_rec, e_sum
-from .csp import CspInstance, verify_csp
+from .csp import CspCertificate, verify_csp_X
 from .expr import evaluate, parse_expr, parse_morphism
 from .matchings import enumerate_matchings
 from .partitions import parse_partition
@@ -61,6 +61,11 @@ def _shape_from(args) -> tuple[int, ...]:
 
 def cmd_enumerate(args) -> int:
     what = args.what
+    if args.count and (what == "oscillating" or what == "X" and args.k is None):
+        # X(r, n) is in bijection with the oscillating tableaux of length 2r with at most n rows
+        print(mt.count_X(args.r, args.n) if what == "X"
+              else tb.count_oscillating(2 * args.r, args.n))
+        return 0
     if what == "matchings":
         items = [str(m) for m in enumerate_matchings(2 * args.r)]
     elif what == "X":
@@ -189,20 +194,18 @@ def cmd_fake_degree(args) -> int:
     return 0
 
 
-def _csp_instance(r: int, n: int, k: int | None) -> CspInstance:
+def _csp_certificate(r: int, n: int, k: int | None) -> CspCertificate:
     if k is None or k == 1:
-        elements = tuple(mt.enumerate_X(r, n))
         poly = sf.fake_degree(sf.invariant_character_matchings(r, n))
-        return CspInstance(elements, 1, 2 * r, poly)
-    elements = tuple(mt.enumerate_X_blocked(r, n, k))
-    poly = sf.fake_degree(sf.invariant_character_sym_power(r, k, n))
-    return CspInstance(elements, k, r, poly)
+    else:
+        poly = sf.fake_degree(sf.invariant_character_sym_power(r, k, n))
+    return verify_csp_X(r, n, k, poly)
 
 
 def _print_certificate(tag: str, cert, fmt: str):
     if fmt == "tsv":
         fields = [tag, "PASS" if cert.passed else "FAIL", str(cert.size),
-                  str(cert.order), ",".join(map(str, cert.orbit_sizes)),
+                  str(cert.order), ",".join(f"{t}:{m}" for t, m in cert.orbit_counts.items()),
                   str(cert.poly_reduced),
                   "" if cert.failure_divisor is None else str(cert.failure_divisor)]
         print("\t".join(fields))
@@ -244,7 +247,7 @@ def cmd_csp_verify(args) -> int:
         jobs.append((args.r, args.n, args.k))
     all_pass = True
     for r, n, k in jobs:
-        cert = verify_csp(_csp_instance(r, n, k))
+        cert = _csp_certificate(r, n, k)
         tag = f"X({r},{n})" if k in (None, 1) else f"X({r},{n},{k})"
         _print_certificate(tag, cert, fmt)
         all_pass = all_pass and cert.passed

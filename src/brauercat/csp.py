@@ -9,10 +9,11 @@ cyclotomic points is available as a cross-check.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .matchings import orbits
+from .matchings import count_fixed_X, count_X, enumerate_X_blocked, orbits
 from .qpoly import QPolynomial, cyclotomic, polynomial_mod
 
 
@@ -35,7 +36,7 @@ class CspCertificate:
     passed: bool
     size: int
     order: int
-    orbit_sizes: tuple[int, ...]
+    orbit_counts: dict[int, int]  # orbit size -> number of orbits, sizes descending
     poly: QPolynomial
     poly_reduced: QPolynomial
     orbit_poly: QPolynomial
@@ -48,7 +49,7 @@ class CspCertificate:
             f"result: {'PASS' if self.passed else 'FAIL'}",
             f"size: {self.size}",
             f"order: {self.order}",
-            f"orbits: {list(self.orbit_sizes)}",
+            f"orbits: {self.orbit_counts}",
             f"P: {self.poly}",
             f"P mod q^{self.order}-1: {self.poly_reduced}",
             f"orbit polynomial: {self.orbit_poly}",
@@ -74,14 +75,17 @@ def fixed_points(elements, step: int, d: int) -> int:
 
 
 def orbit_polynomial(orbit_sizes, order: int) -> QPolynomial:
-    """Sum over orbits O of 1 + q^(N/|O|) + ... + q^((|O|-1)N/|O|)."""
+    """Sum over orbits O of 1 + q^(N/|O|) + ... + q^((|O|-1)N/|O|).
+
+    ``orbit_sizes`` lists the orbit sizes, or maps each size to its number of orbits.
+    """
     coeffs: dict[int, int] = {}
-    for size in orbit_sizes:
+    for size, count in Counter(orbit_sizes).items():
         if order % size != 0:
             raise ValueError(f"orbit size {size} does not divide the order {order}")
         for j in range(size):
             e = j * order // size
-            coeffs[e] = coeffs.get(e, 0) + 1
+            coeffs[e] = coeffs.get(e, 0) + count
     return QPolynomial.from_dict(coeffs)
 
 
@@ -103,29 +107,78 @@ def evaluate_at_root_of_unity(p: QPolynomial, order: int, d: int) -> int | None:
 
 
 def verify_csp(inst: CspInstance) -> CspCertificate:
-    """Decide the sieving congruence and assemble a diagnosable certificate."""
-    if not inst.poly.is_nonnegative_integer():
-        raise ValueError(f"malformed instance: P = {inst.poly} has negative or "
+    """Decide the sieving congruence from the orbits of the listed elements."""
+    sizes = orbits(inst.elements, inst.step)
+    return _certificate(inst.poly, inst.order, {
+        s: sum(size for size in sizes if s % size == 0) for s in divisors(inst.order)})
+
+
+def verify_csp_X(r: int, n: int, k: int | None, poly: QPolynomial) -> CspCertificate:
+    """Decide the sieving congruence for X(r, n) under rotation by one point
+    (k None or 1), or for X(r, n, k) under rotation by k points, without
+    listing X: each proper divisor power of the rotation gets its fixed
+    matchings counted by ``count_fixed_X``, and the identity its |X|."""
+    if k is None or k == 1:
+        size, order = count_X(r, n), 2 * r
+        r, k = 2 * r, 1  # X(r, n) is X(2r, n, 1)
+    else:
+        size, order = len(enumerate_X_blocked(r, n, k)), r
+    counts = {s: count_fixed_X(r, n, k, s) for s in divisors(order)[:-1]}
+    counts[order] = size
+    return _certificate(poly, order, counts)
+
+
+def _certificate(poly: QPolynomial, order: int, class_counts: dict[int, int]) -> CspCertificate:
+    """Decide the sieving congruence and assemble a diagnosable certificate.
+
+    ``class_counts`` maps each divisor s of the order to the number of
+    elements the s-th power of the rotation fixes; s = order gives |X|.  The
+    j-th power fixes what the gcd(j, order)-th does, and the elements in
+    orbits of size t are those fixed by c^t but by no c^t' for a proper
+    divisor t' of t.
+    """
+    if order < 1:
+        raise ValueError("rotation order must be positive")
+    if not poly.is_nonnegative_integer():
+        raise ValueError(f"malformed instance: P = {poly} has negative or "
                          "non-integer coefficients")
-    sizes = tuple(orbits(inst.elements, inst.step))
-    n = inst.order
-    reduced = inst.poly.reduce_mod_cyclic(n)
-    orbit_poly = orbit_polynomial(sizes, n)
-    # c^d fixes x exactly when the orbit size of x divides d.
-    fixed = tuple(sum(s for s in sizes if d % s == 0) for d in range(n))
+    counts = {}
+    for t, elements in sorted(_peel(class_counts).items(), reverse=True):
+        if elements < 0 or elements % t != 0:
+            raise ValueError(f"fixed-point counts {class_counts} are not those of a "
+                             f"rotation of order {order}")
+        if elements:
+            counts[t] = elements // t
+    reduced = poly.reduce_mod_cyclic(order)
+    orbit_poly = orbit_polynomial(counts, order)
+    fixed = tuple(class_counts[gcd(d, order)] for d in range(order))
     passed = reduced == orbit_poly
     failure = None
     message = ""
     if not passed:
-        for d in range(n):
-            value = evaluate_at_root_of_unity(inst.poly, n, d)
+        for d in range(order):
+            value = evaluate_at_root_of_unity(poly, order, d)
             if value != fixed[d]:
                 failure = d
                 got = "non-integer" if value is None else str(value)
                 message = f"P at divisor {d} gives {got}, fixed points {fixed[d]}"
                 break
-    return CspCertificate(passed, len(inst.elements), n, sizes, inst.poly,
-                          reduced, orbit_poly, fixed, failure, message)
+    return CspCertificate(passed, class_counts[order], order, counts, poly, reduced,
+                          orbit_poly, fixed, failure, message)
+
+
+def divisors(order: int) -> list[int]:
+    """The divisors of ``order``, ascending."""
+    return [s for s in range(1, order + 1) if order % s == 0]
+
+
+def _peel(totals: dict[int, object]) -> dict[int, object]:
+    """Invert divisor sums: given totals[c] = sum of parts[c'] over the divisors
+    c' of c, for every divisor c of some N, return parts; smallest c first."""
+    parts: dict[int, object] = {}
+    for c in sorted(totals):
+        parts[c] = totals[c] - sum(v for cc, v in parts.items() if c % cc == 0)
+    return parts
 
 
 def orbit_multiplicities(p: QPolynomial, order: int) -> dict[int, object] | None:
@@ -143,11 +196,8 @@ def orbit_multiplicities(p: QPolynomial, order: int) -> dict[int, object] | None
         if c in by_class and by_class[c] != value:
             return None
         by_class.setdefault(c, value)
-    # by_class[c] sums b[c'] over the divisors c' of c; peel them off, smallest c first
-    b: dict[int, object] = {}
-    for c in sorted(by_class):  # every divisor of order
-        b[c] = by_class[c] - sum(v for cc, v in b.items() if c % cc == 0)
-    return {order // c: v for c, v in b.items() if v}
+    # by_class[c] counts the orbits of each size N/c' with c' dividing c
+    return {order // c: v for c, v in _peel(by_class).items() if v}
 
 
 def is_cyclic_sieving_polynomial(p: QPolynomial, order: int) -> bool:

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 from typing import Iterable, Iterator
+
+from .tableaux import count_oscillating
 
 
 @dataclass(frozen=True, order=True)
@@ -69,7 +72,12 @@ def crossing_pairs(m: PerfectMatching) -> int:
 
 
 def find_mutually_crossing(m: PerfectMatching, size: int) -> tuple[tuple[int, int], ...] | None:
-    """Lexicographically first set of ``size`` mutually crossing strands, or None.
+    """Lexicographically first set of ``size`` mutually crossing strands, or None."""
+    return _first_mutually_crossing(m.pairs, size)
+
+
+def _first_mutually_crossing(strands, size: int) -> tuple[tuple[int, int], ...] | None:
+    """The first ``size`` mutually crossing strands of a list sorted by first endpoint.
 
     A set of strands {(a_i, b_i)} crosses mutually iff, listed with the a_i
     increasing, the b_i increase as well and the last a is below the first b.
@@ -78,7 +86,6 @@ def find_mutually_crossing(m: PerfectMatching, size: int) -> tuple[tuple[int, in
     """
     if size <= 0:
         return ()
-    strands = m.pairs  # already sorted by first endpoint
     chosen: list[tuple[int, int]] = []
 
     def extend(start: int) -> bool:
@@ -131,9 +138,21 @@ def _matchings_of(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ..
 def enumerate_X(r: int, n: int) -> list[PerfectMatching]:
     """All (n+1)-noncrossing perfect matchings of {1, ..., 2r}, in the order of
     ``enumerate_matchings``, generated without building any other matching."""
+    _check_plain(r, n)
+    return _generate_X(2 * r, n, 1)
+
+
+def count_X(r: int, n: int) -> int:
+    """|X(r, n)| without enumeration: the bijection of Chen, Deng, Du, Stanley
+    and Yan sends X(r, n) onto the oscillating tableaux of length 2r with at
+    most n rows."""
+    _check_plain(r, n)
+    return count_oscillating(2 * r, n)
+
+
+def _check_plain(r: int, n: int):
     if r < 0 or n < 1:
         raise ValueError(f"need r >= 0 and n >= 1, got r={r}, n={n}")
-    return _generate_X(2 * r, n, 1)
 
 
 def enumerate_X_blocked(r: int, n: int, k: int) -> list[PerfectMatching]:
@@ -143,11 +162,15 @@ def enumerate_X_blocked(r: int, n: int, k: int) -> list[PerfectMatching]:
     when it is (n+1)-noncrossing, no pair lies inside one block, and the
     endpoints of any two crossing pairs occupy four blocks.
     """
-    if r < 1 or n < 1 or k < 1:
-        raise ValueError(f"need r, n, k >= 1, got r={r}, n={n}, k={k}")
+    _check_blocked(r, n, k)
     if (r * k) % 2 != 0:
         return []
     return _generate_X(r * k, n, k)
+
+
+def _check_blocked(r: int, n: int, k: int):
+    if r < 1 or n < 1 or k < 1:
+        raise ValueError(f"need r, n, k >= 1, got r={r}, n={n}, k={k}")
 
 
 def _generate_X(points: int, n: int, k: int) -> list[PerfectMatching]:
@@ -201,6 +224,87 @@ def _generate_X(points: int, n: int, k: int) -> list[PerfectMatching]:
 
     place(1)
     return out
+
+
+def count_fixed_X(r: int, n: int, k: int, s: int) -> int:
+    """Number of matchings in X(r, n, k) fixed by the s-th power of its rotation
+    by k points; X(r, n) is X(2r, n, 1).  No matching is built."""
+    _check_blocked(r, n, k)
+    points = r * k
+    if points % 2 != 0:
+        return 0
+    return _count_invariant(points, n, k, s * k % points)
+
+
+def _count_invariant(points: int, n: int, k: int, shift: int) -> int:
+    """Depth-first count of the matchings in X(points/k, n, k) that rotation by
+    ``shift`` points fixes.
+
+    The smallest free point a gets its partner b, and the strand (a, b) is
+    placed with its whole orbit under the rotation; an image landing on a
+    point already taken refuses b.  The forbidden configurations (a strand
+    inside a block, two crossing strands sharing a block, n + 1 mutually
+    crossing strands) are invariant under the rotation, so each one that the
+    finished matching holds is met, rotated, when the last of its orbits is
+    placed, with (a, b) among its strands.  Hence only (a, b) is checked,
+    against every placed strand it crosses.  As in ``_generate_X``, the
+    strands with a' < a < b' join that crossing set for good once b passes
+    b', so the scan of b stops when they alone forbid (a, b).
+    """
+    period = points // gcd(shift, points)
+    orbit = [()]
+    for p in range(1, points + 1):
+        orbit.append(tuple((p - 1 + i * shift) % points + 1 for i in range(period)))
+    block = [(p - 1) // k for p in range(points + 1)]
+    mate = [0] * (points + 1)  # partner of each placed point, 0 when free
+    placed: list[tuple[int, int]] = []
+
+    def allowed(a: int, b: int) -> bool:
+        crossed = sorted((x, y) for x, y in placed if (a < x < b) != (a < y < b))
+        if not crossed:
+            return True
+        if n == 1:
+            return False
+        ends = (block[a], block[b])
+        if k > 1 and any(block[x] in ends or block[y] in ends for x, y in crossed):
+            return False
+        return len(crossed) < n or _first_mutually_crossing(crossed, n) is None
+
+    def count(a: int) -> int:
+        while a <= points and mate[a]:
+            a += 1
+        if a > points:
+            return 1
+        total = 0
+        chains: list[tuple[int, int]] = []  # as in _generate_X
+        for b in range(a + 1, points + 1):
+            left = mate[b]
+            if left:
+                if left < a:  # b is the right end of a strand (left, b) that (a, b) crosses
+                    length = 1 + max((c for a2, c in chains if a2 < left), default=0)
+                    if length >= n or (k > 1 and block[a] in (block[left], block[b])):
+                        break
+                    chains.append((left, length))
+                continue
+            if k > 1 and block[b] == block[a]:
+                continue
+            size = len(placed)
+            for x, y in zip(orbit[a], orbit[b]):
+                if mate[x] or mate[y]:
+                    closed = mate[x] == y  # the orbit is complete
+                    break
+                mate[x], mate[y] = y, x
+                placed.append((x, y) if x < y else (y, x))
+            else:
+                closed = True
+            if closed and allowed(a, b):
+                total += count(a + 1)
+            for x, y in placed[size:]:
+                mate[x] = mate[y] = 0
+            del placed[size:]
+        return total
+
+    return count(1)
 
 
 def orbits(elements: Iterable[PerfectMatching], step: int = 1) -> list[int]:

@@ -4,10 +4,12 @@ from math import gcd
 
 import pytest
 
-from brauercat.csp import (CspInstance, evaluate_at_root_of_unity,
+from brauercat.csp import (CspInstance, divisors, evaluate_at_root_of_unity,
                            fixed_points, is_cyclic_sieving_polynomial,
-                           orbit_multiplicities, orbit_polynomial, verify_csp)
-from brauercat.matchings import enumerate_X, enumerate_X_blocked
+                           orbit_multiplicities, orbit_polynomial, verify_csp,
+                           verify_csp_X)
+from brauercat.matchings import (count_fixed_X, count_X, enumerate_X,
+                                 enumerate_X_blocked)
 from brauercat.qpoly import QPolynomial
 from brauercat.symfunc import (fake_degree, invariant_character_matchings,
                                invariant_character_sym_power)
@@ -57,7 +59,7 @@ def test_worked_instance_r2_n1():
     assert cert.poly == QPolynomial((0, 0, 1, 0, 1))
     assert cert.poly_reduced == QPolynomial((1, 0, 1))
     assert cert.orbit_poly == QPolynomial((1, 0, 1))
-    assert cert.orbit_sizes == (2,)
+    assert cert.orbit_counts == {2: 1}
     assert cert.fixed_counts == (2, 0, 2, 0)
 
 
@@ -66,7 +68,7 @@ def test_worked_instance_r2_n2():
     assert cert.passed
     assert cert.poly == QPolynomial((1, 0, 1, 0, 1))
     assert cert.poly_reduced == QPolynomial((2, 0, 1))
-    assert cert.orbit_sizes == (2, 1)
+    assert cert.orbit_counts == {2: 1, 1: 1}
 
 
 def test_negative_control_fails_at_two():
@@ -104,7 +106,93 @@ def test_blocked_figure_instance():
     cert = verify_csp(blocked_instance(4, 2, 2))
     assert cert.passed
     assert cert.size == 6
-    assert sum(cert.orbit_sizes) == 6
+    assert sum(t * m for t, m in cert.orbit_counts.items()) == 6
+
+
+PLAIN_ROUTE_GRID = sorted({(r, n) for r in range(1, 6) for n in range(1, r + 1)}  # criterion 6
+                          | {(r, n) for r in range(1, 7) for n in range(1, 4)})
+BLOCKED_ROUTE_GRID = [(r, n, k) for k in (2, 3, 4, 5) for r in range(1, 11) if r * k <= 10
+                      for n in (1, 2, 3, r * k + 1)]  # criterion 7
+
+
+def _summary(cert):
+    return (cert.passed, cert.size, cert.fixed_counts, list(cert.orbit_counts.items()),
+            cert.orbit_poly, cert.poly_reduced, cert.failure_divisor, cert.message)
+
+
+def test_counting_route_matches_orbit_route():
+    for r, n in PLAIN_ROUTE_GRID:
+        inst = matchings_instance(r, n)
+        assert _summary(verify_csp_X(r, n, None, inst.poly)) == _summary(verify_csp(inst)), (r, n)
+    for r, n, k in BLOCKED_ROUTE_GRID:
+        inst = blocked_instance(r, n, k)
+        assert _summary(verify_csp_X(r, n, k, inst.poly)) == _summary(verify_csp(inst)), (r, n, k)
+
+
+def test_orbit_counts_list_sizes_descending():
+    cert = verify_csp_X(4, 2, None, matchings_instance(4, 2).poly)
+    assert list(cert.orbit_counts.items()) == [(8, 8), (4, 4), (2, 2)]
+    assert cert.lines()[3] == "orbits: {8: 8, 4: 4, 2: 2}"
+    empty = verify_csp_X(3, 1, 3, QPolynomial((0,)))  # 9 points: X(3, 1, 3) is empty
+    assert empty.passed and empty.size == 0 and empty.orbit_counts == {}
+
+
+def test_counting_search_matches_fixed_points():
+    """Every instance on at most 12 points: all powers c^d up to 10 points, the
+    divisor powers (those the counting route asks for) at 12.  The power c^d is
+    applied directly, as one rotation by d*k points."""
+    instances = [(2 * r, n, 1, enumerate_X(r, n)) for r in range(1, 7) for n in range(1, 4)]
+    instances += [(r, n, k, enumerate_X_blocked(r, n, k)) for k in range(2, 7)
+                  for r in range(1, 13) if r * k <= 12 for n in (1, 2, 3, r * k + 1)]
+    for r, n, k, xs in instances:
+        order = r if k > 1 else 2 * r
+        powers = range(order) if r * k <= 10 else [0] + divisors(order)
+        for d in powers:
+            assert count_fixed_X(r, n, k, d) == fixed_points(xs, d * k, 1), (r, n, k, d)
+
+
+def test_count_X_matches_enumeration():
+    for r in range(0, 7):
+        for n in range(1, 4):
+            assert count_X(r, n) == len(enumerate_X(r, n)), (r, n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: count_fixed_X(0, 1, 1, 1), "need r, n, k >= 1"),
+    (lambda: count_fixed_X(2, 0, 1, 1), "need r, n, k >= 1"),
+    (lambda: count_fixed_X(2, 1, 0, 1), "need r, n, k >= 1"),
+    (lambda: count_X(2, 0), "need r >= 0 and n >= 1"),
+    (lambda: verify_csp_X(2, 0, None, QPolynomial((1,))), "need r >= 0 and n >= 1"),
+    (lambda: verify_csp_X(2, 1, 0, QPolynomial((1,))), "need r, n, k >= 1"),
+    (lambda: verify_csp_X(0, 1, None, QPolynomial((1,))), "order must be positive"),
+])
+def test_counting_route_rejects_bad_parameters(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_wrong_polynomial_fails_alike_through_both_routes():
+    q = QPolynomial((0, 1))
+    seen = set()
+    for r, n, k in [(2, 1, None), (3, 2, None), (4, 2, None), (5, 3, None),
+                    (4, 2, 2), (3, 1, 4), (2, 3, 3)]:
+        inst = matchings_instance(r, n) if k is None else blocked_instance(r, n, k)
+        for wrong in (inst.poly + q, inst.poly * q, inst.poly + inst.poly):
+            by_orbits = verify_csp(CspInstance(inst.elements, inst.step, inst.order, wrong))
+            by_counts = verify_csp_X(r, n, k, wrong)
+            assert not by_counts.passed and by_counts.message, (r, n, k, wrong)
+            assert _summary(by_counts) == _summary(by_orbits), (r, n, k, wrong)
+            seen.add(by_counts.failure_divisor)
+    assert len(seen) > 1
+    from brauercat.symfunc import invariant_character_fundamental
+    cert = verify_csp_X(2, 1, 3, fake_degree(invariant_character_fundamental(2, 3, 1)))
+    assert not cert.passed and cert.failure_divisor == 1
+
+
+def test_inconsistent_class_counts_are_refused():
+    from brauercat.csp import _certificate
+    with pytest.raises(ValueError, match="not those of a rotation"):
+        _certificate(QPolynomial((1,)), 4, {1: 0, 2: 1, 4: 1})  # one element in an orbit of 2
 
 
 def test_not_a_sieving_polynomial():

@@ -179,6 +179,24 @@ def test_cli_csp_tsv_deterministic(capsys):
     assert len(first.strip().splitlines()) == 6
 
 
+def test_cli_csp_prints_orbit_counts_by_size(capsys):
+    assert main(["csp-verify", "--r", "4", "--n", "2"]) == 0
+    assert "  orbits: {8: 8, 4: 4, 2: 2}\n" in capsys.readouterr().out
+    assert main(["csp-verify", "--r", "4", "--n", "2", "--format", "tsv"]) == 0
+    assert capsys.readouterr().out.split("\t")[4] == "8:8,4:4,2:2"
+
+
+def test_cli_enumerate_count_matches_listing(capsys):
+    for what in ("X", "oscillating"):
+        for r in range(1, 6):
+            for n in range(1, 4):
+                assert main(["enumerate", "--what", what, "--r", str(r), "--n", str(n)]) == 0
+                listed = len(capsys.readouterr().out.splitlines())
+                assert main(["enumerate", "--what", what, "--r", str(r), "--n", str(n),
+                             "--count"]) == 0
+                assert capsys.readouterr().out == f"{listed}\n", (what, r, n)
+
+
 def test_cli_ev_rank(capsys):
     assert main(["ev-rank", "--r", "3", "--n", "1"]) == 0
     assert capsys.readouterr().out == "rank=5 noncrossing=5 MATCH\n"
