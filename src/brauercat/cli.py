@@ -101,7 +101,7 @@ def cmd_compose(args) -> int:
 def cmd_normal_form(args) -> int:
     text = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
     m = parse_morphism(text.strip(), delta=_delta_from(args))
-    trace: list = []
+    trace: list | None = [] if args.trace else None
     reduced = normal_form(m, args.n, trace)
     print(reduced)
     if args.trace:

@@ -12,7 +12,6 @@ Two strands (a1, b1), (a2, b2) cross when a1 < a2 < b1 < b2; a matching is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -63,11 +62,16 @@ class PerfectMatching:
 
 
 def crossing_pairs(m: PerfectMatching) -> int:
-    """Number of unordered strand pairs that cross."""
+    """Number of unordered strand pairs that cross.  The pairs are sorted by
+    first end, so a later strand (a2, b2) crosses (a1, b1) when a2 < b1 < b2,
+    and none does after the first with a2 > b1."""
+    pairs = m.pairs
     count = 0
-    for (a1, b1), (a2, b2) in combinations(m.pairs, 2):
-        if a1 < a2 < b1 < b2:
-            count += 1
+    for i, (_, b1) in enumerate(pairs):
+        for a2, b2 in pairs[i + 1:]:
+            if a2 > b1:
+                break
+            count += b1 < b2
     return count
 
 

@@ -4,18 +4,23 @@ system that reduces any morphism to its noncrossing normal form.
 A generator picks a subset S of 2(n+1) boundary points and a fixed matching f
 of the rest; it is the sum of s union f over all matchings s of S.  Rewriting
 replaces the fully crossing matching of S by minus the sum of all others,
-which strictly decreases the crossing count.
+which strictly decreases the crossing count.  The rewriting runs on canonical
+pair tuples (``_rewrite_pairs``); each output term is wrapped in a diagram once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Iterator
 
 from .category import Morphism
 from .matchings import (Diagram, PerfectMatching, bend, crossing_pairs,
-                        find_mutually_crossing, unbend, _matchings_of)
+                        find_mutually_crossing, unbend, _first_mutually_crossing,
+                        _matchings_of)
 
 
 @dataclass(frozen=True)
@@ -76,27 +81,47 @@ def rewrite_step(d: Diagram, violation: tuple[tuple[int, int], ...],
     Every output term is checked to have strictly fewer crossing pairs.
     """
     violation = tuple(sorted(violation))
-    strands = set(d.matching.pairs)
-    if not set(violation) <= strands:
+    if not set(violation) <= set(d.matching.pairs):
         raise ValueError("violation is not a strand subset of the diagram")
-    k = len(violation)
-    subset = tuple(sorted(p for pair in violation for p in pair))
-    a_part, b_part = subset[:k], subset[k:]
-    if tuple(zip(a_part, b_part)) != violation:
+    subset = sorted(p for pair in violation for p in pair)
+    if tuple(zip(subset, subset[len(violation):])) != violation:
         raise ValueError(f"strands {violation} do not cross mutually")
-    rest = tuple(sorted(strands - set(violation)))
-    before = crossing_pairs(d.matching)
-    terms = {}
-    for s in _matchings_of(subset):
-        if tuple(sorted(s)) == violation:
-            continue
-        pm = PerfectMatching(s + rest)
-        after = crossing_pairs(pm)
+    points = d.matching.n_points
+    out = _rewrite_pairs(d.matching.pairs, violation, crossing_pairs(d.matching))
+    return Morphism(0, points, {Diagram(0, points, PerfectMatching._from_canonical(pairs)): -1
+                                for pairs, _ in out}, delta)
+
+
+@cache
+def _templates(k: int) -> list:
+    """The matchings t of positions 0..2k-1 but the fully crossing (i, k+i), as
+    (t, c, table): c is t's crossings less the fully crossing one's, and
+    table[lo * (2k+1) + hi] the same for the crossings with a strand around
+    positions lo..hi-1 (it crosses the strands with one end among them)."""
+    full, w = tuple((i, k + i) for i in range(k)), range(2 * k + 1)
+    enclosing = lambda t: [sum((lo <= i < hi) != (lo <= j < hi) for i, j in t)
+                           for lo in w for hi in w]
+    return [(t, crossing_pairs(PerfectMatching._from_canonical(t)) - k * (k - 1) // 2,
+             [x - y for x, y in zip(enclosing(t), enclosing(full))])
+            for t in _matchings_of(tuple(range(2 * k))) if t != full]
+
+
+def _rewrite_pairs(pairs: tuple, violation: tuple, before: int):
+    """Yield (pairs, crossings) for each matching but the fully crossing one of
+    the sorted endpoints a_1..a_k b_1..b_k of the sorted violation, completed
+    by the other strands of ``pairs`` (which has ``before`` crossings).  Each
+    of those strands encloses an interval of the endpoints, so an output's
+    count takes one ``_templates`` table entry per strand."""
+    k = len(violation)
+    subset = [a for a, _ in violation] + [b for _, b in violation]
+    rest = [p for p in pairs if p not in violation]
+    cells = [bisect(subset, a) * (2 * k + 1) + bisect(subset, b) for a, b in rest]
+    for t, change, table in _templates(k):
+        out = tuple(sorted(rest + [(subset[i], subset[j]) for i, j in t]))
+        after = before + change + sum([table[c] for c in cells])
         if after >= before:
-            raise AssertionError(
-                f"crossing count did not decrease: {d.matching} -> {pm} ({before} -> {after})")
-        terms[Diagram(0, d.matching.n_points, pm)] = -1
-    return Morphism(0, d.matching.n_points, terms, delta)
+            raise AssertionError(f"crossing count did not decrease: {pairs} -> {out}")
+        yield out, after
 
 
 def normal_form(m: Morphism, n: int, _trace: list | None = None) -> Morphism:
@@ -106,38 +131,46 @@ def normal_form(m: Morphism, n: int, _trace: list | None = None) -> Morphism:
     The (n+1)-noncrossing diagrams are a basis of the quotient (the second
     fundamental theorem), so the result does not depend on the rewrite order.
     Every rewrite lowers the crossing count, so coefficients are pushed down
-    buckets keyed by crossing count, highest first: each diagram is visited
-    once, with its accumulated coefficient, and either kept (noncrossing),
-    skipped (the coefficient cancelled to 0) or rewritten into lower buckets.
+    buckets keyed by crossing count, highest first: each matching is visited
+    once, with its accumulated coefficient, and kept (noncrossing), skipped
+    (cancelled to 0) or rewritten into lower buckets.  Buckets hold canonical
+    pair tuples, which sort as their flat diagrams do, and rational
+    coefficients as integer numerators over the lcm of the input denominators
+    (no loop closes); one Diagram and one coefficient are built per output.
     ``_trace`` (what ``normal-form --trace`` prints) receives each rewritten
     diagram, from most crossings down and in sorted order within a count.
     """
     if n < 1:
         raise ValueError(f"normal form needs rank n >= 1, got n = {n}")
-    buckets: dict[int, dict[Diagram, object]] = {}
+    terms, den = m._integer_terms()
+    points = m.r + m.s
+    buckets: dict[int, dict[tuple, object]] = {}
 
-    def push(d: Diagram, c) -> None:
-        bucket = buckets.setdefault(crossing_pairs(d.matching), {})
-        bucket[d] = bucket.get(d, 0) + c
+    def push(pairs: tuple, crossings: int, c) -> None:
+        bucket = buckets.setdefault(crossings, {})
+        bucket[pairs] = bucket.get(pairs, 0) + c
 
-    for d, c in m.terms.items():
-        push(bend(d) if m.r else d, c)
-    out: dict[Diagram, object] = {}
+    for d, c in terms:
+        pm = bend(d).matching if m.r else d.matching
+        push(pm.pairs, crossing_pairs(pm), c)
+    out: dict[tuple, object] = {}
     # rewrites fill lower buckets during the walk, so walk the counts, not a snapshot
     for k in range(max(buckets, default=-1), -1, -1):
         bucket = buckets.get(k, {})
-        for d in sorted(bucket):
-            c = bucket[d]
+        for pairs in sorted(bucket):
+            c = bucket[pairs]
             if not c:
                 continue
-            violation = find_violation(d, n)
+            violation = _first_mutually_crossing(pairs, n + 1)
             if violation is None:
-                out[d] = c
+                out[pairs] = c
                 continue
             if _trace is not None:
-                _trace.append(d)
-            for e in rewrite_step(d, violation).terms:
-                push(e, -c)
-    if m.r:
-        out = {unbend(d, m.r, m.s): c for d, c in out.items()}
-    return Morphism(m.r, m.s, out, m.delta)
+                _trace.append(Diagram(0, points, PerfectMatching._from_canonical(pairs)))
+            c = -c
+            for e, crossings in _rewrite_pairs(pairs, violation, k):
+                push(e, crossings, c)
+    wrap = lambda pm: unbend(pm, m.r, m.s) if m.r else Diagram(0, points, pm)
+    return Morphism(m.r, m.s, {wrap(PerfectMatching._from_canonical(pairs)):
+                               c if den == 1 else Fraction(c, den) for pairs, c in out.items()},
+                    m.delta)

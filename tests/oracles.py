@@ -3,7 +3,8 @@
 Everything here is deliberately separate from the package internals: direct
 definitions, classical recurrences, and brute-force enumeration only.  The
 exceptions are ``normal_form_rescan``, which drives the package's own
-rewrite step by a different strategy than ``normal_form``,
+rewrite step by a different strategy than ``normal_form`` (both share the
+rewrite kernel, which ``rewrite_by_definition`` checks),
 ``fake_degree_by_syt``, which sums the package's tableau-walk fake degrees
 where ``fake_degree`` uses the q-hook formula, ``p_to_schur_coeff``, which
 sums the package's ``mn_character`` values where ``schur_expand`` adds
@@ -268,6 +269,26 @@ def compose_by_definition(x, y):
             glued = Diagram(x.r, y.s, PerfectMatching(pairs))
             terms[glued] = terms.get(glued, 0) + cx * cy * loop_factor(loops, x.delta)
     return Morphism(x.r, y.s, terms, x.delta)
+
+
+def rewrite_by_definition(pairs, violation) -> dict:
+    """The rewrite of a violation, k mutually crossing strands of the matching
+    ``pairs``, from its definition: every matching of the 2k endpoints but the
+    fully crossing one (the one whose k(k-1)/2 strand pairs all cross), each
+    completed by the other strands through the package's validating
+    ``PerfectMatching``, as {canonical pairs: crossing count}."""
+    from brauercat.matchings import PerfectMatching
+
+    k = len(violation)
+    ends = sorted(p for pair in violation for p in pair)
+    rest = tuple(p for p in pairs if p not in set(violation))
+    out = {}
+    for s in all_matchings(2 * k):
+        if crossing_count_by_definition(s) == k * (k - 1) // 2:
+            continue
+        pm = PerfectMatching(tuple((ends[a - 1], ends[b - 1]) for a, b in s) + rest)
+        out[pm.pairs] = crossing_count_by_definition(pm.pairs)
+    return out
 
 
 def normal_form_rescan(m, n: int, trace: list | None = None):

@@ -52,8 +52,11 @@ def test_crossing_pairs_examples():
 
 
 def test_crossing_pairs_matches_definition():
-    for pm in enumerate_matchings(8):
-        assert crossing_pairs(pm) == crossing_count_by_definition(pm.pairs)
+    # every matching of up to 10 points, so the scan's early stop meets every
+    # nesting of a strand's right end among later left ends
+    for points in range(0, 11, 2):
+        for pairs in all_matchings(points):
+            assert crossing_pairs(PM(pairs)) == crossing_count_by_definition(pairs), pairs
 
 
 def test_max_mutual_crossing_examples():

@@ -7,11 +7,12 @@ from brauercat.category import Morphism, e_sum
 from brauercat.matchings import (Diagram, PerfectMatching, bend, crossing_pairs,
                                  enumerate_matchings, enumerate_X,
                                  find_mutually_crossing, unbend)
-from brauercat.pfaffian import (PfGenerator, enumerate_pf_generators,
+from brauercat.pfaffian import (PfGenerator, _rewrite_pairs, enumerate_pf_generators,
                                 find_violation, normal_form, pfaffian,
                                 rewrite_step)
 from brauercat.scalars import DeltaPoly
-from oracles import double_factorial, normal_form_rescan
+from oracles import (all_matchings, crossing_count_by_definition, double_factorial,
+                     first_k_mutual_crossing, normal_form_rescan, rewrite_by_definition)
 
 PM = PerfectMatching
 
@@ -78,6 +79,21 @@ def test_rewrite_step_term_count_and_measure():
                 continue
             out = rewrite_step(d, v)  # internally asserts the crossing decrease
             assert len(out.terms) == double_factorial(2 * n + 1) - 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rewrite_kernel_matches_definition(n):
+    # the first violation of every matching of up to 10 points
+    for points in range(2 * (n + 1), 11, 2):
+        for pairs in all_matchings(points):
+            violation = first_k_mutual_crossing(pairs, n + 1)
+            if violation is None:
+                continue
+            want = rewrite_by_definition(pairs, violation)
+            got = list(_rewrite_pairs(pairs, violation, crossing_count_by_definition(pairs)))
+            assert len(got) == len(want) and dict(got) == want, pairs
+            assert rewrite_step(flat(pairs), violation) == \
+                Morphism(0, points, {flat(e): -1 for e in want}), pairs
 
 
 def test_rewrite_step_rejects_noncrossing_subset():
@@ -189,3 +205,27 @@ def test_wide_normal_form_matches_rescan_oracle():
     m = Morphism(0, 10, {Diagram(0, 10, pm): rng.choice((1, -1)) * rng.randint(1, 9)
                          for pm in chosen}, Fraction(-4))
     assert normal_form(m, 2) == normal_form_rescan(m, 2)
+
+
+def _rotated(m):
+    return Morphism(0, m.s, {Diagram(0, m.s, d.matching.rotate()): c
+                             for d, c in m.terms.items()}, m.delta)
+
+
+@pytest.mark.parametrize("formal", [False, True])
+@pytest.mark.parametrize("points, n", [(8, 1), (10, 2), (12, 2)])
+def test_normal_form_commutes_with_rotation(points, n, formal):
+    # rotation permutes the Pfaffian generators and the (n+1)-noncrossing
+    # diagrams, and the normal form is unique, so nf(rot m) = rot(nf(m))
+    rng = random.Random(points * 10 + n)
+    delta = None if formal else Fraction(-2 * n)
+    inputs = []
+    for _ in range(12):
+        ends = rng.sample(range(1, points + 1), points)
+        inputs.append(PM(tuple(zip(ends[::2], ends[1::2]))))
+    if points == 10:  # fully crossing, so rotation fixes it and must fix its normal form
+        inputs.append(PM(tuple((i, i + 5) for i in range(1, 6))))
+    for i, pm in enumerate(inputs):
+        coeff = DeltaPoly((i - 2, 1)) if formal else Fraction(i + 1, 3)
+        m = Morphism.from_diagram(Diagram(0, points, pm), delta, coeff)
+        assert normal_form(_rotated(m), n) == _rotated(normal_form(m, n)), pm
