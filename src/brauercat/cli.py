@@ -25,7 +25,7 @@ from .expr import evaluate, parse_expr, parse_morphism
 from .matchings import enumerate_matchings
 from .partitions import parse_partition
 from .pfaffian import normal_form
-from .tensors import ev_gram, exact_rank
+from .tensors import ev_gram_rank
 
 
 def _positive_int(text: str) -> int:
@@ -149,9 +149,20 @@ def cmd_idempotent_check(args) -> int:
     return 0 if ok else 1
 
 
+# ev-rank eliminates in about N k^2 / 2 steps, N = (2r-1)!! matchings of rank
+# k = |X(r, n)|: r = 5 needs at most 421,954,312 (n >= 5), (r, n) = (6, 1)
+# 90,561,240 and (6, 2) 115,742,924,797
+_EV_RANK_BUDGET = 10 ** 9
+
+
 def cmd_ev_rank(args) -> int:
-    rank = exact_rank(ev_gram(list(enumerate_matchings(2 * args.r)), args.n))
-    noncrossing = len(mt.enumerate_X(args.r, args.n))
+    r, n = args.r, args.n
+    noncrossing = mt.count_X(r, n)
+    work = math.prod(range(1, 2 * r, 2)) * noncrossing ** 2 // 2
+    if work > _EV_RANK_BUDGET:
+        raise ValueError(f"ev-rank --r {r} --n {n} needs about {work} elimination steps, "
+                         f"over the budget of {_EV_RANK_BUDGET}")
+    rank = ev_gram_rank(list(enumerate_matchings(2 * r)), n)
     match = rank == noncrossing
     print(f"rank={rank} noncrossing={noncrossing} {'MATCH' if match else 'MISMATCH'}")
     return 0 if match else 1

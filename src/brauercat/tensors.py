@@ -12,12 +12,12 @@ with each other and with the closed form.
 Tensors are sparse, index tuples to exact values ((2n)^m nonzero on 2m points);
 ``ev_morphism`` sums on integer-coded keys and decodes only the survivors.
 
-Ranks are exact and integer-only.  ``ev_gram`` writes the Gram matrix of
-flat-diagram tensors down in closed form, one signed factor of 2n per loop
-of the two matchings, so ``ev-rank`` builds no tensor at all;
-``rank_of_span`` forms the Gram of arbitrary tensors by grouping their
-entries under each index key; ``exact_rank`` eliminates with gcd-reduced
-integer rows.
+Ranks are exact and integer-only, all from one left-looking LDL^T kernel,
+``_gram_rank``, that asks a positive semidefinite Gram matrix only for its k
+pivot columns.  ``ev_gram_rank`` takes those of the flat-diagram tensors in
+closed form, one signed factor of 2n per loop of the two matchings, so
+``ev-rank`` builds no tensor and no full Gram; ``rank_of_span`` takes them
+from arbitrary tensors by index key, and ``exact_rank`` from a matrix's rows.
 """
 
 from __future__ import annotations
@@ -283,87 +283,79 @@ def tensor_maps(tx: Tensor, shape_x: tuple[int, int],
     return raw.transpose(perm)
 
 
-def exact_rank(rows: list[list]) -> int:
-    """Rank of an exact rational matrix, by gcd-reduced integer elimination."""
-    return len(_echelon(rows))
+def _gram_rank(diag: list[int], column) -> int:
+    """Rank of a positive semidefinite integer Gram matrix G from its diagonal;
+    ``column(p)`` is called for G[:, p] only at the k pivots p.
 
-
-def _echelon(rows: list[list]) -> list[list[int]]:
-    """Pivot rows of an integer echelon form of ``rows``, each with content 1.
-
-    Rows are scaled to primitive integer rows.  Each column takes as pivot
-    the entry of smallest absolute value p; every other row with entry a
-    there becomes (p/g)*row - (a/g)*pivot, g = gcd(p, a), divided by the gcd
-    of its entries, and is dropped once all zero.  These are invertible row
-    operations over Q, so the number of pivots is the rank.  Rows keep only
-    the columns right of the current one.
+    Left-looking LDL^T: the Schur complement is S = G - sum_j beta_j w_j w_j^T,
+    each w_j a primitive integer vector and beta_j rational.  The next pivot p
+    has the smallest positive diagonal entry of S, and its column of S,
+    G[:, p] - sum_j beta_j w_j[p] w_j, is h w with w primitive: beta = h / w[p].
+    The diagonal d_i -= beta w_i^2 is kept as integers over one gcd-reduced
+    common denominator.  S stays positive semidefinite, where a zero diagonal
+    entry s_ii forces its whole row to vanish (s_ii s_jj >= s_ij^2), so a row
+    whose diagonal reaches 0 is dropped exactly; the rank is the number of
+    pivots, found in about N k^2 small-integer operations.
     """
+    num, den = list(diag), 1  # the diagonal of S is num / den
+    live = [i for i, x in enumerate(num) if x]
+    terms, scale = [], 1  # (w_j, beta_j) and the lcm of the beta_j denominators
+    while live:
+        p = min(live, key=num.__getitem__)
+        col = [scale * x for x in column(p)]  # scale * (column p of S), integers
+        for w, beta in terms:
+            if f := beta.numerator * (scale // beta.denominator) * w[p]:
+                col = [x - f * y for x, y in zip(col, w)]
+        h = gcd(*col)
+        w = [x // h for x in col]
+        beta = Fraction(h, scale * w[p])
+        terms.append((w, beta))
+        scale = lcm(scale, beta.denominator)
+        common = lcm(den, beta.denominator)
+        u, v = common // den, beta.numerator * (common // beta.denominator)
+        for i in live:
+            num[i] = u * num[i] - v * w[i] * w[i]
+        live = [i for i in live if num[i]]
+        g = gcd(common, *(num[i] for i in live))
+        den = common // g
+        for i in live:
+            num[i] //= g
+    return len(terms)
+
+
+def exact_rank(rows: list[list]) -> int:
+    """Rank of an exact rational matrix A: ``rank_of_span`` of its rows, that is
+    the rank of A A^T, which over Q is the same."""
     if len(lengths := {len(row) for row in rows}) > 1:
         raise ValueError(f"ragged rows: lengths {sorted(lengths)}")
-    scaled = []
-    for row in rows:
-        denom = lcm(*(x.denominator for x in row))
-        scaled.append([x.numerator * (denom // x.denominator) for x in row])
-    live = _primitive(scaled)
-    pivots = []
-    while live:  # every live row is nonzero, so some column has a hit
-        hits = [row for row in live if row[0]]
-        if not hits:
-            live = [row[1:] for row in live]
-            continue
-        pivot = min(hits, key=lambda row: abs(row[0]))
-        pivots.append(pivot)
-        p, tail = pivot[0], pivot[1:]
-        kept, updated = [], []
-        for row in live:
-            a = row[0]
-            if not a:
-                kept.append(row[1:])
-            elif row is not pivot:
-                g = gcd(p, a)
-                u, v = p // g, a // g
-                updated.append([u * x - v * y for x, y in zip(row[1:], tail)])
-        live = kept + _primitive(updated)
-    return pivots
-
-
-def _primitive(rows: list[list[int]]) -> list[list[int]]:
-    """The nonzero rows, each divided by the gcd of its entries."""
-    out = []
-    for row in rows:
-        g = gcd(*row)
-        if g > 1:
-            row = [x // g for x in row]
-        if g:
-            out.append(row)
-    return out
+    return rank_of_span([Tensor((len(row),), dict(enumerate(row))) for row in rows])
 
 
 def rank_of_span(tensors: list[Tensor]) -> int:
-    """Exact rank of the span, via the Gram matrix of the flattened tensors.
-
-    Over the rationals the standard dot product is anisotropic, so the span
-    and its Gram matrix have equal rank.  The Gram is formed by index key:
-    every pair of tensors with an entry under the same key adds its product,
-    so the work is the sum over keys of (tensors with that key)^2.
+    """Exact rank of the span: the rank of the Gram matrix of the flattened
+    tensors, as over Q the dot product is anisotropic.  Each tensor is scaled
+    to integers, and only the pivot columns of the Gram are formed, by index
+    key: column p adds, for each key of tensor p, the products with every
+    tensor that has an entry there.
     """
-    if not tensors:
-        return 0
-    dims = tensors[0].dims
+    scaled = []
     for t in tensors:
-        if t.dims != dims:
-            raise ValueError(f"shape mismatch: {t.dims} vs {dims}")
+        if t.dims != tensors[0].dims:
+            raise ValueError(f"shape mismatch: {t.dims} vs {tensors[0].dims}")
+        scale = lcm(*(v.denominator for v in t.data.values()))
+        scaled.append({k: v.numerator * (scale // v.denominator) for k, v in t.data.items()})
     by_key: dict[tuple, list] = {}
-    for i, t in enumerate(tensors):
-        for key, v in t.data.items():
+    for i, data in enumerate(scaled):
+        for key, v in data.items():
             by_key.setdefault(key, []).append((i, v))
-    gram = [[0] * len(tensors) for _ in tensors]
-    for entries in by_key.values():
-        for i, v in entries:
-            row = gram[i]
-            for j, w in entries:
-                row[j] += v * w
-    return exact_rank(gram)
+
+    def column(p):
+        col = [0] * len(scaled)
+        for key, w in scaled[p].items():
+            for i, v in by_key[key]:
+                col[i] += v * w
+        return col
+    return _gram_rank([sum(v * v for v in data.values()) for data in scaled], column)
 
 
 def ev_gram(matchings: list[PerfectMatching], n: int) -> list[list[int]]:
@@ -376,18 +368,26 @@ def ev_gram(matchings: list[PerfectMatching], n: int) -> list[list[int]]:
     even and -2n otherwise: each strand contributes the cup matrix C = -J or
     its transpose -C, and C^2 = -1 on the 2n-dimensional space.
     """
+    size, entry = _flat_gram(matchings, n)
+    return [[entry(i, j) for j in range(size)] for i in range(size)]
+
+
+def ev_gram_rank(matchings: list[PerfectMatching], n: int) -> int:
+    """Rank of ``ev_gram(matchings, n)``; only its pivot columns are formed."""
+    size, entry = _flat_gram(matchings, n)
+    return _gram_rank([entry(i, i) for i in range(size)],
+                      lambda p: [entry(i, p) for i in range(size)])
+
+
+def _flat_gram(matchings: list[PerfectMatching], n: int):
+    """The size of ``ev_gram(matchings, n)`` and its entry function (i, j) -> G[i][j]."""
     mates, signs = [], []
     for m in matchings:
         if m.n_points != matchings[0].n_points:
             raise ValueError(f"point count mismatch: {m.n_points} vs {matchings[0].n_points}")
         mates.append(m.involution())
         signs.append(-1 if crossing_pairs(m) % 2 else 1)
-    gram = [[0] * len(mates) for _ in mates]
-    for i, a in enumerate(mates):
-        for j in range(i, len(mates)):
-            value = signs[i] * signs[j] * _loop_product(a, mates[j], 2 * n)
-            gram[i][j] = gram[j][i] = value
-    return gram
+    return len(mates), lambda i, j: signs[i] * signs[j] * _loop_product(mates[i], mates[j], 2 * n)
 
 
 def _loop_product(a: list[int], b: list[int], dim: int) -> int:

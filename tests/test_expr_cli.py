@@ -202,6 +202,12 @@ def test_cli_ev_rank(capsys):
     assert capsys.readouterr().out == "rank=5 noncrossing=5 MATCH\n"
 
 
+def test_cli_ev_rank_ten_points(capsys):
+    # 945 matchings of rank 42: only the 42 pivot columns of the Gram are formed
+    assert main(["ev-rank", "--r", "5", "--n", "1"]) == 0
+    assert capsys.readouterr().out == "rank=42 noncrossing=42 MATCH\n"
+
+
 def test_cli_enumerate_blocked_count(capsys):
     assert main(["enumerate", "--what", "X", "--r", "4", "--n", "2",
                  "--k", "2", "--count"]) == 0
@@ -363,6 +369,19 @@ def test_idempotent_check_size_preflight(monkeypatch, capsys):
     assert "324168075 diagram pairs" in capsys.readouterr().err
 
 
+def test_ev_rank_size_preflight(monkeypatch, capsys):
+    admitted = []
+    monkeypatch.setattr(cli, "ev_gram_rank", lambda pool, n: admitted.append(n))
+    # every r <= 5 runs, n >= 5 the largest (945 * 945^2 / 2 steps), and so does (6, 1)
+    for r, n in [(5, 1), (5, 2), (5, 5), (5, 9), (6, 1)]:
+        assert main(["ev-rank", "--r", str(r), "--n", str(n)]) == 1  # the stub has no rank
+    assert admitted == [1, 2, 5, 9, 1]
+    capsys.readouterr()
+    assert main(["ev-rank", "--r", "6", "--n", "2"]) == 2
+    assert "115742924797 elimination steps" in capsys.readouterr().err
+    assert admitted == [1, 2, 5, 9, 1]
+
+
 def test_cli_runs_a_command_wrapper_set_after_the_parser_is_built(monkeypatch, capsys):
     args = ["frobenius", "--kind", "matchings", "--r", "2", "--n", "1"]
     assert main(args) == 0
@@ -409,6 +428,7 @@ def test_cli_usage_error():
     ["enumerate", "--what", "oscillating", "--r", "-1"],
     ["enumerate", "--what", "X", "--r", "0"],
     ["ev-rank", "--r", "0", "--n", "1"],
+    ["ev-rank", "--r", "6", "--n", "2"],
     ["frobenius", "--kind", "adjoint", "--r", "-1"],
     ["fake-degree", "--r", "0"],
     ["csp-verify", "--r", "-2", "--n", "1"],

@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import lcm
 
 import pytest
 
 from brauercat.category import (Morphism, compose_diagrams, e_sum,
                                 generator_s, generator_u, tensor_diagrams)
 from brauercat.matchings import Diagram, enumerate_matchings, enumerate_X
-from brauercat.tensors import (Tensor, _echelon, compose_maps,
-                               ev_diagram, ev_generator, ev_gram, ev_morphism,
+from brauercat.tensors import (Tensor, _gram_rank, compose_maps, ev_diagram,
+                               ev_generator, ev_gram, ev_gram_rank, ev_morphism,
                                ev_sliced, exact_rank, identity_tensor,
                                rank_of_span, symplectic_sample, tensor_maps)
 from oracles import (exact_rank_bareiss, generator_tensor_by_form, gram_by_dot,
@@ -204,7 +204,7 @@ def test_exact_rank_rejects_ragged_rows():
     with pytest.raises(ValueError, match=r"ragged rows: lengths \[1, 2\]"):
         exact_rank([[1], [2, 5]])
     with pytest.raises(ValueError, match=r"lengths \[0, 3\]"):
-        _echelon([[1, 2, 3], []])
+        exact_rank([[1, 2, 3], []])
     assert exact_rank([[]]) == exact_rank([[], []]) == 0
 
 
@@ -266,7 +266,7 @@ def known_rank_matrix(rng, rows, cols, rank, fractions):
 
 
 def test_exact_rank_against_bareiss():
-    rng = random.Random(8)
+    rng, moves = random.Random(8), random.Random(9)
     for case in range(240):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
         rank = rng.randint(0, min(rows, cols))
@@ -276,9 +276,43 @@ def test_exact_rank_against_bareiss():
             mat = [row[:spot] + [0] + row[spot:] for row in mat]
             mat.insert(rng.randint(0, rows), [0] * (cols + 1))
         assert exact_rank(mat) == exact_rank_bareiss(mat) == rank, mat
-        pivots = _echelon(mat)
-        assert len(pivots) == rank
-        assert all(gcd(*row) == 1 for row in pivots), pivots
+        # permuting the rows and scaling each by a nonzero rational keeps the rank
+        scales = [Fraction(moves.choice([-3, -1, 2, 5]), moves.randint(1, 4)) for _ in mat]
+        shuffled = [[c * x for x in row] for c, row in zip(scales, moves.sample(mat, len(mat)))]
+        assert exact_rank(shuffled) == rank, shuffled
+
+
+def _kernel_rank(gram) -> tuple[int, int]:
+    """``_gram_rank`` of a rational Gram matrix scaled to integers, and the
+    number of columns it asked for."""
+    scale = lcm(*(Fraction(x).denominator for row in gram for x in row))
+    mat = [[int(x * scale) for x in row] for row in gram]
+    asked = []
+
+    def column(p):
+        asked.append(p)
+        return [row[p] for row in mat]
+    return _gram_rank([mat[i][i] for i in range(len(mat))], column), len(asked)
+
+
+def test_gram_rank_against_bareiss():
+    rng = random.Random(21)
+    for case in range(160):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        rank = rng.randint(0, min(rows, cols))
+        mat = known_rank_matrix(rng, rows, cols, rank, fractions=case % 2 == 1)
+        if case % 4 == 0:  # a zero row
+            mat.insert(rng.randint(0, rows), [0] * cols)
+        if case % 4 == 1:  # duplicated rows, one of them negated
+            row = rng.choice(mat)
+            mat += [list(row), [-x for x in row]]
+        gram = [[sum(x * y for x, y in zip(a, b)) for b in mat] for a in mat]
+        got, asked = _kernel_rank(gram)
+        assert got == asked == exact_rank_bareiss(gram) == rank, mat
+        # a symmetric permutation of the Gram is the Gram of the permuted rows
+        order = rng.sample(range(len(mat)), len(mat))
+        assert _kernel_rank([[gram[i][j] for j in order] for i in order])[0] == rank, mat
+    assert _gram_rank([], None) == _gram_rank([0, 0], None) == 0
 
 
 def test_ev_gram_matches_dot_products():
@@ -299,7 +333,9 @@ def test_ev_gram_matches_dot_products():
 def test_rank_examples(r, n, expect):
     tensors = [ev_diagram(d, n) for d in diagrams(0, 2 * r)]
     assert rank_of_span(tensors) == expect
-    assert exact_rank(ev_gram(list(enumerate_matchings(2 * r)), n)) == expect
+    pool = list(enumerate_matchings(2 * r))
+    gram = ev_gram(pool, n)
+    assert ev_gram_rank(pool, n) == exact_rank(gram) == exact_rank_bareiss(gram) == expect
     assert expect == len(enumerate_X(r, n))
 
 
@@ -316,3 +352,5 @@ def test_tensor_shape_guard():
         rank_of_span([identity_tensor(1), ev_generator("cup", 2)])
     with pytest.raises(ValueError, match="point count"):
         ev_gram(list(enumerate_matchings(2)) + list(enumerate_matchings(4)), 1)
+    with pytest.raises(ValueError, match="point count"):
+        ev_gram_rank(list(enumerate_matchings(4)) + list(enumerate_matchings(2)), 1)
