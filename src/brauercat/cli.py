@@ -61,16 +61,18 @@ def _shape_from(args) -> tuple[int, ...]:
 
 def cmd_enumerate(args) -> int:
     what = args.what
-    if args.count and (what == "oscillating" or what == "X" and args.k is None):
+    k = None if args.k == 1 else args.k  # --k 1 names X(r, n), as in csp-verify
+    if args.count and what in ("X", "oscillating"):
         # X(r, n) is in bijection with the oscillating tableaux of length 2r with at most n rows
-        print(mt.count_X(args.r, args.n) if what == "X"
-              else tb.count_oscillating(2 * args.r, args.n))
+        print(tb.count_oscillating(2 * args.r, args.n) if what == "oscillating"
+              else mt.count_X(args.r, args.n) if k is None
+              else mt.count_fixed_X(args.r, args.n, k, 0))
         return 0
     if what == "matchings":
         items = [str(m) for m in enumerate_matchings(2 * args.r)]
     elif what == "X":
-        if args.k is not None:
-            items = [str(b) for b in mt.enumerate_X_blocked(args.r, args.n, args.k)]
+        if k is not None:
+            items = [str(b) for b in mt.enumerate_X_blocked(args.r, args.n, k)]
         else:
             items = [str(m) for m in mt.enumerate_X(args.r, args.n)]
     elif what == "oscillating":

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .matchings import count_fixed_X, count_X, enumerate_X_blocked, orbits
+from .matchings import count_fixed_X, count_X, orbits
 from .qpoly import QPolynomial, cyclotomic, polynomial_mod
 
 
@@ -116,13 +116,13 @@ def verify_csp(inst: CspInstance) -> CspCertificate:
 def verify_csp_X(r: int, n: int, k: int | None, poly: QPolynomial) -> CspCertificate:
     """Decide the sieving congruence for X(r, n) under rotation by one point
     (k None or 1), or for X(r, n, k) under rotation by k points, without
-    listing X: each proper divisor power of the rotation gets its fixed
-    matchings counted by ``count_fixed_X``, and the identity its |X|."""
+    listing X: each divisor power of the rotation gets its fixed matchings
+    counted by ``count_fixed_X``, except that |X(r, n)| is ``count_X``."""
     if k is None or k == 1:
         size, order = count_X(r, n), 2 * r
         r, k = 2 * r, 1  # X(r, n) is X(2r, n, 1)
     else:
-        size, order = len(enumerate_X_blocked(r, n, k)), r
+        size, order = count_fixed_X(r, n, k, 0), r
     counts = {s: count_fixed_X(r, n, k, s) for s in divisors(order)[:-1]}
     counts[order] = size
     return _certificate(poly, order, counts)

@@ -11,6 +11,7 @@ Two strands (a1, b1), (a2, b2) cross when a1 < a2 < b1 < b2; a matching is
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
@@ -35,7 +36,7 @@ class PerfectMatching:
     @classmethod
     def _from_canonical(cls, pairs: tuple[tuple[int, int], ...]) -> PerfectMatching:
         """Wrap pairs that are already a canonical perfect matching, unchecked;
-        the generator of X(r, n) builds its outputs through this."""
+        the search of X(r, n, k) builds its outputs through this."""
         out = cls.__new__(cls)
         object.__setattr__(out, "pairs", pairs)
         return out
@@ -143,7 +144,9 @@ def enumerate_X(r: int, n: int) -> list[PerfectMatching]:
     """All (n+1)-noncrossing perfect matchings of {1, ..., 2r}, in the order of
     ``enumerate_matchings``, generated without building any other matching."""
     _check_plain(r, n)
-    return _generate_X(2 * r, n, 1)
+    out: list[PerfectMatching] = []
+    _search_X(2 * r, n, 1, 0, out)
+    return out
 
 
 def count_X(r: int, n: int) -> int:
@@ -167,9 +170,9 @@ def enumerate_X_blocked(r: int, n: int, k: int) -> list[PerfectMatching]:
     endpoints of any two crossing pairs occupy four blocks.
     """
     _check_blocked(r, n, k)
-    if (r * k) % 2 != 0:
-        return []
-    return _generate_X(r * k, n, k)
+    out: list[PerfectMatching] = []
+    _search_X(r * k, n, k, 0, out)
+    return out
 
 
 def _check_blocked(r: int, n: int, k: int):
@@ -177,120 +180,77 @@ def _check_blocked(r: int, n: int, k: int):
         raise ValueError(f"need r, n, k >= 1, got r={r}, n={n}, k={k}")
 
 
-def _generate_X(points: int, n: int, k: int) -> list[PerfectMatching]:
-    """Depth-first generation of the (n+1)-noncrossing matchings of 1..points,
-    obeying the block rules for blocks of k points when k > 1.
-
-    Strands are placed as in ``enumerate_matchings``: the smallest free point
-    a first, its partner b tried in increasing order.  Every earlier strand
-    (a', b') has a' < a, so it crosses (a, b) exactly when a < b' < b, and
-    (a, b) closes an (n+1)-crossing exactly when n of those strands have b'
-    increasing with a'.  Scanning b upward, each passed right end b' joins
-    that crossing set with the length of the longest such chain ending at it.
-    The set only grows, so once it holds a chain of n, or a strand with an
-    end in a's block, no larger b can work; b itself must avoid a's block and
-    the blocks of the right ends passed (a left end a' < a never shares b's
-    block).  Each crossing is checked when its later strand is placed, so a
-    branch is cut at its first forbidden strand.
-    """
-    mate = [0] * (points + 1)  # partner of each placed point, 0 when free
-    block = [(p - 1) // k for p in range(points + 1)]
-    placed: list[tuple[int, int]] = []
-    out: list[PerfectMatching] = []
-
-    def place(a: int):
-        while a <= points and mate[a]:
-            a += 1
-        if a > points:
-            out.append(PerfectMatching._from_canonical(tuple(placed)))
-            return
-        chains: list[tuple[int, int]] = []  # (a', longest chain ending at (a', b'))
-        crossed_blocks = set()
-        for b in range(a + 1, points + 1):
-            left = mate[b]
-            if left:  # b is the right end of the earlier strand (left, b)
-                length = 1 + max((c for a2, c in chains if a2 < left), default=0)
-                if length >= n:
-                    break
-                chains.append((left, length))
-                if k > 1:
-                    if block[a] in (block[left], block[b]):
-                        break
-                    crossed_blocks.add(block[b])
-                continue
-            if k > 1 and (block[b] == block[a] or block[b] in crossed_blocks):
-                continue
-            mate[a], mate[b] = b, a
-            placed.append((a, b))
-            place(a + 1)
-            placed.pop()
-            mate[a] = mate[b] = 0
-
-    place(1)
-    return out
-
-
 def count_fixed_X(r: int, n: int, k: int, s: int) -> int:
     """Number of matchings in X(r, n, k) fixed by the s-th power of its rotation
     by k points; X(r, n) is X(2r, n, 1).  No matching is built."""
     _check_blocked(r, n, k)
-    points = r * k
-    if points % 2 != 0:
-        return 0
-    return _count_invariant(points, n, k, s * k % points)
+    return _search_X(r * k, n, k, s * k % (r * k))
 
 
-def _count_invariant(points: int, n: int, k: int, shift: int) -> int:
+def _search_X(points: int, n: int, k: int, shift: int,
+              out: list[PerfectMatching] | None = None) -> int:
     """Depth-first count of the matchings in X(points/k, n, k) that rotation by
-    ``shift`` points fixes.
+    ``shift`` points fixes; at shift 0 each one is also appended to ``out``.
 
-    The smallest free point a gets its partner b, and the strand (a, b) is
-    placed with its whole orbit under the rotation; an image landing on a
-    point already taken refuses b.  The forbidden configurations (a strand
-    inside a block, two crossing strands sharing a block, n + 1 mutually
-    crossing strands) are invariant under the rotation, so each one that the
-    finished matching holds is met, rotated, when the last of its orbits is
-    placed, with (a, b) among its strands.  Hence only (a, b) is checked,
-    against every placed strand it crosses.  As in ``_generate_X``, the
-    strands with a' < a < b' join that crossing set for good once b passes
-    b', so the scan of b stops when they alone forbid (a, b).
+    The smallest free point a gets its partner b, tried in increasing order,
+    and (a, b) is placed with its whole orbit under the rotation.  A placed
+    strand (a', b') with a' < a crosses (a, b) exactly when a < b' < b, so
+    scanning b upward, each passed right end b' joins that crossing set for
+    good.  Once the set holds n strands with b' increasing with a' (an
+    (n+1)-crossing with (a, b)), or an end in a's block, no larger b can
+    work; b itself must avoid a's block and the blocks of the b' passed.
+
+    At shift 0 every placed strand has a' < a, so the scan alone decides
+    (a, b), and the placed strands are the canonical pairs.  Otherwise an
+    image on a taken point refuses b, and (a, b) is checked against every
+    placed strand it crosses: each forbidden configuration is invariant
+    under the rotation, so it is met, rotated, when the last of its orbits
+    is placed, with (a, b) among its strands.
     """
-    period = points // gcd(shift, points)
-    orbit = [()]
-    for p in range(1, points + 1):
-        orbit.append(tuple((p - 1 + i * shift) % points + 1 for i in range(period)))
+    if points % 2:
+        return 0
+    period = points // gcd(shift, points) if points else 1  # X(0, n) = {()}
+    orbit = [tuple((p - 1 + i * shift) % points + 1 for i in range(period))
+             for p in range(points + 1)] if period > 1 else None
     block = [(p - 1) // k for p in range(points + 1)]
     mate = [0] * (points + 1)  # partner of each placed point, 0 when free
     placed: list[tuple[int, int]] = []
 
     def allowed(a: int, b: int) -> bool:
         crossed = sorted((x, y) for x, y in placed if (a < x < b) != (a < y < b))
-        if not crossed:
-            return True
-        if n == 1:
-            return False
         ends = (block[a], block[b])
         if k > 1 and any(block[x] in ends or block[y] in ends for x, y in crossed):
             return False
         return len(crossed) < n or _first_mutually_crossing(crossed, n) is None
 
-    def count(a: int) -> int:
+    def search(a: int) -> int:
         while a <= points and mate[a]:
             a += 1
         if a > points:
+            if out is not None:
+                out.append(PerfectMatching._from_canonical(tuple(placed)))
             return 1
         total = 0
-        chains: list[tuple[int, int]] = []  # as in _generate_X
+        tails: list[int] = []  # tails[i]: least a' ending a chain of i + 1 such strands
+        crossed_blocks = set()
         for b in range(a + 1, points + 1):
             left = mate[b]
             if left:
                 if left < a:  # b is the right end of a strand (left, b) that (a, b) crosses
-                    length = 1 + max((c for a2, c in chains if a2 < left), default=0)
-                    if length >= n or (k > 1 and block[a] in (block[left], block[b])):
+                    i = bisect_left(tails, left)
+                    if i + 1 >= n or k > 1 and block[a] in (block[left], block[b]):
                         break
-                    chains.append((left, length))
+                    tails[i:i + 1] = (left,)
+                    crossed_blocks.add(block[b])
                 continue
-            if k > 1 and block[b] == block[a]:
+            if k > 1 and (block[b] == block[a] or block[b] in crossed_blocks):
+                continue
+            if orbit is None:
+                mate[a], mate[b] = b, a
+                placed.append((a, b))
+                total += search(a + 1)
+                placed.pop()
+                mate[a] = mate[b] = 0
                 continue
             size = len(placed)
             for x, y in zip(orbit[a], orbit[b]):
@@ -302,13 +262,13 @@ def _count_invariant(points: int, n: int, k: int, shift: int) -> int:
             else:
                 closed = True
             if closed and allowed(a, b):
-                total += count(a + 1)
+                total += search(a + 1)
             for x, y in placed[size:]:
                 mate[x] = mate[y] = 0
             del placed[size:]
         return total
 
-    return count(1)
+    return search(1)
 
 
 def orbits(elements: Iterable[PerfectMatching], step: int = 1) -> list[int]:

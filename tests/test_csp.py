@@ -8,12 +8,13 @@ from brauercat.csp import (CspInstance, divisors, evaluate_at_root_of_unity,
                            fixed_points, is_cyclic_sieving_polynomial,
                            orbit_multiplicities, orbit_polynomial, verify_csp,
                            verify_csp_X)
-from brauercat.matchings import (count_fixed_X, count_X, enumerate_X,
-                                 enumerate_X_blocked)
+from brauercat.matchings import (PerfectMatching, count_fixed_X, count_X,
+                                 enumerate_X, enumerate_X_blocked)
 from brauercat.qpoly import QPolynomial
 from brauercat.symfunc import (fake_degree, invariant_character_matchings,
                                invariant_character_sym_power)
-from oracles import orbit_multiplicities_by_moebius
+from oracles import (blocked_by_definition, enumerate_X_by_filter,
+                     orbit_multiplicities_by_moebius)
 
 
 def matchings_instance(r, n):
@@ -139,12 +140,16 @@ def test_orbit_counts_list_sizes_descending():
 
 def test_counting_search_matches_fixed_points():
     """Every instance on at most 12 points: all powers c^d up to 10 points, the
-    divisor powers (those the counting route asks for) at 12.  The power c^d is
-    applied directly, as one rotation by d*k points."""
-    instances = [(2 * r, n, 1, enumerate_X(r, n)) for r in range(1, 7) for n in range(1, 4)]
-    instances += [(r, n, k, enumerate_X_blocked(r, n, k)) for k in range(2, 7)
+    divisor powers (those the counting route asks for) and the identity at 12.
+    The sets come from the filter and definition oracles, not from the search
+    under test, and the power c^d is applied directly, as one rotation by d*k
+    points."""
+    instances = [(2 * r, n, 1, enumerate_X_by_filter(r, n))
+                 for r in range(1, 7) for n in range(1, 4)]
+    instances += [(r, n, k, blocked_by_definition(r, n, k)) for k in range(2, 7)
                   for r in range(1, 13) if r * k <= 12 for n in (1, 2, 3, r * k + 1)]
-    for r, n, k, xs in instances:
+    for r, n, k, pairs in instances:
+        xs = [PerfectMatching(p) for p in pairs]
         order = r if k > 1 else 2 * r
         powers = range(order) if r * k <= 10 else [0] + divisors(order)
         for d in powers:

@@ -187,14 +187,21 @@ def test_cli_csp_prints_orbit_counts_by_size(capsys):
 
 
 def test_cli_enumerate_count_matches_listing(capsys):
-    for what in ("X", "oscillating"):
-        for r in range(1, 6):
-            for n in range(1, 4):
-                assert main(["enumerate", "--what", what, "--r", str(r), "--n", str(n)]) == 0
-                listed = len(capsys.readouterr().out.splitlines())
-                assert main(["enumerate", "--what", what, "--r", str(r), "--n", str(n),
-                             "--count"]) == 0
-                assert capsys.readouterr().out == f"{listed}\n", (what, r, n)
+    def enumerate_(*argv):
+        assert main(["enumerate", *argv]) == 0
+        return capsys.readouterr().out
+
+    for r in range(1, 6):
+        for n in range(1, 4):
+            size = ("--r", str(r), "--n", str(n))
+            for args in (("oscillating",), ("X",), ("X", "--k", "1"), ("X", "--k", "2"),
+                         ("X", "--k", "3")):
+                listed = len(enumerate_("--what", *args, *size).splitlines())
+                assert enumerate_("--what", *args, *size, "--count") == f"{listed}\n", (args, r, n)
+            # --k 1 names X(r, n) on 2r points, as in csp-verify
+            for count in ((), ("--count",)):
+                assert (enumerate_("--what", "X", "--k", "1", *size, *count)
+                        == enumerate_("--what", "X", *size, *count)), (r, n, count)
 
 
 def test_cli_ev_rank(capsys):
