@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matchings import Diagram, PerfectMatching, enumerate_matchings
-from .scalars import DeltaPoly, as_scalar, loop_factor
+from .scalars import DeltaPoly, as_scalar, integer_terms, loop_factor
 
 
 def compose_diagrams(x: Diagram, y: Diagram) -> tuple[int, Diagram]:
@@ -213,8 +213,7 @@ class Morphism:
         formal coefficients as they are, over 1."""
         if self.delta is None:
             return self.terms.items(), 1
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        return [(d, c.numerator * (den // c.denominator)) for d, c in self.terms.items()], den
+        return integer_terms(self.terms)
 
     def __matmul__(self, other):
         if not isinstance(other, Morphism):

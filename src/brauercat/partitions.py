@@ -61,14 +61,6 @@ def hooks(lam: tuple[int, ...]) -> list[int]:
             for i in range(len(lam)) for j in range(lam[i])]
 
 
-def all_columns_even(lam: tuple[int, ...]) -> bool:
-    return all(c % 2 == 0 for c in conjugate(lam))
-
-
-def all_rows_even(lam: tuple[int, ...]) -> bool:
-    return all(p % 2 == 0 for p in lam)
-
-
 def format_partition(lam: tuple[int, ...]) -> str:
     return ",".join(map(str, lam))
 

@@ -8,6 +8,7 @@ is a ring homomorphism.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .qpoly import QPolynomial
 
@@ -103,3 +104,9 @@ def as_scalar(value, delta: Fraction | None):
 def loop_factor(loops: int, delta: Fraction | None):
     """The scalar contributed by ``loops`` closed loops."""
     return DeltaPoly.delta(loops) if delta is None else delta ** loops
+
+
+def integer_terms(coeffs) -> tuple[list, int]:
+    """A map's rational values over the lcm of their denominators: ([(key, numerator)], lcm)."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return [(key, c.numerator * (den // c.denominator)) for key, c in coeffs.items()], den

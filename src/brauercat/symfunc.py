@@ -15,12 +15,12 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial
 from types import MappingProxyType
 
-from .partitions import (all_columns_even, all_rows_even, check_partition,
-                         conjugate, partitions, sign_of_type, z_order)
+from .partitions import check_partition, partitions, sign_of_type, z_order
 from .qpoly import QPolynomial
+from .scalars import integer_terms
 from .tableaux import fake_degree_schur_hook
 
 
@@ -161,12 +161,6 @@ class SymFuncP:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _integer_coeffs(f: SymFuncP) -> tuple[dict, int]:
-    """f's coefficients as integers over their lcm denominator, and that denominator."""
-    den = lcm(*(c.denominator for c in f.coeffs.values()))
-    return {lam: c.numerator * (den // c.denominator) for lam, c in f.coeffs.items()}, den
-
-
 def scalar_product(f: SymFuncP, g: SymFuncP) -> Fraction:
     """Hall inner product: <p_lam, p_mu> = z_lam [lam = mu]."""
     small, big = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
@@ -302,9 +296,9 @@ def schur_expand(f: SymFuncP) -> dict[tuple[int, ...], Fraction]:
     """
     if f.is_zero():
         return {}
-    scaled, den = _integer_coeffs(f)
+    scaled, den = integer_terms(f.coeffs)
     by_degree: dict[int, list] = {}
-    for mu, c in scaled.items():
+    for mu, c in scaled:
         by_degree.setdefault(sum(mu), []).append((mu, c))
     out = {}
     for d in sorted(by_degree):
@@ -338,10 +332,7 @@ def plethysm(f: SymFuncP, g: SymFuncP) -> SymFuncP:
 
 def h_series(max_degree: int) -> SymFuncP:
     """1 + h_1 + h_2 + ... truncated at the given degree."""
-    total = SymFuncP.one()
-    for k in range(1, max_degree + 1):
-        total = total + h_in_p(k)
-    return total
+    return sum((h_in_p(k) for k in range(1, max_degree + 1)), SymFuncP.one())
 
 
 def cauchy_pairing(r: int, g: SymFuncP, partner: SymFuncP) -> SymFuncP:
@@ -353,11 +344,11 @@ def cauchy_pairing(r: int, g: SymFuncP, partner: SymFuncP) -> SymFuncP:
     ``partitions(r)`` that shares common prefixes, and each nu gets one
     ``Fraction``.
     """
-    g_int, g_den = _integer_coeffs(g)
-    partner_int, partner_den = _integer_coeffs(partner)
-    weight = {lam: c * z_order(lam) for lam, c in partner_int.items()}
+    g_int, g_den = integer_terms(g.coeffs)
+    partner_int, partner_den = integer_terms(partner.coeffs)
+    weight = {lam: c * z_order(lam) for lam, c in partner_int}
     # p_t[g]: scaling the parts of a partition keeps it sorted and distinct
-    pleth = {t: [(tuple(t * j for j in lam), c) for lam, c in g_int.items()]
+    pleth = {t: [(tuple(t * j for j in lam), c) for lam, c in g_int]
              for t in range(1, r + 1)}
     out = {}
 
@@ -383,19 +374,19 @@ def cauchy_pairing(r: int, g: SymFuncP, partner: SymFuncP) -> SymFuncP:
 
 @cache
 def _even_column_schur_sum(size: int, max_length: int | None) -> SymFuncP:
-    """Sum of s over transposed partitions of size with even columns and at
-    most max_length rows (no bound for None)."""
-    return _schur_sum_to_p(
-        [conjugate(lam) for lam in partitions(size)
-         if all_columns_even(lam) and (max_length is None or len(lam) <= max_length)],
-        size)
+    """Sum of s over the transposes of the even-column shapes of size with at most
+    max_length rows (no bound for None): the s_2mu with mu_1 <= max_length // 2."""
+    if size % 2:
+        return SymFuncP.zero()
+    half = partitions(size // 2, None if max_length is None else max_length // 2)
+    return _schur_sum_to_p([tuple(2 * p for p in mu) for mu in half], size)
 
 
 def invariant_character_matchings(r: int, n: int) -> SymFuncP:
     """Frobenius character of the invariants in the 2r-th tensor power.
 
-    Sum of s over transposed partitions of 2r with even columns and at most
-    2n rows; its dimension is the noncrossing matching count.
+    Sum of s_2mu over the partitions mu of r with mu_1 <= n; its dimension is
+    the noncrossing matching count.
     """
     if r < 0 or n < 1:
         raise ValueError(f"need r >= 0 and n >= 1, got r={r}, n={n}")
@@ -407,6 +398,8 @@ def invariant_character_sym_power(r: int, k: int, n: int | None = None) -> SymFu
     """Character of the invariants in r-fold tensors of the k-th symmetric power.
 
     n=None drops the row bound (the stable range)."""
+    if r < 0 or (n is not None and n < 1) or k < 1:
+        raise ValueError(f"need r >= 0, n >= 1 and k >= 1, got r={r}, n={n}, k={k}")
     partner = _even_column_schur_sum(k * r, None if n is None else 2 * n)
     return cauchy_pairing(r, e_in_p(k), partner)
 
@@ -415,13 +408,11 @@ def invariant_character_sym_power(r: int, k: int, n: int | None = None) -> SymFu
 def invariant_character_fundamental(r: int, k: int, n: int | None = None) -> SymFuncP:
     """Character of the invariants in r-fold tensors of the k-th fundamental
     representation; the pairing partner ranges over all sizes up to kr."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    if r < 0 or (n is not None and n < 1) or k < 1:
+        raise ValueError(f"need r >= 0, n >= 1 and k >= 1, got r={r}, n={n}, k={k}")
     bound = None if n is None else 2 * n
-    # the sizes are the degrees, so their terms never share a partition
-    partner = SymFuncP._from_partitions(
-        {lam: c for size in range(k * r + 1)
-         for lam, c in _even_column_schur_sum(size, bound).coeffs.items()})
+    partner = sum((_even_column_schur_sum(size, bound) for size in range(k * r + 1)),
+                  SymFuncP.zero())
     g = h_in_p(k) - h_in_p(k - 2)
     return cauchy_pairing(r, g, partner)
 
@@ -436,9 +427,7 @@ def regular_graph_character(r: int, k: int) -> SymFuncP:
 
 def littlewood_check(r: int) -> bool:
     """h_r composed with h_2 equals the even-row Schur sum in degree 2r."""
-    lhs = plethysm(h_in_p(r), h_in_p(2))
-    rhs = _schur_sum_to_p([lam for lam in partitions(2 * r) if all_rows_even(lam)], 2 * r)
-    return lhs == rhs
+    return plethysm(h_in_p(r), h_in_p(2)) == _even_column_schur_sum(2 * r, None)
 
 
 def partition_category_character(r: int, n: int) -> SymFuncP:
@@ -451,6 +440,8 @@ def partition_category_character(r: int, n: int) -> SymFuncP:
 
 def partition_category_character_multiset(r: int, n: int, k: int) -> SymFuncP:
     """Character of multiset partitions, each label k times, at most n blocks."""
+    if r < 0 or n < 1 or k < 1:
+        raise ValueError(f"need r >= 0, n >= 1 and k >= 1, got r={r}, n={n}, k={k}")
     partner = plethysm(h_in_p(n), h_series(k * r))
     return cauchy_pairing(r, h_in_p(k), partner)
 

@@ -28,6 +28,7 @@ from math import gcd, lcm
 
 from .category import Morphism
 from .matchings import Diagram, PerfectMatching, bend, crossing_pairs
+from .scalars import integer_terms
 
 
 class Tensor:
@@ -250,11 +251,11 @@ def ev_morphism(m: Morphism, n: int) -> Tensor:
     if m.delta != Fraction(-2 * n):
         raise ValueError(f"morphism specialized at delta={m.delta}, expected {-2 * n}")
     weights = [(2 * n) ** p for p in range(m.r + m.s - 1, -1, -1)]
-    scale = lcm(*(c.denominator for c in m.terms.values()))
+    terms, scale = integer_terms(m.terms)
     data: dict[int, int] = {}
-    for d, c in m.terms.items():
+    for d, c in terms:
         sign, factors = _closed_form(d, n)
-        entries = [(0, sign * c.numerator * (scale // c.denominator))]
+        entries = [(0, sign * c)]
         for (a, b), table in zip(d.matching.pairs, factors):
             offsets = [(i * weights[a - 1] + j * weights[b - 1], v) for (i, j), v in table]
             entries = [(k + o, x * v) for k, x in entries for o, v in offsets]
@@ -342,20 +343,19 @@ def rank_of_span(tensors: list[Tensor]) -> int:
     for t in tensors:
         if t.dims != tensors[0].dims:
             raise ValueError(f"shape mismatch: {t.dims} vs {tensors[0].dims}")
-        scale = lcm(*(v.denominator for v in t.data.values()))
-        scaled.append({k: v.numerator * (scale // v.denominator) for k, v in t.data.items()})
+        scaled.append(integer_terms(t.data)[0])
     by_key: dict[tuple, list] = {}
     for i, data in enumerate(scaled):
-        for key, v in data.items():
+        for key, v in data:
             by_key.setdefault(key, []).append((i, v))
 
     def column(p):
         col = [0] * len(scaled)
-        for key, w in scaled[p].items():
+        for key, w in scaled[p]:
             for i, v in by_key[key]:
                 col[i] += v * w
         return col
-    return _gram_rank([sum(v * v for v in data.values()) for data in scaled], column)
+    return _gram_rank([sum(v * v for _, v in data) for data in scaled], column)
 
 
 def ev_gram(matchings: list[PerfectMatching], n: int) -> list[list[int]]:

@@ -123,6 +123,25 @@ def test_character_builders_are_memoized_and_read_only():
         _assert_read_only(f)
 
 
+def test_character_builders_reject_ranks_outside_the_domain():
+    # sym-power and fundamental take (r, k, n), partition-multiset (r, n, k)
+    bad = [(invariant_character_sym_power, (-1, 2, 1), "r=-1, n=1, k=2"),
+           (invariant_character_sym_power, (2, 0, None), "r=2, n=None, k=0"),
+           (invariant_character_sym_power, (2, 2, 0), "r=2, n=0, k=2"),
+           (invariant_character_fundamental, (2, 2, 0), "r=2, n=0, k=2"),
+           (invariant_character_fundamental, (-1, 2, None), "r=-1, n=None, k=2"),
+           (invariant_character_fundamental, (2, 0, 1), "r=2, n=1, k=0"),
+           (partition_category_character_multiset, (2, 0, 1), "r=2, n=0, k=1"),
+           (partition_category_character_multiset, (-1, 2, 1), "r=-1, n=2, k=1"),
+           (partition_category_character_multiset, (2, 1, 0), "r=2, n=1, k=0")]
+    for builder, args, got in bad:
+        with pytest.raises(ValueError, match=f"need r >= 0, n >= 1 and k >= 1, got {got}$"):
+            builder(*args)
+    # rank 0 and the stable range n=None stay in the domain
+    assert invariant_character_sym_power(0, 2, 1) == SymFuncP.one()
+    assert invariant_character_fundamental(2, 2) == invariant_character_fundamental(2, 2, None)
+
+
 def test_sym_power_reduces_at_k1():
     # X(2m, n, 1) lives on 2m points, so the k=1 character is the matchings one
     for m in (1, 2):
@@ -382,7 +401,8 @@ def _even_row_shapes(size: int, bound: int | None) -> list:
 
 
 def test_even_column_schur_sum_matches_mn_columns():
-    cases = [(size, bound) for size in range(15) for bound in (None, 2, 4, 6)] + [(16, 4)]
+    cases = [(size, bound) for size in range(15) for bound in (None, 1, 2, 3, 4, 5, 6)]
+    cases += [(16, 4), (16, 1), (16, 3), (16, 5)]
     for size, bound in cases:
         want = schur_sum_by_mn(_even_row_shapes(size, bound))
         assert _even_column_schur_sum(size, bound) == want, (size, bound)
