@@ -16,7 +16,8 @@ from .tableaux import (OscillatingTableau, count_oscillating,
                        enumerate_oscillating, enumerate_SYT, fake_degree_schur,
                        fake_degree_schur_hook, maj, syt_count)
 from .qpoly import QPolynomial
-from .symfunc import (SymFuncP, fake_degree, invariant_character_fundamental,
+from .symfunc import (SymFuncP, fake_degree, fake_degree_matchings,
+                      invariant_character_fundamental,
                       invariant_character_matchings,
                       invariant_character_sym_power, kronecker,
                       littlewood_check, mn_character, regular_graph_character,

@@ -203,13 +203,16 @@ def cmd_fake_degree(args) -> int:
     if args.shape is not None:
         print(tb.fake_degree_schur_hook(_shape_from(args)))
         return 0
-    print(sf.fake_degree(_character(args)))
+    if args.kind == "matchings":
+        print(sf.fake_degree_matchings(args.r, args.n))
+    else:
+        print(sf.fake_degree(_character(args)))
     return 0
 
 
 def _csp_certificate(r: int, n: int, k: int | None) -> CspCertificate:
     if k is None or k == 1:
-        poly = sf.fake_degree(sf.invariant_character_matchings(r, n))
+        poly = sf.fake_degree_matchings(r, n)
     else:
         poly = sf.fake_degree(sf.invariant_character_sym_power(r, k, n))
     return verify_csp_X(r, n, k, poly)

@@ -7,7 +7,10 @@ Murnaghan-Nakayama rule: ``_schur_sum_to_p`` removes ribbons to take a sum
 of Schur functions to the p basis, ``_add_ribbons`` adds them to expand back.
 ``mn_character`` is the one-value character route the tests compare with.
 Plethysm is the power-sum substitution p_j -> p_{jm}, which covers every
-composition used here.
+composition used here; a degree cap drops the terms no caller reads.
+Fake degrees sum q-hook polynomials in integers: ``fake_degree`` over the
+Schur expansion of any function, ``fake_degree_matchings`` over the doubled
+shapes 2mu of the invariant character directly, with no expansion at all.
 """
 
 from __future__ import annotations
@@ -319,13 +322,24 @@ def plethysm_p(m: int, g: SymFuncP) -> SymFuncP:
     return SymFuncP._from_partitions(out)
 
 
-def plethysm(f: SymFuncP, g: SymFuncP) -> SymFuncP:
-    """f composed with g, through the p-expansion of f."""
+def plethysm(f: SymFuncP, g: SymFuncP, max_degree: int | None = None) -> SymFuncP:
+    """f composed with g, through the p-expansion of f.
+
+    With ``max_degree``, every product drops its terms of higher degree: the
+    degrees of p_lam add up under products and none is negative, so such a
+    term reaches no degree up to the cap, and the result is exact there.
+    """
+    def capped(h: SymFuncP) -> SymFuncP:
+        if max_degree is None:
+            return h
+        return SymFuncP._from_partitions(
+            {lam: c for lam, c in h.coeffs.items() if sum(lam) <= max_degree})
+
     total = SymFuncP.zero()
     for lam, c in f.coeffs.items():
         term = SymFuncP.one()
         for part in lam:
-            term = term * plethysm_p(part, g)
+            term = capped(term * capped(plethysm_p(part, g)))
         total = total + term.scaled(c)
     return total
 
@@ -435,14 +449,14 @@ def partition_category_character(r: int, n: int) -> SymFuncP:
     of h_n composed with 1 + h_1 + h_2 + ..."""
     if r < 0 or n < 1:
         raise ValueError(f"need r >= 0 and n >= 1, got r={r}, n={n}")
-    return plethysm(h_in_p(n), h_series(r)).homogeneous_component(r)
+    return plethysm(h_in_p(n), h_series(r), r).homogeneous_component(r)
 
 
 def partition_category_character_multiset(r: int, n: int, k: int) -> SymFuncP:
     """Character of multiset partitions, each label k times, at most n blocks."""
     if r < 0 or n < 1 or k < 1:
         raise ValueError(f"need r >= 0, n >= 1 and k >= 1, got r={r}, n={n}, k={k}")
-    partner = plethysm(h_in_p(n), h_series(k * r))
+    partner = plethysm(h_in_p(n), h_series(k * r), k * r)  # the pairing reads degree kr
     return cauchy_pairing(r, h_in_p(k), partner)
 
 
@@ -472,22 +486,44 @@ def dimension(f: SymFuncP) -> Fraction:
     return f.coefficient((1,) * r) * factorial(r)
 
 
-def fake_degree(f: SymFuncP) -> QPolynomial:
-    """Linear extension of the maj generating polynomial over Schur terms.
-
-    The Schur terms come from ``schur_expand`` (ribbons added on bead masks);
-    each term's polynomial from the q-hook length formula
-    (``fake_degree_schur_hook``); the walk over standard tableaux,
-    ``fake_degree_schur``, is the by-definition route the tests compare with.
-    Non-integer Schur coefficients are reported with a warning; the
-    polynomial is returned regardless.
-    """
-    total: list = []
-    for lam, c in sorted(schur_expand(f).items()):
-        if c.denominator != 1:
-            warnings.warn(f"non-integer Schur coefficient {c} at {lam}")
+def _hook_sum(terms) -> list[int]:
+    """Coefficient list of sum c * f^lam(q) over integer (lam, c) terms, each
+    f^lam from the q-hook length formula (``fake_degree_schur_hook``)."""
+    total: list[int] = []
+    for lam, c in terms:
         poly = fake_degree_schur_hook(lam).coeffs
         total += [0] * (len(poly) - len(total))
         for i, x in enumerate(poly):
             total[i] += x * c
-    return QPolynomial(total)
+    return total
+
+
+def fake_degree(f: SymFuncP) -> QPolynomial:
+    """Linear extension of the maj generating polynomial over Schur terms.
+
+    The Schur terms come from ``schur_expand`` (ribbons added on bead masks)
+    and are scaled once to integers over their common denominator; the
+    q-hook polynomials (``fake_degree_schur_hook``) are summed in integers
+    and each output coefficient is divided once.  The walk over standard
+    tableaux, ``fake_degree_schur``, is the by-definition route the tests
+    compare with.  Non-integer Schur coefficients are reported with a
+    warning; the polynomial is returned regardless.
+    """
+    coeffs = schur_expand(f)
+    for lam, c in sorted(coeffs.items()):
+        if c.denominator != 1:
+            warnings.warn(f"non-integer Schur coefficient {c} at {lam}")
+    scaled, den = integer_terms(coeffs)
+    return QPolynomial([Fraction(x, den) for x in _hook_sum(scaled)])
+
+
+def fake_degree_matchings(r: int, n: int) -> QPolynomial:
+    """Fake degree of ``invariant_character_matchings(r, n)`` in closed form.
+
+    That character is the sum of s_2mu over mu |- r with mu_1 <= n, so its
+    fake degree is the sum of the q-hook polynomials f^2mu(q) (Stanley, EC2
+    Cor. 7.21.5), summed in integers with no p- or Schur expansion.
+    """
+    if r < 0 or n < 1:
+        raise ValueError(f"need r >= 0 and n >= 1, got r={r}, n={n}")
+    return QPolynomial(_hook_sum((tuple(2 * p for p in mu), 1) for mu in partitions(r, n)))

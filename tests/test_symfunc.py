@@ -10,7 +10,8 @@ from brauercat.qpoly import QPolynomial
 from brauercat.symfunc import (SymFuncP, _even_column_schur_sum,
                                _schur_sum_to_p, adjoint_character_full,
                                adjoint_invariant_character, cauchy_pairing,
-                               dimension, e_in_p, fake_degree, h_in_p,
+                               dimension, e_in_p, fake_degree,
+                               fake_degree_matchings, h_in_p,
                                h_series, invariant_character_fundamental,
                                invariant_character_matchings,
                                invariant_character_sym_power, kronecker,
@@ -245,6 +246,23 @@ def test_partition_category_characters():
             assert f == partition_category_character_multiset(r, n, 1)
 
 
+def test_capped_plethysm_matches_the_uncapped_component():
+    for r in range(7):
+        for n in range(1, 5):
+            full = plethysm(h_in_p(n), h_series(r))
+            want = full.homogeneous_component(r)
+            assert partition_category_character(r, n) == want, ("partition", r, n)
+            capped = sum((full.homogeneous_component(d) for d in range(r + 1)), SymFuncP.zero())
+            assert plethysm(h_in_p(n), h_series(r), r) == capped, ("capped", r, n)
+    for r in range(5):
+        for n in range(1, 4):
+            for k in (1, 2):
+                full = plethysm(h_in_p(n), h_series(k * r)).homogeneous_component(k * r)
+                want = cauchy_pairing(r, h_in_p(k), full)
+                got = partition_category_character_multiset(r, n, k)
+                assert got == want, ("partition-multiset", r, n, k)
+
+
 def test_multiset_partition_dimension():
     for (r, k) in [(2, 2), (3, 2), (2, 3)]:
         for n in range(1, 5):
@@ -266,6 +284,17 @@ def test_fake_degree_linear_and_p_at_one():
 def test_fake_degree_worked_polynomials():
     assert fake_degree(invariant_character_matchings(2, 1)) == QPolynomial((0, 0, 1, 0, 1))
     assert fake_degree(invariant_character_matchings(2, 2)) == QPolynomial((1, 0, 1, 0, 1))
+
+
+def test_fake_degree_matchings_is_the_round_trip():
+    # the slow route takes the doubled shapes to the p basis and back to Schur
+    for r in range(9):
+        for n in range(1, 5):
+            want = fake_degree(invariant_character_matchings(r, n))
+            assert fake_degree_matchings(r, n) == want, (r, n)
+    for r, n in [(-1, 1), (2, 0)]:
+        with pytest.raises(ValueError, match=f"need r >= 0 and n >= 1, got r={r}, n={n}$"):
+            fake_degree_matchings(r, n)
 
 
 def test_fake_degree_warns_on_non_integer():
@@ -290,6 +319,8 @@ def test_fake_degree_matches_tableau_route_on_invariant_characters():
                      "adjoint": adjoint_invariant_character(r, n)}
             for kind, f in cases.items():
                 assert fake_degree(f) == fake_degree_by_syt(f), (kind, r, n)
+            want = fake_degree_by_syt(cases["matchings"])
+            assert fake_degree_matchings(r, n) == want, ("matchings closed form", r, n)
 
 
 def _random_schur_combination(rng: random.Random, terms: int) -> SymFuncP:
@@ -304,8 +335,10 @@ def _random_schur_combination(rng: random.Random, terms: int) -> SymFuncP:
 def test_fake_degree_matches_tableau_route_on_random_schur_combinations():
     rng = random.Random(20151)
     seen_fraction = False
-    for _ in range(40):
-        f = _random_schur_combination(rng, rng.randrange(1, 6))
+    cases = [_random_schur_combination(rng, rng.randrange(1, 6)) for _ in range(40)]
+    # the zero function, and one denominator shared across two degrees
+    cases += [SymFuncP.zero(), schur_to_p((2,)) + schur_to_p((1, 1, 1)).scaled(F(1, 2))]
+    for f in cases:
         with warnings.catch_warnings(record=True) as got_warnings:
             warnings.simplefilter("always")
             got = fake_degree(f)
