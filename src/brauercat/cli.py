@@ -151,9 +151,10 @@ def cmd_idempotent_check(args) -> int:
     return 0 if ok else 1
 
 
-# ev-rank eliminates in about N k^2 / 2 steps, N = (2r-1)!! matchings of rank
-# k = |X(r, n)|: r = 5 needs at most 421,954,312 (n >= 5), (r, n) = (6, 1)
-# 90,561,240 and (6, 2) 115,742,924,797
+# ev-rank eliminates in at most about N k^2 / 2 steps, N = (2r-1)!! matchings
+# of rank k = |X(r, n)| (dropping dead rows leaves about N k^2 / 2 - k^3 / 3):
+# the bound at r = 5 is at most 421,954,312 (n >= 5), at (r, n) = (6, 1)
+# 90,561,240 and at (6, 2) 115,742,924,797
 _EV_RANK_BUDGET = 10 ** 9
 
 

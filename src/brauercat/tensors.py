@@ -11,13 +11,18 @@ with each other and with the closed form.
 
 Tensors are sparse, index tuples to exact values ((2n)^m nonzero on 2m points);
 ``ev_morphism`` sums on integer-coded keys and decodes only the survivors.
+Where it costs fewer steps, it first takes the Gram norm of the sum in
+integers, one loop walk per pair of terms (``_ev_norm``): bending preserves
+dot products, and over Q a zero norm is a zero tensor, so a kernel element
+such as a Pfaffian generator or the idempotent's E is settled with no tensor.
 
 Ranks are exact and integer-only, all from one left-looking LDL^T kernel,
 ``_gram_rank``, that asks a positive semidefinite Gram matrix only for its k
-pivot columns.  ``ev_gram_rank`` takes those of the flat-diagram tensors in
-closed form, one signed factor of 2n per loop of the two matchings, so
-``ev-rank`` builds no tensor and no full Gram; ``rank_of_span`` takes them
-from arbitrary tensors by index key, and ``exact_rank`` from a matrix's rows.
+pivot columns, and for each only on the rows still live.  ``ev_gram_rank``
+takes those of the flat-diagram tensors in closed form, one signed factor of
+2n per loop of the two matchings, so ``ev-rank`` builds no tensor and no full
+Gram; ``rank_of_span`` takes them from arbitrary tensors by index key, and
+``exact_rank`` from a matrix's rows.
 """
 
 from __future__ import annotations
@@ -241,8 +246,12 @@ def ev_sliced(d: Diagram, n: int, strategy: str) -> Tensor:
 def ev_morphism(m: Morphism, n: int) -> Tensor:
     """Linear extension of the diagram evaluation, with Fraction values.
 
-    The terms' closed forms, lcm-scaled to integers, are summed with no tensor
-    on integer keys (slot p of P weighs (2n)^(P-p)); only survivors are decoded.
+    The terms are lcm-scaled to integers.  When the Gram norm of the sum costs
+    no more loop steps than its expansion has entries, about (T + 1) P / 4
+    against (2n)^(P/2) per term for T terms on P points, ``_ev_norm`` is taken
+    first: a zero norm is a zero tensor.  Otherwise, and for a nonzero norm,
+    the closed forms are summed with no tensor on integer keys (slot p of P
+    weighs (2n)^(P-p)); only survivors are decoded.
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
@@ -250,8 +259,11 @@ def ev_morphism(m: Morphism, n: int) -> Tensor:
         raise ValueError("evaluation needs coefficients specialized at delta = -2n")
     if m.delta != Fraction(-2 * n):
         raise ValueError(f"morphism specialized at delta={m.delta}, expected {-2 * n}")
-    weights = [(2 * n) ** p for p in range(m.r + m.s - 1, -1, -1)]
+    points = m.r + m.s
     terms, scale = integer_terms(m.terms)
+    if (len(terms) + 1) * points <= 4 * (2 * n) ** (points // 2) and not _ev_norm(terms, n):
+        return Tensor((2 * n,) * points)
+    weights = [(2 * n) ** p for p in range(points - 1, -1, -1)]
     data: dict[int, int] = {}
     for d, c in terms:
         sign, factors = _closed_form(d, n)
@@ -262,8 +274,33 @@ def ev_morphism(m: Morphism, n: int) -> Tensor:
         for k, x in entries:  # cancelled entries leave, so a vanishing sum stays small
             if x := x + data.pop(k, 0):
                 data[k] = x
-    return Tensor((2 * n,) * len(weights), {tuple(k // w % (2 * n) for w in weights):
-                                            Fraction(x, scale) for k, x in data.items()})
+    return Tensor((2 * n,) * points, {tuple(k // w % (2 * n) for w in weights):
+                                      Fraction(x, scale) for k, x in data.items()})
+
+
+def _ev_norm(terms: list, n: int) -> int:
+    """The squared length sum_k v_k^2 of the tensor sum_i c_i ev(d_i), for
+    integer terms (d_i, c_i), by the Gram rule of ``ev_gram``.
+
+    Bending contracts each top slot with a cup, whose table is a signed
+    permutation of the 2n indices.  That map is the same for every diagram of
+    one shape (r, s) and preserves dot products, so <ev(d), ev(d')> is the
+    flat Gram entry of bend(d) and bend(d'), whose sign is the crossing sign
+    of ``_closed_form``.  The sum runs over i <= j, the off-diagonal entries
+    counted twice.  Over Q the dot product is anisotropic, so the norm is 0
+    exactly when the tensor is.  The signs go into the coefficients, and the
+    loop products are taken directly: ``_flat_gram``'s entry function would
+    double the cost.
+    """
+    flat = []
+    for d, c in terms:
+        pm = bend(d).matching
+        flat.append((pm.involution(), -c if crossing_pairs(pm) % 2 else c))
+    total = 0
+    for i, (a, x) in enumerate(flat):
+        cross = sum(y * _loop_product(a, b, 2 * n) for b, y in flat[i + 1:])
+        total += x * (x * _loop_product(a, a, 2 * n) + 2 * cross)
+    return total
 
 
 def compose_maps(tx: Tensor, ty: Tensor, mid: int) -> Tensor:
@@ -286,7 +323,9 @@ def tensor_maps(tx: Tensor, shape_x: tuple[int, int],
 
 def _gram_rank(diag: list[int], column) -> int:
     """Rank of a positive semidefinite integer Gram matrix G from its diagonal;
-    ``column(p)`` is called for G[:, p] only at the k pivots p.
+    ``column(p, rows)`` is called only at the k pivots p, for G[rows, p] on the
+    increasing list ``rows`` of live rows, which holds p and shrinks from call
+    to call.
 
     Left-looking LDL^T: the Schur complement is S = G - sum_j beta_j w_j w_j^T,
     each w_j a primitive integer vector and beta_j rational.  The next pivot p
@@ -295,20 +334,26 @@ def _gram_rank(diag: list[int], column) -> int:
     The diagonal d_i -= beta w_i^2 is kept as integers over one gcd-reduced
     common denominator.  S stays positive semidefinite, where a zero diagonal
     entry s_ii forces its whole row to vanish (s_ii s_jj >= s_ij^2), so a row
-    whose diagonal reaches 0 is dropped exactly; the rank is the number of
-    pivots, found in about N k^2 small-integer operations.
+    whose diagonal reaches 0 is dead, and so is a pivot's row once eliminated.
+    A column of S is formed and updated on the live rows only (w_j is 0 off
+    the rows live at step j): at most sum_t t (N - t), about
+    N k^2 / 2 - k^3 / 3, small-integer operations for k pivots, where forming
+    and updating whole columns would take N k^2 / 2.  The rank is the number
+    of pivots.
     """
     num, den = list(diag), 1  # the diagonal of S is num / den
     live = [i for i, x in enumerate(num) if x]
     terms, scale = [], 1  # (w_j, beta_j) and the lcm of the beta_j denominators
     while live:
         p = min(live, key=num.__getitem__)
-        col = [scale * x for x in column(p)]  # scale * (column p of S), integers
+        col = [scale * x for x in column(p, live)]  # scale * (column p of S) on the live rows
         for w, beta in terms:
             if f := beta.numerator * (scale // beta.denominator) * w[p]:
-                col = [x - f * y for x, y in zip(col, w)]
+                col = [x - f * w[i] for x, i in zip(col, live)]
         h = gcd(*col)
-        w = [x // h for x in col]
+        w = [0] * len(num)
+        for i, x in zip(live, col):
+            w[i] = x // h
         beta = Fraction(h, scale * w[p])
         terms.append((w, beta))
         scale = lcm(scale, beta.denominator)
@@ -349,12 +394,12 @@ def rank_of_span(tensors: list[Tensor]) -> int:
         for key, v in data:
             by_key.setdefault(key, []).append((i, v))
 
-    def column(p):
+    def column(p, rows):
         col = [0] * len(scaled)
         for key, w in scaled[p]:
             for i, v in by_key[key]:
                 col[i] += v * w
-        return col
+        return [col[i] for i in rows]
     return _gram_rank([sum(v * v for _, v in data) for data in scaled], column)
 
 
@@ -376,7 +421,7 @@ def ev_gram_rank(matchings: list[PerfectMatching], n: int) -> int:
     """Rank of ``ev_gram(matchings, n)``; only its pivot columns are formed."""
     size, entry = _flat_gram(matchings, n)
     return _gram_rank([entry(i, i) for i in range(size)],
-                      lambda p: [entry(i, p) for i in range(size)])
+                      lambda p, rows: [entry(i, p) for i in rows])
 
 
 def _flat_gram(matchings: list[PerfectMatching], n: int):

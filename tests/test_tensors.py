@@ -7,8 +7,11 @@ import pytest
 
 from brauercat.category import (Morphism, compose_diagrams, e_sum,
                                 generator_s, generator_u, tensor_diagrams)
-from brauercat.matchings import Diagram, enumerate_matchings, enumerate_X
-from brauercat.tensors import (Tensor, _gram_rank, compose_maps, ev_diagram,
+from brauercat.matchings import (Diagram, PerfectMatching, enumerate_matchings, enumerate_X,
+                                 unbend)
+from brauercat.pfaffian import PfGenerator, normal_form, pfaffian
+from brauercat.scalars import integer_terms
+from brauercat.tensors import (Tensor, _ev_norm, _gram_rank, compose_maps, ev_diagram,
                                ev_generator, ev_gram, ev_gram_rank, ev_morphism,
                                ev_sliced, exact_rank, identity_tensor,
                                rank_of_span, symplectic_sample, tensor_maps)
@@ -188,8 +191,76 @@ def test_ev_morphism_builds_no_term_tensor(monkeypatch):
     def refuse(d, n):
         raise AssertionError("ev_morphism built a per-term tensor")
 
+    identity3 = ev_diagram(Diagram.identity(3), 2)
     monkeypatch.setattr(tensors, "ev_diagram", refuse)
     assert ev_morphism(e_sum(3), 3).is_zero()
+    # the Gram norm settles e_sum(3) = 0: no term's closed form is expanded
+    closed_form = tensors._closed_form
+    monkeypatch.setattr(tensors, "_closed_form", refuse)
+    assert ev_morphism(e_sum(3), 3).is_zero()
+    # a nonzero norm falls through to the expansion, one closed form per term
+    expanded = []
+    monkeypatch.setattr(tensors, "_closed_form",
+                        lambda d, n: expanded.append(d) or closed_form(d, n))
+    m = e_sum(2) + Morphism.identity(3, Fraction(-4))
+    assert ev_morphism(m, 2) == identity3  # ev(e_sum(2)) = 0
+    assert len(expanded) == len(set(expanded)) == len(m.terms) and set(expanded) == set(m.terms)
+
+
+def _expanded(terms, n) -> dict:
+    """The sum of the ``ev_diagram`` tensors of integer terms (d, c), scaled by c."""
+    data = {}
+    for d, c in terms:
+        for key, v in ev_diagram(d, n).data.items():
+            data[key] = data.get(key, 0) + c * v
+    return {key: v for key, v in data.items() if v}
+
+
+def _norm_side(m, n):
+    """Whether ``ev_morphism`` takes the Gram norm first: (T + 1) P <= 4 (2n)^(P/2)."""
+    points = m.r + m.s
+    return (len(m.terms) + 1) * points <= 4 * (2 * n) ** (points // 2)
+
+
+def test_ev_norm_is_the_squared_length_of_the_expansion():
+    rng = random.Random(26)
+    cases = []  # (morphism, n, whether it is a kernel element with terms)
+    for n in (1, 2, 3):
+        for points in (0, 2, 4, 6, 8):
+            for r in range(points + 1):
+                pool = diagrams(r, points - r)
+                for _ in range(2):
+                    picked = rng.sample(pool, rng.randint(1, min(len(pool), 5 if n == 3 else 9)))
+                    terms = {d: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 12))
+                             for d in picked}
+                    cases.append((Morphism(r, points - r, terms, Fraction(-2 * n)), n, False))
+        delta = Fraction(-2 * n)
+        cases.append((e_sum(n), n, True))
+        points = 2 * (n + 1) + 2 * (n < 3)
+        subset = tuple(sorted(rng.sample(range(1, points + 1), 2 * (n + 1))))
+        rest = [p for p in range(1, points + 1) if p not in subset]
+        cases.append((pfaffian(PfGenerator(n, points, subset, (tuple(rest),) if rest else ()), delta),
+                      n, True))
+        for r in (0, 2, 4):  # the fully crossing 8-point diagram, bent to (r, 8 - r)
+            m = Morphism.from_diagram(unbend(PerfectMatching(((1, 5), (2, 6), (3, 7), (4, 8))),
+                                             r, 8 - r), delta)
+            cases.append((m - normal_form(m, n), n, True))
+    # the expansion side of the rule: n = 1 on 10 points with 60 terms
+    picked = rng.sample(diagrams(4, 6), 60)
+    big = Morphism(4, 6, {d: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for d in picked},
+                   Fraction(-2))
+    cases.append((big, 1, False))
+    assert not _norm_side(big, 1)
+    nonzero_norm_side = 0
+    for m, n, kernel in cases:
+        terms, scale = integer_terms(m.terms)
+        want = _expanded(terms, n)  # scale times the tensor of m
+        assert _ev_norm(terms, n) == sum(v * v for v in want.values()), (m, n)
+        assert not kernel or (len(terms) > 1 and not want), (m, n)
+        assert ev_morphism(m, n) == Tensor((2 * n,) * (m.r + m.s),
+                                           {k: Fraction(v, scale) for k, v in want.items()})
+        nonzero_norm_side += bool(want) and _norm_side(m, n)
+    assert nonzero_norm_side > 100
 
 
 def test_ev_morphism_rejects_rank_below_one():
@@ -284,15 +355,18 @@ def test_exact_rank_against_bareiss():
 
 def _kernel_rank(gram) -> tuple[int, int]:
     """``_gram_rank`` of a rational Gram matrix scaled to integers, and the
-    number of columns it asked for."""
+    number of columns it asked for.  Each call's rows hold the pivot, increase,
+    and are a subset of the previous call's."""
     scale = lcm(*(Fraction(x).denominator for row in gram for x in row))
     mat = [[int(x * scale) for x in row] for row in gram]
-    asked = []
+    asked = [range(len(mat))]
 
-    def column(p):
-        asked.append(p)
-        return [row[p] for row in mat]
-    return _gram_rank([mat[i][i] for i in range(len(mat))], column), len(asked)
+    def column(p, rows):
+        assert p in rows and list(rows) == sorted(set(rows)), (p, rows)
+        assert set(rows) <= set(asked[-1]), (rows, asked[-1])
+        asked.append(rows)
+        return [mat[i][p] for i in rows]
+    return _gram_rank([mat[i][i] for i in range(len(mat))], column), len(asked) - 1
 
 
 def test_gram_rank_against_bareiss():
