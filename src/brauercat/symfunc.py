@@ -3,11 +3,13 @@
 Everything is stored as a map from partitions to rational coefficients of
 p_lambda; Schur and complete/elementary functions exist only at conversion
 boundaries.  Both directions are integer walks on bead masks by the
-Murnaghan-Nakayama rule: ``_schur_sum_to_p`` removes ribbons to take a sum
-of Schur functions to the p basis, ``_add_ribbons`` adds them to expand back.
+Murnaghan-Nakayama rule: ``_schur_sum_to_p`` removes ribbons of length >= 2
+to take a sum of Schur functions to the p basis and closes each all-ones tail
+by the hook length formula; ``_add_ribbons`` adds ribbons to expand back.
 ``mn_character`` is the one-value character route the tests compare with.
-Plethysm is the power-sum substitution p_j -> p_{jm}, which covers every
-composition used here; a degree cap drops the terms no caller reads.
+Plethysm and the Cauchy pairing share one integer walk, ``_power_products``,
+over products of the substitutions p_t[g] (p_j -> p_{jt}) with shared
+prefixes; a degree cap drops the terms no caller reads.
 Fake degrees sum q-hook polynomials in integers: ``fake_degree`` over the
 Schur expansion of any function, ``fake_degree_matchings`` over the doubled
 shapes 2mu of the invariant character directly, with no expansion at all.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, inf, prod
 from types import MappingProxyType
 
 from .partitions import check_partition, partitions, sign_of_type, z_order
@@ -221,15 +223,29 @@ def _bead_mask(lam: tuple[int, ...], beads: int) -> int:
     return mask
 
 
+@cache
+def _bead_syt_count(mask: int) -> int:
+    """f^lam, the number of standard tableaux of the shape with this bead mask
+    (any bead count): |lam|! * prod (b - c) / prod b! over the bead positions
+    b > c, the hook length formula on the beads (Frobenius).  The beads packed
+    at the bottom are dropped first: shifting the rest down keeps the shape."""
+    mask >>= ((mask + 1) & ~mask).bit_length() - 1
+    beads = [b for b in range(mask.bit_length()) if mask >> b & 1]
+    num = factorial(sum(beads) - len(beads) * (len(beads) - 1) // 2)
+    num *= prod(b - c for i, b in enumerate(beads) for c in beads[:i])
+    return num // prod(factorial(b) for b in beads)
+
+
 def _schur_sum_to_p(shapes, d: int) -> SymFuncP:
     """Sum of s_lam over the shapes (partitions of d, with repeats) in the p basis.
 
     The coefficient of p_mu is sum over lam of chi^lam(mu) / z_mu.  The walk
-    runs over ``partitions(d)`` order, removing the parts t of mu largest
-    first from a ``dict[mask, int]`` on d-bead masks: each bead at b with
-    b - t free moves down to b - t with sign (-1)^(beads strictly between)
-    (Murnaghan-Nakayama).  Partitions sharing a prefix share its removals;
-    mu's total is the weight left on the empty shape.
+    runs over the parts t >= 2 of mu, largest first, removing them from a
+    ``dict[mask, int]`` on d-bead masks: each bead at b with b - t free moves
+    down to b - t with sign (-1)^(beads strictly between) (Murnaghan-Nakayama).
+    Partitions sharing a prefix share its removals.  Every node closes its
+    all-ones tail at once, since chi^nu(1^m) = f^nu: p_(mu, 1^m) gets the sum
+    of the weights times ``_bead_syt_count``, in ``partitions(d)`` order.
     """
     start: dict[int, int] = {}
     for lam in shapes:
@@ -238,10 +254,7 @@ def _schur_sum_to_p(shapes, d: int) -> SymFuncP:
     out = {}
 
     def walk(state: dict[int, int], remaining: int, largest: int, mu: tuple[int, ...]):
-        if not remaining:
-            out[mu] = Fraction(state[(1 << d) - 1], z_order(mu))
-            return
-        for t in range(min(largest, remaining), 0, -1):
+        for t in range(min(largest, remaining), 1, -1):
             between = (1 << (t - 1)) - 1
             nxt: dict[int, int] = {}
             for mask, c in state.items():
@@ -255,6 +268,9 @@ def _schur_sum_to_p(shapes, d: int) -> SymFuncP:
             nxt = {mask: c for mask, c in nxt.items() if c}
             if nxt:
                 walk(nxt, remaining - t, t, mu + (t,))
+        total = sum(c * _bead_syt_count(mask) for mask, c in state.items())
+        if total:
+            out[mu + (1,) * remaining] = Fraction(total, z_order(mu) * factorial(remaining))
 
     if start:
         walk(start, d, d, ())
@@ -314,7 +330,9 @@ def schur_expand(f: SymFuncP) -> dict[tuple[int, ...], Fraction]:
 
 
 def plethysm_p(m: int, g: SymFuncP) -> SymFuncP:
-    """p_m composed with g: substitute p_j -> p_{jm} in g."""
+    """p_m composed with g: substitute p_j -> p_{jm} in g, for m >= 1."""
+    if m < 1:
+        raise ValueError(f"plethysm_p needs m >= 1, got m={m}")
     out = {}
     for lam, c in g.coeffs.items():
         key = tuple(sorted((j * m for j in lam), reverse=True))
@@ -322,26 +340,60 @@ def plethysm_p(m: int, g: SymFuncP) -> SymFuncP:
     return SymFuncP._from_partitions(out)
 
 
+def _power_products(terms: list, g_int: list, max_degree: int | None):
+    """Yield (lam, c, p_lam[G]) for each (lam, c) of terms, G = sum of b * p_mu
+    over (mu, b) in g_int and p_lam[G], the product of the p_t[G] over the parts
+    t of lam, an integer map {mu: coefficient}.  As in ``_add_ribbons`` terms are
+    grouped by their next part, so a shared prefix shares its products.  With
+    ``max_degree`` every product drops its terms of higher degree (degrees add
+    up and none is negative); a product that vanishes ends its branch."""
+    limit = inf if max_degree is None else max_degree
+    pleth: dict[int, list] = {}
+
+    def walk(group: list, product: dict, depth: int):
+        by_part: dict[int, list] = {}
+        for lam, c in group:
+            if len(lam) == depth:
+                yield lam, c, product
+            else:
+                by_part.setdefault(lam[depth], []).append((lam, c))
+        for t, sub in by_part.items():
+            if t not in pleth:  # p_t[G] by degree; scaled parts stay sorted and distinct
+                pleth[t] = sorted((t * sum(mu), tuple(t * j for j in mu), b) for mu, b in g_int)
+            nxt: dict = {}
+            for lam, a in product.items():
+                room = limit - sum(lam)
+                for deg, mu, b in pleth[t]:
+                    if deg > room:
+                        break
+                    key = tuple(sorted(lam + mu, reverse=True))
+                    nxt[key] = nxt.get(key, 0) + a * b
+            nxt = {lam: c for lam, c in nxt.items() if c}
+            if nxt:
+                yield from walk(sub, nxt, depth + 1)
+
+    return walk(terms, {(): 1}, 0)
+
+
 def plethysm(f: SymFuncP, g: SymFuncP, max_degree: int | None = None) -> SymFuncP:
     """f composed with g, through the p-expansion of f.
 
-    With ``max_degree``, every product drops its terms of higher degree: the
-    degrees of p_lam add up under products and none is negative, so such a
-    term reaches no degree up to the cap, and the result is exact there.
+    f and g are scaled once to integers and ``_power_products`` forms each
+    p_lam[g] on numerators; a term of length l is weighted by g's denominator
+    to the power (longest l) - l, so each output term gets one ``Fraction``.
+    With ``max_degree`` each product drops its terms of higher degree, and the
+    result is exact up to the cap.
     """
-    def capped(h: SymFuncP) -> SymFuncP:
-        if max_degree is None:
-            return h
-        return SymFuncP._from_partitions(
-            {lam: c for lam, c in h.coeffs.items() if sum(lam) <= max_degree})
-
-    total = SymFuncP.zero()
-    for lam, c in f.coeffs.items():
-        term = SymFuncP.one()
-        for part in lam:
-            term = capped(term * capped(plethysm_p(part, g)))
-        total = total + term.scaled(c)
-    return total
+    f_int, f_den = integer_terms(f.coeffs)
+    g_int, g_den = integer_terms(g.coeffs)
+    longest = max((len(lam) for lam, _ in f_int), default=0)
+    total: dict = {}
+    for lam, c, product in _power_products(f_int, g_int, max_degree):
+        c *= g_den ** (longest - len(lam))
+        for mu, b in product.items():
+            total[mu] = total.get(mu, 0) + c * b
+    den = f_den * g_den ** longest
+    return SymFuncP._from_partitions({mu: Fraction(c, den) for mu, c in total.items() if c})
 
 
 def h_series(max_degree: int) -> SymFuncP:
@@ -354,35 +406,18 @@ def cauchy_pairing(r: int, g: SymFuncP, partner: SymFuncP) -> SymFuncP:
 
     Uses h_r(XZ) = sum over nu of p_nu(X) p_nu[Z](Y) / z_nu with Z = g(Y).
     g and partner are scaled once to integers (z_lam folded into the
-    partner), each product of the p_t[g] is built along a walk over
-    ``partitions(r)`` that shares common prefixes, and each nu gets one
-    ``Fraction``.
+    partner); the walk of ``plethysm``, ``_power_products``, builds each
+    p_nu[g] over ``partitions(r)``, pairs it with the partner at its leaf,
+    and each nu gets one ``Fraction``.
     """
     g_int, g_den = integer_terms(g.coeffs)
     partner_int, partner_den = integer_terms(partner.coeffs)
     weight = {lam: c * z_order(lam) for lam, c in partner_int}
-    # p_t[g]: scaling the parts of a partition keeps it sorted and distinct
-    pleth = {t: [(tuple(t * j for j in lam), c) for lam, c in g_int]
-             for t in range(1, r + 1)}
     out = {}
-
-    def walk(term: dict, remaining: int, largest: int, nu: tuple[int, ...]):
-        if not remaining:
-            total = sum(c * weight[lam] for lam, c in term.items() if lam in weight)
-            if total:
-                out[nu] = Fraction(total, g_den ** len(nu) * partner_den * z_order(nu))
-            return
-        for t in range(min(largest, remaining), 0, -1):
-            nxt: dict = {}
-            for lam, a in term.items():
-                for mu, b in pleth[t]:
-                    key = tuple(sorted(lam + mu, reverse=True))
-                    nxt[key] = nxt.get(key, 0) + a * b
-            nxt = {lam: c for lam, c in nxt.items() if c}
-            if nxt:
-                walk(nxt, remaining - t, t, nu + (t,))
-
-    walk({(): 1}, r, r, ())
+    for nu, _, product in _power_products([(nu, 1) for nu in partitions(r)], g_int, None):
+        total = sum(c * weight[lam] for lam, c in product.items() if lam in weight)
+        if total:
+            out[nu] = Fraction(total, g_den ** len(nu) * partner_den * z_order(nu))
     return SymFuncP._from_partitions(out)
 
 
@@ -466,13 +501,16 @@ def adjoint_character_full(r: int) -> SymFuncP:
 
 
 def adjoint_invariant_character(r: int, n: int) -> SymFuncP:
-    """Kronecker squares of Schur functions with at most n rows."""
-    total = SymFuncP.zero()
+    """Kronecker squares of Schur functions with at most n rows: p_mu gets
+    the sum of the integers chi^lam(mu)^2 over those lam, over z_mu."""
+    z = {mu: z_order(mu) for mu in partitions(r)}
+    squares = dict.fromkeys(z, 0)
     for lam in partitions(r):
         if len(lam) <= n:
-            s = schur_to_p(lam)
-            total = total + kronecker(s, s)
-    return total
+            for mu, c in schur_to_p(lam).coeffs.items():
+                chi = c.numerator * (z[mu] // c.denominator)
+                squares[mu] += chi * chi
+    return SymFuncP._from_partitions({mu: Fraction(sq, z[mu]) for mu, sq in squares.items()})
 
 
 def dimension(f: SymFuncP) -> Fraction:

@@ -19,7 +19,10 @@ and multiplies through ``compose_by_definition``, ``schur_sum_by_mn``, which
 sums the package's ``mn_character`` columns where ``_schur_sum_to_p``
 removes ribbons, ``cauchy_pairing_by_definition``, which multiplies and
 pairs the package's ``SymFuncP`` values where ``cauchy_pairing`` walks
-integer numerators, and ``orbit_multiplicities_by_moebius``, which inverts
+integer numerators, ``plethysm_by_products`` and ``adjoint_by_kronecker``,
+which multiply and add the package's ``SymFuncP`` values where ``plethysm``
+and ``adjoint_invariant_character`` sum integer numerators, and
+``orbit_multiplicities_by_moebius``, which inverts
 the package's reduction mod q^N - 1 by the Moebius function where
 ``orbit_multiplicities`` peels divisor classes.
 """
@@ -385,6 +388,39 @@ def cauchy_pairing_by_definition(r: int, g, partner):
         if c:
             out[nu] = c / z_order(nu)
     return SymFuncP(out)
+
+
+def plethysm_by_products(f, g, max_degree=None):
+    """f composed with g as a sum of ``SymFuncP`` products: each p_lam of f
+    becomes the product of the ``plethysm_p(t, g)`` over the parts t of lam,
+    every factor and partial product cut to degree ``max_degree`` (None: no cut)."""
+    from brauercat.symfunc import SymFuncP, plethysm_p
+
+    def capped(h):
+        if max_degree is None:
+            return h
+        return SymFuncP({lam: c for lam, c in h.coeffs.items() if sum(lam) <= max_degree})
+
+    total = SymFuncP.zero()
+    for lam, c in f.coeffs.items():
+        term = SymFuncP.one()
+        for part in lam:
+            term = capped(term * capped(plethysm_p(part, g)))
+        total = total + term.scaled(c)
+    return total
+
+
+def adjoint_by_kronecker(r: int, n: int):
+    """Sum of the Kronecker squares kronecker(s_lam, s_lam) over lam of r with
+    at most n rows, added as ``SymFuncP`` values."""
+    from brauercat.partitions import partitions
+    from brauercat.symfunc import SymFuncP, kronecker, schur_to_p
+
+    total = SymFuncP.zero()
+    for lam in partitions(r):
+        if len(lam) <= n:
+            total = total + kronecker(schur_to_p(lam), schur_to_p(lam))
+    return total
 
 
 def orbits_by_rotate(elements, step: int = 1) -> list:

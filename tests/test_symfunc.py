@@ -7,7 +7,8 @@ import pytest
 from brauercat.matchings import enumerate_X, enumerate_X_blocked
 from brauercat.partitions import partitions, sign_of_type, z_order
 from brauercat.qpoly import QPolynomial
-from brauercat.symfunc import (SymFuncP, _even_column_schur_sum,
+from brauercat.symfunc import (SymFuncP, _bead_mask, _bead_syt_count,
+                               _even_column_schur_sum,
                                _schur_sum_to_p, adjoint_character_full,
                                adjoint_invariant_character, cauchy_pairing,
                                dimension, e_in_p, fake_degree,
@@ -21,8 +22,10 @@ from brauercat.symfunc import (SymFuncP, _even_column_schur_sum,
                                plethysm, plethysm_p,
                                regular_graph_character, scalar_product,
                                schur_expand, schur_to_p)
-from oracles import (bell, cauchy_pairing_by_definition, fake_degree_by_syt,
-                     multiset_partition_count, p_to_schur_coeff,
+from brauercat.tableaux import syt_count
+from oracles import (adjoint_by_kronecker, bell, cauchy_pairing_by_definition,
+                     fake_degree_by_syt, multiset_partition_count,
+                     p_to_schur_coeff, plethysm_by_products,
                      regular_multigraph_count, schur_expand_by_definition,
                      schur_sum_by_mn, set_partition_count)
 
@@ -223,6 +226,31 @@ def test_plethysm_p_basics():
     assert e_in_p(1) == h_in_p(1) == SymFuncP.p((1,))
 
 
+def test_plethysm_p_rejects_m_below_one():
+    # p_0 and p_-1 would give keys with zero or negative parts
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=f"plethysm_p needs m >= 1, got m={m}$"):
+            plethysm_p(m, SymFuncP.p((2, 1)))
+
+
+def test_plethysm_matches_products_on_random_rationals():
+    rng = random.Random(271)
+    cases = [(_random_p_combination(rng, 4), _random_p_combination(rng, 3)) for _ in range(20)]
+    f, g = cases[0]
+    # zero on either side, constants on either side, and an f holding p_() beside
+    # terms of two lengths, so each length needs its own power of g's denominator
+    cases += [(SymFuncP.zero(), g), (f, SymFuncP.zero()),
+              (SymFuncP.one().scaled(F(3, 7)), g), (f, SymFuncP.one().scaled(F(5, 2))),
+              (SymFuncP({(): F(2, 3), (2, 1): F(-1, 4), (1,): F(5, 6)}),
+               SymFuncP({(): F(1, 2), (1,): F(1, 3), (2,): F(-3, 4)}))]
+    assert any(() in f.coeffs for f, _ in cases[:20])
+    for f, g in cases:
+        for cap in (None, 0, 2, 5, 8):
+            got = plethysm(f, g, cap)
+            assert got == plethysm_by_products(f, g, cap), (f, g, cap)
+            assert all(isinstance(c, Fraction) and c for c in got.coeffs.values())
+
+
 def test_kronecker():
     for r in range(1, 6):
         assert adjoint_character_full(r) == adjoint_invariant_character(r, r)
@@ -234,6 +262,13 @@ def test_kronecker():
     assert adjoint_invariant_character(3, 1) == kronecker(schur_to_p((3,)), schur_to_p((3,)))
     with pytest.raises(ValueError, match="degree"):
         kronecker(SymFuncP.p((1,)), SymFuncP.p((2,)))
+
+
+def test_adjoint_character_is_the_kronecker_sum():
+    for r in range(1, 9):
+        for n in range(1, r + 1):
+            assert adjoint_invariant_character(r, n) == adjoint_by_kronecker(r, n), (r, n)
+    assert adjoint_invariant_character(0, 1) == SymFuncP.one()
 
 
 def test_partition_category_characters():
@@ -444,9 +479,19 @@ def test_even_column_schur_sum_matches_mn_columns():
 
 
 def test_schur_to_p_matches_mn_column():
-    for d in range(11):
+    for d in range(13):
         for lam in partitions(d):
-            assert schur_to_p(lam) == schur_sum_by_mn([lam]), lam
+            assert _schur_sum_to_p([lam], d) == schur_sum_by_mn([lam]), lam
+    assert schur_to_p((3, 2, 1)) == schur_sum_by_mn([(3, 2, 1)])
+
+
+def test_bead_syt_count_is_the_tableau_count():
+    # the all-ones tail of the ribbon walk reads f^lam off any bead count
+    for size in range(15):
+        for lam in partitions(size):
+            want = syt_count(lam)
+            for beads in sorted({len(lam), len(lam) + 1, len(lam) + 4, size + 2}):
+                assert _bead_syt_count(_bead_mask(lam, beads)) == want, (lam, beads)
 
 
 def test_schur_sum_kernel_builds_no_character_table():
