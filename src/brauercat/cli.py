@@ -25,7 +25,7 @@ from .expr import evaluate, parse_expr, parse_morphism
 from .matchings import enumerate_matchings
 from .partitions import parse_partition
 from .pfaffian import normal_form
-from .tensors import ev_gram_rank
+from .tensors import ev_rank
 
 
 def _positive_int(text: str) -> int:
@@ -151,8 +151,10 @@ def cmd_idempotent_check(args) -> int:
     return 0 if ok else 1
 
 
-# ev-rank eliminates in at most about N k^2 / 2 steps, N = (2r-1)!! matchings
-# of rank k = |X(r, n)| (dropping dead rows leaves about N k^2 / 2 - k^3 / 3):
+# ev-rank certifies the rank in rotation blocks, falling back on an exact
+# elimination of at most about N k^2 / 2 steps, N = (2r-1)!! matchings of rank
+# k = |X(r, n)| (dropping dead rows leaves about N k^2 / 2 - k^3 / 3); the
+# preflight bounds that fallback:
 # the bound at r = 5 is at most 421,954,312 (n >= 5), at (r, n) = (6, 1)
 # 90,561,240 and at (6, 2) 115,742,924,797
 _EV_RANK_BUDGET = 10 ** 9
@@ -165,7 +167,7 @@ def cmd_ev_rank(args) -> int:
     if work > _EV_RANK_BUDGET:
         raise ValueError(f"ev-rank --r {r} --n {n} needs about {work} elimination steps, "
                          f"over the budget of {_EV_RANK_BUDGET}")
-    rank = ev_gram_rank(list(enumerate_matchings(2 * r)), n)
+    rank = ev_rank(r, n)
     match = rank == noncrossing
     print(f"rank={rank} noncrossing={noncrossing} {'MATCH' if match else 'MISMATCH'}")
     return 0 if match else 1

@@ -274,11 +274,22 @@ def _search_X(points: int, n: int, k: int, shift: int,
 def orbits(elements: Iterable[PerfectMatching], step: int = 1) -> list[int]:
     """Orbit sizes of the rotation-by-``step`` action, sorted descending.
 
-    Each element is rotated once, giving a permutation of the pool's indices;
-    the orbit sizes are its cycle lengths.  Raises ValueError with a witness
-    if the set is not closed under the rotation.
+    The orbit sizes are the lengths of ``rotation_cycles``.  Raises ValueError
+    with a witness if the set is not closed under the rotation.
     """
     pool = list(dict.fromkeys(x.pairs for x in elements))
+    return sorted(map(len, rotation_cycles(pool, step)), reverse=True)
+
+
+def rotation_cycles(pool: list[tuple[tuple[int, int], ...]], step: int = 1) -> list[list[int]]:
+    """The cycles of rotation by ``step`` points on a list of distinct canonical
+    pair tuples, as index lists: each cycle starts at its least index i and
+    holds pool[i] rotated by 0, step, 2 step, ... points in that order.
+
+    Each element is rotated once, giving a permutation of the pool's indices.
+    Raises ValueError with a witness if the pool is not closed under the
+    rotation.
+    """
     index = {pairs: i for i, pairs in enumerate(pool)}
     image = []
     for pairs in pool:
@@ -293,17 +304,17 @@ def orbits(elements: Iterable[PerfectMatching], step: int = 1) -> list[int]:
             raise ValueError(f"set not closed under rotation: {PerfectMatching(pairs)} "
                              f"reaches {PerfectMatching(tuple(turned))}")
         image.append(j)
-    sizes = []
+    cycles = []
     seen = [False] * len(pool)
     for start in range(len(pool)):
-        size, i = 0, start
+        cycle, i = [], start
         while not seen[i]:
             seen[i] = True
-            size += 1
+            cycle.append(i)
             i = image[i]
-        if size:
-            sizes.append(size)
-    return sorted(sizes, reverse=True)
+        if cycle:
+            cycles.append(cycle)
+    return cycles
 
 
 @dataclass(frozen=True, order=True)

@@ -460,8 +460,9 @@ def invariant_character_fundamental(r: int, k: int, n: int | None = None) -> Sym
     if r < 0 or (n is not None and n < 1) or k < 1:
         raise ValueError(f"need r >= 0, n >= 1 and k >= 1, got r={r}, n={n}, k={k}")
     bound = None if n is None else 2 * n
-    partner = sum((_even_column_schur_sum(size, bound) for size in range(k * r + 1)),
-                  SymFuncP.zero())
+    # each size has its own degree, so the sum is a union of disjoint keys
+    partner = SymFuncP._from_partitions({lam: c for size in range(k * r + 1) for lam, c
+                                         in _even_column_schur_sum(size, bound).coeffs.items()})
     g = h_in_p(k) - h_in_p(k - 2)
     return cauchy_pairing(r, g, partner)
 

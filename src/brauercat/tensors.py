@@ -16,23 +16,30 @@ integers, one loop walk per pair of terms (``_ev_norm``): bending preserves
 dot products, and over Q a zero norm is a zero tensor, so a kernel element
 such as a Pfaffian generator or the idempotent's E is settled with no tensor.
 
-Ranks are exact and integer-only, all from one left-looking LDL^T kernel,
+Exact ranks are integer-only, all from one left-looking LDL^T kernel,
 ``_gram_rank``, that asks a positive semidefinite Gram matrix only for its k
 pivot columns, and for each only on the rows still live.  ``ev_gram_rank``
 takes those of the flat-diagram tensors in closed form, one signed factor of
-2n per loop of the two matchings, so ``ev-rank`` builds no tensor and no full
-Gram; ``rank_of_span`` takes them from arbitrary tensors by index key, and
-``exact_rank`` from a matrix's rows.
+2n per loop of the two matchings, so it builds no tensor and no full Gram;
+``rank_of_span`` takes them from arbitrary tensors by index key, and
+``exact_rank`` from a matrix's rows.  ``ev_rank``, the rank behind
+``ev-rank``, certifies it as |X(r, n)| instead: the Gram of X splits into
+rotation blocks over GF(p) (``_block_rank``), and the Pfaffian check bounds
+it from above; ``ev_gram_rank`` is its fallback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm
+from functools import cache
+from itertools import count, product
+from math import gcd, lcm, prod
+from operator import mul
 
 from .category import Morphism
-from .matchings import Diagram, PerfectMatching, bend, crossing_pairs
+from .matchings import (Diagram, PerfectMatching, bend, count_X, crossing_pairs,
+                        enumerate_matchings, enumerate_X, rotation_cycles)
+from .pfaffian import PfGenerator, pfaffian
 from .scalars import integer_terms
 
 
@@ -422,6 +429,154 @@ def ev_gram_rank(matchings: list[PerfectMatching], n: int) -> int:
     size, entry = _flat_gram(matchings, n)
     return _gram_rank([entry(i, i) for i in range(size)],
                       lambda p, rows: [entry(i, p) for i in rows])
+
+
+def ev_rank(r: int, n: int) -> int:
+    """Exact rank of span{ev(d)} over all perfect matchings d of 2r points.
+
+    Where the block route's estimated work (``_block_work``) is below the
+    N k^2 / 2 steps of ``ev_gram_rank`` over all N = (2r-1)!! matchings, for
+    k = |X(r, n)|, the rank is certified to be k in two halves:
+
+    - rank >= k: the Gram matrix of X has rank k modulo a prime
+      (``_block_rank``), and the rank over Q is at least the rank mod p.
+    - rank <= k: every diagram rewrites to span X through the Pfaffian
+      relations (``pfaffian.normal_form``), and each relation is the Pfaffian
+      of all 2n + 2 points with its subset relabelled, times a sign, with the
+      fixed strands' forms attached: the crossing parity against a fixed
+      strand is the parity of the subset points it encloses.  So one check,
+      ev(Pf) = 0 on 2n + 2 points through the Gram norm, puts the relations in
+      ker ev.  For n >= r, X holds every matching and the check is skipped.
+
+    If either half fails (an unlucky prime, or a true mismatch), and where the
+    exact route is cheaper, the rank is ``ev_gram_rank`` of all matchings.
+    """
+    k = count_X(r, n)
+    if _block_work(r, n, k) < prod(range(1, 2 * r, 2)) * k * k // 2:
+        if _block_rank(enumerate_X(r, n), n) == k and (n >= r or _pfaffian_vanishes(n)):
+            return k
+    return ev_gram_rank(list(enumerate_matchings(2 * r)), n)
+
+
+def _block_work(r: int, n: int, k: int) -> int:
+    """Estimated cost of the block route in steps of ``_gram_rank`` (about
+    0.1 us each on a 2-core host): 3 k^2 for the loop walks and the Fourier
+    sums, (r + 1) (k / 2r)^3 for the eliminations, 30 per loop walk of the
+    Pfaffian check (T (T + 1) / 2 walks for T = (2n+1)!! terms, when n < r),
+    and 3000 for the enumeration of X and the prime search."""
+    pf_terms = prod(range(1, 2 * n + 2, 2)) if n < r else 0
+    return 3 * k * k + (r + 1) * (k // (2 * r)) ** 3 + 15 * pf_terms * (pf_terms + 1) + 3000
+
+
+def _pfaffian_vanishes(n: int) -> bool:
+    """ev of the Pfaffian of all 2n + 2 points is 0 (a Gram-norm check)."""
+    points = 2 * n + 2
+    g = PfGenerator(n, points, tuple(range(1, points + 1)), ())
+    return ev_morphism(pfaffian(g, Fraction(-2 * n)), n).is_zero()
+
+
+def _block_rank(xs: list[PerfectMatching], n: int) -> int:
+    """Rank modulo a prime p = 1 (mod 2r) of the Gram matrix of a rotation-closed
+    set xs of matchings of 2r points, summed over rotation blocks.
+
+    Rotation keeps crossings and turns exactly one strand, the one through
+    point 2r, from (a, 2r) into (1, a + 1): its cup factor C[i_a, i_2r] becomes
+    C[i_1, i_(a+1)], and C is antisymmetric.  So ev(rot d) = -P ev(d), P the
+    cyclic shift of the slots, and since P preserves dot products
+    G(rot a, rot b) = G(a, b) exactly.  G then commutes with the rotation R.
+    Since R^(2r) = 1 and p does not divide 2r, R is diagonal over GF(p) with
+    the eigenvalues omega^j (omega of exact order 2r mod p), G is
+    block-diagonal on the eigenspaces, and its rank is the sum of the block
+    ranks.  Eigenspace j has the basis v_O = sum_t omega^(jt) rot^t x_O over
+    the orbits O with omega^(j|O|) = 1, x_O the first element of O in xs, and
+    block j is M_j(O, O') = sum_(t < |O'|) omega^(jt) G(x_O, rot^t x_O').
+
+    f(t) = G(x_O, rot^t x_O') has period g = gcd(|O|, |O'|), and
+    G(x_O', rot^t x_O) = f(-t), so one pair of orbits costs g loop walks and
+    M_j(O, O') = (|O'| / g) sum_(t < g) omega^(jt) f(t).  The same relation
+    gives M_(-j)(O', O) = (|O| / |O'|) M_j(O, O'): block -j is the transpose
+    of block j up to a diagonal scaling, so only j = 0..r are eliminated.
+    """
+    order = xs[0].n_points
+    p, omega = _root_of_unity(order)
+    cycles = rotation_cycles([x.pairs for x in xs])
+    _, entry = _flat_gram(xs, n)
+    sizes = [len(c) for c in cycles]
+    forms = {}  # (o, o2) -> f(t) for t < gcd of the two orbit sizes
+    for o, c in enumerate(cycles):
+        for o2 in range(o, len(cycles)):
+            f = [entry(c[0], i) for i in cycles[o2][:gcd(sizes[o], sizes[o2])]]
+            forms[o2, o], forms[o, o2] = f[:1] + f[:0:-1], f
+    rank = 0
+    for j in range(order // 2 + 1):
+        wave = [pow(omega, j * t % order, p) for t in range(order)]  # map(mul) stops at len(f)
+        idx = [o for o in range(len(cycles)) if j * sizes[o] % order == 0]
+        block = [[sum(map(mul, wave, forms[o, o2])) * (sizes[o2] // len(forms[o, o2])) % p
+                  for o2 in idx] for o in idx]
+        rank += _rank_mod_p(block, p) * (1 if 2 * j % order == 0 else 2)
+    return rank
+
+
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank of a matrix over GF(p) by row elimination, one column at a time:
+    a row with a nonzero entry there clears the column from the others and
+    leaves, and the column is dropped."""
+    rank = 0
+    while rows and rows[0]:
+        pivot = next((row for row in rows if row[0]), None)
+        if pivot is None:
+            rows = [row[1:] for row in rows]
+            continue
+        rank += 1
+        inv = pow(pivot[0], -1, p)
+        tail = [y * inv % p for y in pivot[1:]]
+        rows = [[(x - f * y) % p for x, y in zip(row[1:], tail)] if (f := row[0]) else row[1:]
+                for row in rows if row is not pivot]
+    return rank
+
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981  # the bases above decide every p below
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin on the prime bases 2..41, exact for p < 3.3e24."""
+    if p >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"{p} is beyond the deterministic Miller-Rabin range")
+    if p < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _root_of_unity(order: int) -> tuple[int, int]:
+    """The least prime p = 1 (mod order) above 2^29, and the least power
+    g^((p-1)/order), g = 2, 3, ..., of exact multiplicative order ``order`` mod p.
+    Residues below 2^30 are one CPython digit, which keeps elimination fast; a
+    prime that happens to lose rank only sends ``ev_rank`` to the exact route."""
+    p = (2 ** 29 // order + 1) * order + 1
+    while not _is_prime(p):
+        p += order
+    for g in count(2):
+        omega = pow(g, (p - 1) // order, p)
+        if all(pow(omega, d, p) != 1 for d in range(1, order)):
+            return p, omega
 
 
 def _flat_gram(matchings: list[PerfectMatching], n: int):

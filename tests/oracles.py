@@ -21,7 +21,9 @@ removes ribbons, ``cauchy_pairing_by_definition``, which multiplies and
 pairs the package's ``SymFuncP`` values where ``cauchy_pairing`` walks
 integer numerators, ``plethysm_by_products`` and ``adjoint_by_kronecker``,
 which multiply and add the package's ``SymFuncP`` values where ``plethysm``
-and ``adjoint_invariant_character`` sum integer numerators, and
+and ``adjoint_invariant_character`` sum integer numerators,
+``fundamental_by_sums``, which adds the package's ``SymFuncP`` partners where
+``invariant_character_fundamental`` unites their keys, and
 ``orbit_multiplicities_by_moebius``, which inverts
 the package's reduction mod q^N - 1 by the Moebius function where
 ``orbit_multiplicities`` peels divisor classes.
@@ -408,6 +410,19 @@ def plethysm_by_products(f, g, max_degree=None):
             term = capped(term * capped(plethysm_p(part, g)))
         total = total + term.scaled(c)
     return total
+
+
+def fundamental_by_sums(r: int, k: int, n):
+    """The fundamental invariant character with its pairing partner summed as
+    ``SymFuncP`` values, size by size, where ``invariant_character_fundamental``
+    takes the union of the disjoint degrees."""
+    from brauercat.symfunc import (SymFuncP, _even_column_schur_sum, cauchy_pairing,
+                                   h_in_p)
+
+    bound = None if n is None else 2 * n
+    partner = sum((_even_column_schur_sum(size, bound) for size in range(k * r + 1)),
+                  SymFuncP.zero())
+    return cauchy_pairing(r, h_in_p(k) - h_in_p(k - 2), partner)
 
 
 def adjoint_by_kronecker(r: int, n: int):

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from brauercat import category, cli
+from brauercat import category, cli, tensors
 from brauercat.category import Morphism, e_sum, generator_s, generator_u
 from brauercat.cli import main
 from brauercat.expr import (ExprError, evaluate, parse_expr, parse_morphism,
                             shape_of)
 from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
 from brauercat.pfaffian import normal_form
+from brauercat.tensors import ev_gram_rank
 
 
 def run(expr, **kwargs):
@@ -210,9 +211,30 @@ def test_cli_ev_rank(capsys):
 
 
 def test_cli_ev_rank_ten_points(capsys):
-    # 945 matchings of rank 42: only the 42 pivot columns of the Gram are formed
+    # 945 matchings of rank 42, certified on the 42 noncrossing ones
     assert main(["ev-rank", "--r", "5", "--n", "1"]) == 0
     assert capsys.readouterr().out == "rank=42 noncrossing=42 MATCH\n"
+
+
+@pytest.mark.parametrize("broken", ["short block rank", "nonzero Pfaffian"])
+def test_cli_ev_rank_falls_back_on_the_exact_rank(monkeypatch, capsys, broken):
+    # a failed half of the block certificate sends ev-rank to the exact Gram rank
+    args = ["ev-rank", "--r", "4", "--n", "2"]
+    exact = []
+    monkeypatch.setattr(tensors, "ev_gram_rank",
+                        lambda pool, n: exact.append(len(pool)) or ev_gram_rank(pool, n))
+    assert main(args) == 0
+    want = capsys.readouterr().out
+    assert exact == []  # the certificate holds: no exact rank
+    if broken == "short block rank":
+        monkeypatch.setattr(tensors, "_block_rank", lambda xs, n: len(xs) - 1)
+    else:
+        nonzero = Morphism.from_diagram(Diagram(0, 6, PerfectMatching(((1, 2), (3, 4), (5, 6)))),
+                                        Fraction(-4))
+        monkeypatch.setattr(tensors, "pfaffian", lambda g, delta: nonzero)
+    assert main(args) == 0
+    assert capsys.readouterr().out == want == "rank=84 noncrossing=84 MATCH\n"
+    assert exact == [105]
 
 
 def test_cli_enumerate_blocked_count(capsys):
@@ -378,7 +400,7 @@ def test_idempotent_check_size_preflight(monkeypatch, capsys):
 
 def test_ev_rank_size_preflight(monkeypatch, capsys):
     admitted = []
-    monkeypatch.setattr(cli, "ev_gram_rank", lambda pool, n: admitted.append(n))
+    monkeypatch.setattr(cli, "ev_rank", lambda r, n: admitted.append(n))
     # every r <= 5 runs, n >= 5 the largest (945 * 945^2 / 2 steps), and so does (6, 1)
     for r, n in [(5, 1), (5, 2), (5, 5), (5, 9), (6, 1)]:
         assert main(["ev-rank", "--r", str(r), "--n", str(n)]) == 1  # the stub has no rank

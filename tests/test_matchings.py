@@ -2,12 +2,12 @@ import re
 
 import pytest
 
-from brauercat.matchings import (Diagram, PerfectMatching, bend,
+from brauercat.matchings import (Diagram, PerfectMatching, bend, count_fixed_X,
                                  count_set_partitions, crossing_pairs,
                                  enumerate_matchings, enumerate_X,
                                  enumerate_X_blocked, find_mutually_crossing,
                                  iter_set_partitions, max_mutual_crossing,
-                                 orbits, unbend)
+                                 orbits, rotation_cycles, unbend)
 from brauercat.expr import parse_morphism
 from brauercat.tableaux import count_oscillating
 from oracles import (all_matchings, bell, blocked_by_definition, catalan,
@@ -176,6 +176,29 @@ def test_orbits_match_rotate_walk():
             for n in (1, 2, 3, r * k + 1):
                 xs = enumerate_X_blocked(r, n, k)
                 assert orbits(xs, k) == orbits_by_rotate(xs, k), (r, n, k)
+
+
+def test_rotation_cycles_of_X():
+    # each cycle lists its first element rotated by 0, 1, 2, ... points, and
+    # its lengths are the orbit sizes of the rotate walk
+    for r in range(1, 7):
+        for n in range(1, 4):
+            xs = enumerate_X(r, n)
+            cycles = rotation_cycles([x.pairs for x in xs])
+            assert sorted(map(len, cycles), reverse=True) == orbits_by_rotate(xs, 1), (r, n)
+            assert sorted(i for c in cycles for i in c) == list(range(len(xs)))
+            for c in cycles:
+                assert c[0] == min(c)
+                assert [xs[i] for i in c] == [xs[c[0]].rotate(t) for t in range(len(c))]
+
+
+def test_rotation_cycles_count_by_burnside():
+    # the number of orbits is the average number of fixed points over the 2r rotations
+    for r in range(1, 7):
+        for n in range(1, 4):
+            fixed = sum(count_fixed_X(2 * r, n, 1, s) for s in range(2 * r))
+            assert fixed % (2 * r) == 0
+            assert len(rotation_cycles([x.pairs for x in enumerate_X(r, n)])) == fixed // (2 * r)
 
 
 def test_orbits_name_a_witness_outside_the_set():

@@ -24,7 +24,7 @@ from brauercat.symfunc import (SymFuncP, _bead_mask, _bead_syt_count,
                                schur_expand, schur_to_p)
 from brauercat.tableaux import syt_count
 from oracles import (adjoint_by_kronecker, bell, cauchy_pairing_by_definition,
-                     fake_degree_by_syt, multiset_partition_count,
+                     fake_degree_by_syt, fundamental_by_sums, multiset_partition_count,
                      p_to_schur_coeff, plethysm_by_products,
                      regular_multigraph_count, schur_expand_by_definition,
                      schur_sum_by_mn, set_partition_count)
@@ -269,6 +269,15 @@ def test_adjoint_character_is_the_kronecker_sum():
         for n in range(1, r + 1):
             assert adjoint_invariant_character(r, n) == adjoint_by_kronecker(r, n), (r, n)
     assert adjoint_invariant_character(0, 1) == SymFuncP.one()
+
+
+def test_fundamental_partner_union_is_the_sum():
+    # the partner's sizes have distinct degrees: uniting their keys is the sum
+    for r in range(9):
+        for n in (1, 2, 3, None):
+            for k in (1, 2, 3):
+                got, want = invariant_character_fundamental(r, k, n), fundamental_by_sums(r, k, n)
+                assert got == want and str(got) == str(want), (r, n, k)
 
 
 def test_partition_category_characters():

@@ -7,12 +7,13 @@ import pytest
 
 from brauercat.category import (Morphism, compose_diagrams, e_sum,
                                 generator_s, generator_u, tensor_diagrams)
-from brauercat.matchings import (Diagram, PerfectMatching, enumerate_matchings, enumerate_X,
-                                 unbend)
+from brauercat.matchings import (Diagram, PerfectMatching, count_X, enumerate_matchings,
+                                 enumerate_X, unbend)
 from brauercat.pfaffian import PfGenerator, normal_form, pfaffian
 from brauercat.scalars import integer_terms
-from brauercat.tensors import (Tensor, _ev_norm, _gram_rank, compose_maps, ev_diagram,
-                               ev_generator, ev_gram, ev_gram_rank, ev_morphism,
+from brauercat.tensors import (Tensor, _block_rank, _ev_norm, _gram_rank, _is_prime,
+                               _rank_mod_p, _root_of_unity, compose_maps, ev_diagram,
+                               ev_generator, ev_gram, ev_gram_rank, ev_morphism, ev_rank,
                                ev_sliced, exact_rank, identity_tensor,
                                rank_of_span, symplectic_sample, tensor_maps)
 from oracles import (exact_rank_bareiss, generator_tensor_by_form, gram_by_dot,
@@ -428,3 +429,93 @@ def test_tensor_shape_guard():
         ev_gram(list(enumerate_matchings(2)) + list(enumerate_matchings(4)), 1)
     with pytest.raises(ValueError, match="point count"):
         ev_gram_rank(list(enumerate_matchings(4)) + list(enumerate_matchings(2)), 1)
+
+
+def test_ev_rank_matches_the_exact_gram_rank():
+    for r in range(1, 5):
+        for n in range(1, 5):
+            pool = list(enumerate_matchings(2 * r))
+            assert ev_rank(r, n) == ev_gram_rank(pool, n) == count_X(r, n), (r, n)
+            # the block certificate on its own, also where ev_rank takes the exact route
+            assert _block_rank(enumerate_X(r, n), n) == count_X(r, n), (r, n)
+
+
+@pytest.mark.parametrize("r,n", [(5, 1), (5, 2), (5, 3), (6, 1)])
+def test_ev_rank_counts_noncrossing_matchings(r, n):
+    assert ev_rank(r, n) == count_X(r, n)
+
+
+def _with_crossing_orbit(r, n):
+    """X(r, n) and the rotation orbit of an (n+1)-crossing matching of 2r points."""
+    xs = enumerate_X(r, n)
+    pm = PerfectMatching(tuple((i, i + n + 1) for i in range(1, n + 2))
+                         + tuple((i, i + 1) for i in range(2 * n + 3, 2 * r, 2)))
+    return xs + list(dict.fromkeys(pm.rotate(t) for t in range(2 * r)))
+
+
+def test_block_rank_sees_a_rank_deficit():
+    # on a rank-deficient rotation-closed pool every block must lose the right
+    # rank: a root of the wrong order keeps the block sizes but not the ranks
+    for r in range(2, 5):
+        for n in range(1, r):
+            assert _block_rank(list(enumerate_matchings(2 * r)), n) == count_X(r, n), (r, n)
+    for r, n in [(5, 1), (5, 2), (5, 3), (6, 1)]:
+        pool = _with_crossing_orbit(r, n)
+        assert len(pool) > count_X(r, n) and _block_rank(pool, n) == count_X(r, n), (r, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rotation_is_minus_the_slot_shift(n):
+    # ev(rot d)[i_1 .. i_P] = -ev(d)[i_2 .. i_P, i_1]: only the strand through point P turns
+    for points in (2, 4, 6, 8):
+        for pm in enumerate_matchings(points):
+            before = ev_diagram(Diagram(0, points, pm), n)
+            after = ev_diagram(Diagram(0, points, pm.rotate()), n)
+            shifted = {k[-1:] + k[:-1]: -v for k, v in before.data.items()}
+            assert after.data == shifted, (pm, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gram_is_rotation_invariant(n):
+    for r in range(1, 5):
+        pool = list(enumerate_matchings(2 * r))
+        assert ev_gram([pm.rotate() for pm in pool], n) == ev_gram(pool, n), (r, n)
+
+
+def test_miller_rabin_is_exact():
+    sieve = [True] * 200_000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 448):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, 200_000, i))
+    assert [p for p in range(200_000) if _is_prime(p)] == [p for p, ok in enumerate(sieve) if ok]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+                  5394826801, 232250619601, 9746347772161]
+    assert not any(map(_is_prime, carmichael))
+    # strong pseudoprime to the bases 2, 3, 5 and 7, caught by 11
+    assert not _is_prime(3215031751)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1) and not _is_prime(2 ** 61 + 1)
+    with pytest.raises(ValueError, match="Miller-Rabin"):
+        _is_prime(10 ** 25)
+
+
+def test_root_of_unity_has_exact_order():
+    for order in range(1, 25):
+        p, omega = _root_of_unity(order)
+        assert _is_prime(p) and (p - 1) % order == 0 and 2 ** 29 < p < 2 ** 30
+        powers = [pow(omega, e, p) for e in range(1, order + 1)]
+        assert powers[-1] == 1 and 1 not in powers[:-1], order
+
+
+def test_rank_mod_p_on_products():
+    # B C with B m x k and C k x l has rank k over GF(p) for these seeds, and
+    # zero columns in front exercise the columns with no pivot
+    p = _root_of_unity(10)[0]
+    rng = random.Random(28)
+    for m, k, l in [(1, 1, 1), (5, 3, 7), (7, 7, 7), (12, 4, 9), (9, 6, 3)]:
+        b = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
+        c = [[0] * 2 + [rng.randrange(p) for _ in range(l)] for _ in range(k)]
+        rows = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*c)] for row in b]
+        assert _rank_mod_p(rows, p) == min(k, l), (m, k, l)
+    assert _rank_mod_p([[0, 0], [0, 0]], p) == 0 and _rank_mod_p([], p) == 0
+    assert _rank_mod_p([[1, 2], [2, 4]], 7) == 1 and _rank_mod_p([[1, 2], [3, 4]], 2) == 1
