@@ -245,14 +245,6 @@ class Morphism:
             total = total + c * loop_factor(closure_loops(d), self.delta)
         return total
 
-    def specialize(self, delta0) -> Morphism:
-        """Evaluate the formal loop parameter at an exact rational."""
-        if self.delta is not None:
-            raise ValueError("morphism is already specialized")
-        delta0 = Fraction(delta0)
-        return Morphism(self.r, self.s,
-                        {d: c.evaluate(delta0) for d, c in self.terms.items()}, delta0)
-
     def __eq__(self, other):
         if not isinstance(other, Morphism):
             return NotImplemented

@@ -179,32 +179,3 @@ def _peel(totals: dict[int, object]) -> dict[int, object]:
     for c in sorted(totals):
         parts[c] = totals[c] - sum(v for cc, v in parts.items() if c % cc == 0)
     return parts
-
-
-def orbit_multiplicities(p: QPolynomial, order: int) -> dict[int, object] | None:
-    """Orbit-size multiplicities any sieving set for p would need.
-
-    Returns None when the reduction of p is not constant on gcd classes;
-    otherwise a map orbit size -> multiplicity (possibly negative or
-    fractional, which disqualifies p as a sieving polynomial).
-    """
-    reduced = p.reduce_mod_cyclic(order)
-    by_class: dict[int, object] = {}
-    for e in range(order):
-        c = gcd(e, order) if e else order
-        value = reduced.coefficient(e)
-        if c in by_class and by_class[c] != value:
-            return None
-        by_class.setdefault(c, value)
-    # by_class[c] counts the orbits of each size N/c' with c' dividing c
-    return {order // c: v for c, v in _peel(by_class).items() if v}
-
-
-def is_cyclic_sieving_polynomial(p: QPolynomial, order: int) -> bool:
-    """Whether some set with a free-enough rotation could realize p."""
-    if not p.is_nonnegative_integer():
-        return False
-    mult = orbit_multiplicities(p, order)
-    if mult is None:
-        return False
-    return all(isinstance(m, int) and m >= 0 for m in mult.values())

@@ -113,14 +113,6 @@ def _first_mutually_crossing(strands, size: int) -> tuple[tuple[int, int], ...] 
     return tuple(chosen) if extend(0) else None
 
 
-def max_mutual_crossing(m: PerfectMatching) -> int:
-    """Largest j such that some j strands of m cross mutually."""
-    size = 0
-    while find_mutually_crossing(m, size + 1) is not None:
-        size += 1
-    return size
-
-
 def enumerate_matchings(points: int) -> Iterator[PerfectMatching]:
     """All (points-1)!! perfect matchings of {1, ..., points}, smallest free point first."""
     if points % 2 != 0 or points < 0:
@@ -366,18 +358,6 @@ def unbend(m: PerfectMatching | Diagram, r: int, s: int) -> Diagram:
         raise ValueError(f"matching covers {pm.n_points} points, shape needs {r + s}")
     relabel = lambda p: r + 1 - p if p <= r else p
     return Diagram(r, s, PerfectMatching(tuple((relabel(a), relabel(b)) for a, b in pm.pairs)))
-
-
-def count_set_partitions(r: int, n: int) -> int:
-    """Number of set partitions of {1..r} into at most n blocks."""
-    if r < 0 or n < 1:
-        raise ValueError(f"need r >= 0 and n >= 1, got r={r}, n={n}")
-    # Stirling numbers of the second kind, summed over block counts <= n.
-    row = [1]  # S(0, 0)
-    for m in range(1, r + 1):
-        row = [0] + [row[j - 1] + j * row[j] if j < len(row) else row[j - 1]
-                     for j in range(1, m + 1)]
-    return sum(row[1:n + 1]) if r > 0 else 1
 
 
 def iter_set_partitions(r: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -14,8 +14,6 @@ from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
-from typing import Iterator
 
 from .category import Morphism
 from .matchings import (Diagram, PerfectMatching, bend, crossing_pairs,
@@ -53,18 +51,6 @@ def pfaffian(g: PfGenerator, delta=None) -> Morphism:
         pm = PerfectMatching(s + g.rest)
         terms[Diagram(0, g.points, pm)] = 1
     return Morphism(0, g.points, terms, delta)
-
-
-def enumerate_pf_generators(n: int, points: int) -> Iterator[PfGenerator]:
-    """All kernel generators on the given boundary, in a deterministic order."""
-    size = 2 * (n + 1)
-    if points < size or points % 2 != 0:
-        return
-    all_points = tuple(range(1, points + 1))
-    for subset in combinations(all_points, size):
-        rest_points = tuple(p for p in all_points if p not in subset)
-        for f in _matchings_of(rest_points):
-            yield PfGenerator(n, points, subset, f)
 
 
 def find_violation(d: Diagram, n: int) -> tuple[tuple[int, int], ...] | None:

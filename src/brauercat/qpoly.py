@@ -166,20 +166,6 @@ def _coerce(value):
     return None
 
 
-def q_int(m: int) -> QPolynomial:
-    """1 + q + ... + q^(m-1)."""
-    if m < 0:
-        raise ValueError("q-integer of a negative number")
-    return QPolynomial((1,) * m)
-
-
-def q_factorial(m: int) -> QPolynomial:
-    acc = QPolynomial((1,))
-    for i in range(1, m + 1):
-        acc = acc * q_int(i)
-    return acc
-
-
 @cache
 def cyclotomic(n: int) -> QPolynomial:
     """The n-th cyclotomic polynomial, by exact division of q^n - 1."""

@@ -166,17 +166,6 @@ class SymFuncP:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def scalar_product(f: SymFuncP, g: SymFuncP) -> Fraction:
-    """Hall inner product: <p_lam, p_mu> = z_lam [lam = mu]."""
-    small, big = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
-    total = Fraction(0)
-    for lam, c in small.coeffs.items():
-        d = big.coeffs.get(lam)
-        if d:
-            total += c * d * z_order(lam)
-    return total
-
-
 def kronecker(f: SymFuncP, g: SymFuncP) -> SymFuncP:
     """Inner product of representations: p_lam * p_lam -> z_lam p_lam."""
     degs_f, degs_g = f.degrees(), g.degrees()
@@ -327,17 +316,6 @@ def schur_expand(f: SymFuncP) -> dict[tuple[int, ...], Fraction]:
             if total:
                 out[lam] = Fraction(total, den)
     return out
-
-
-def plethysm_p(m: int, g: SymFuncP) -> SymFuncP:
-    """p_m composed with g: substitute p_j -> p_{jm} in g, for m >= 1."""
-    if m < 1:
-        raise ValueError(f"plethysm_p needs m >= 1, got m={m}")
-    out = {}
-    for lam, c in g.coeffs.items():
-        key = tuple(sorted((j * m for j in lam), reverse=True))
-        out[key] = out.get(key, Fraction(0)) + c
-    return SymFuncP._from_partitions(out)
 
 
 def _power_products(terms: list, g_int: list, max_degree: int | None):

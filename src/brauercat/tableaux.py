@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
 from typing import Iterator
 
 from .partitions import (cells_added, cells_removed, check_partition,
@@ -39,16 +38,6 @@ def enumerate_SYT(shape) -> Iterator[tuple[tuple[int, ...], ...]]:
             row.pop()
 
     yield from place(1)
-
-
-def syt_count(shape) -> int:
-    """Hook length formula."""
-    shape = check_partition(shape)
-    m = sum(shape)
-    prod = 1
-    for h in hooks(shape):
-        prod *= h
-    return factorial(m) // prod
 
 
 def maj(tableau: tuple[tuple[int, ...], ...]) -> int:
@@ -119,9 +108,6 @@ class OscillatingTableau:
     @property
     def length(self) -> int:
         return len(self.steps) - 1
-
-    def max_rows(self) -> int:
-        return max((len(s) for s in self.steps), default=0)
 
     def __str__(self) -> str:
         return ";".join(f"[{format_partition(s)}]" for s in self.steps)

@@ -4,10 +4,7 @@ The defining 2n-dimensional space carries the skew form <e_i, f_j> = d_ij in
 the basis e_1..e_n, f_1..f_n.  ``ev_diagram`` writes the tensor of a diagram
 down in closed form: a crossing-parity sign times one symplectic pairing per
 strand; the generator tensors are its values on the cup, cap and crossing
-diagrams.  ``ev_sliced`` instead cuts the diagram into elementary layers
-(one cup, cap or crossing each) and contracts the generator tensors in
-sequence; it exists so tests can check that two different slicings agree
-with each other and with the closed form.
+diagrams.
 
 Tensors are sparse, index tuples to exact values ((2n)^m nonzero on 2m points);
 ``ev_morphism`` sums on integer-coded keys and decodes only the survivors.
@@ -94,20 +91,6 @@ class Tensor:
     def __rmul__(self, scalar):
         return self.scaled(scalar)
 
-    def outer(self, other: Tensor) -> Tensor:
-        data = {}
-        for k1, v1 in self.data.items():
-            for k2, v2 in other.data.items():
-                data[k1 + k2] = v1 * v2
-        return Tensor(self.dims + other.dims, data)
-
-    def transpose(self, perm: tuple[int, ...]) -> Tensor:
-        if sorted(perm) != list(range(self.ndim)):
-            raise ValueError(f"bad axis permutation {perm}")
-        dims = tuple(self.dims[p] for p in perm)
-        data = {tuple(k[p] for p in perm): v for k, v in self.data.items()}
-        return Tensor(dims, data)
-
     def contract(self, other: Tensor, self_axes: tuple[int, ...],
                  other_axes: tuple[int, ...]) -> Tensor:
         """Sum over paired axes; result keeps self's remaining axes then other's."""
@@ -134,23 +117,6 @@ class Tensor:
                 data[full] = data.get(full, 0) + v * w
         return Tensor(tuple(self.dims[i] for i in self_keep)
                       + tuple(other.dims[i] for i in other_keep), data)
-
-
-def ev_generator(kind: str, n: int) -> Tensor:
-    """Tensor of an elementary generator: "cup", "cap" or "crossing".
-
-    Cup has two output slots, cap two input slots, crossing inputs then outputs.
-    """
-    shapes = {"cup": (0, 2, ((1, 2),)), "cap": (2, 0, ((1, 2),)),
-              "crossing": (2, 2, ((1, 4), (2, 3)))}
-    if kind not in shapes:
-        raise ValueError(f"unknown generator kind {kind!r}")
-    r, s, pairs = shapes[kind]
-    return ev_diagram(Diagram(r, s, PerfectMatching(pairs)), n)
-
-
-def identity_tensor(n: int) -> Tensor:
-    return ev_diagram(Diagram.identity(1), n)
 
 
 def _closed_form(d: Diagram, n: int) -> tuple[int, list]:
@@ -184,70 +150,6 @@ def ev_diagram(d: Diagram, n: int) -> Tensor:
             value *= v
         data[tuple(key)] = value
     return Tensor((2 * n,) * (d.r + d.s), data)
-
-
-def ev_sliced(d: Diagram, n: int, strategy: str) -> Tensor:
-    """Tensor of a diagram contracted layer by layer from the generators.
-
-    The diagram is sliced into layers of one cup, cap or crossing each; the
-    "left" and "right" strategies use different layer orders, so comparing
-    them with each other and with ev_diagram checks slicing independence.
-    """
-    if strategy not in ("left", "right"):
-        raise ValueError(f"unknown slicing strategy {strategy!r}")
-    left = strategy == "left"
-    r = d.r
-    wires = list(range(1, r + 1))  # the top point, later the bottom point, of each wire
-    layers = []  # (generator kind, position of its left wire)
-
-    def cross(p):
-        layers.append(("crossing", p))
-        wires[p:p + 2] = wires[p + 1], wires[p]
-
-    caps = sorted((ab for ab in d.matching.pairs if ab[1] <= r),
-                  key=lambda ab: ab[0] if left else -ab[1])
-    for a, b in caps:
-        pa, pb = wires.index(a), wires.index(b)
-        if left:  # bring b leftwards next to a
-            for p in range(pb - 1, pa, -1):
-                cross(p)
-        else:  # bring a rightwards next to b
-            for p in range(pa, pb - 1):
-                cross(p)
-            pa = pb - 1
-        layers.append(("cap", pa))
-        del wires[pa:pa + 2]
-    through = {a: b for a, b in d.matching.pairs if a <= r < b}
-    wires[:] = [through[w] for w in wires]
-    cups = sorted(ab for ab in d.matching.pairs if ab[0] > r)
-    for a, b in (cups if left else reversed(cups)):
-        p = len(wires) if left else 0
-        layers.append(("cup", p))
-        wires[p:p] = [a, b]
-    passes = range(len(wires) - 1) if left else range(len(wires) - 2, -1, -1)
-    unsorted = True
-    while unsorted:  # bubble passes sort the wires by destination
-        unsorted = False
-        for p in passes:
-            if wires[p] > wires[p + 1]:
-                cross(p)
-                unsorted = True
-
-    # Axes: the r top slots, then one per open wire from left to right.
-    t = Tensor.scalar(1)
-    for _ in range(r):
-        t = t.outer(identity_tensor(n))
-    t = t.transpose(tuple(range(0, 2 * r, 2)) + tuple(range(1, 2 * r, 2)))
-    generators = {kind: ev_generator(kind, n) for kind in ("cup", "cap", "crossing")}
-    for kind, p in layers:
-        if kind == "cup":
-            t = t.outer(generators[kind])
-        else:
-            t = t.contract(generators[kind], (r + p, r + p + 1), (0, 1))
-        if kind != "cap":  # move the two new output axes to wires p, p + 1
-            rest = tuple(range(t.ndim - 2))
-            t = t.transpose(rest[:r + p] + (t.ndim - 2, t.ndim - 1) + rest[r + p:])
-    return t
 
 
 def ev_morphism(m: Morphism, n: int) -> Tensor:
@@ -287,7 +189,7 @@ def ev_morphism(m: Morphism, n: int) -> Tensor:
 
 def _ev_norm(terms: list, n: int) -> int:
     """The squared length sum_k v_k^2 of the tensor sum_i c_i ev(d_i), for
-    integer terms (d_i, c_i), by the Gram rule of ``ev_gram``.
+    integer terms (d_i, c_i), by the loop rule of ``_flat_gram``.
 
     Bending contracts each top slot with a cup, whose table is a signed
     permutation of the 2n indices.  That map is the same for every diagram of
@@ -308,24 +210,6 @@ def _ev_norm(terms: list, n: int) -> int:
         cross = sum(y * _loop_product(a, b, 2 * n) for b, y in flat[i + 1:])
         total += x * (x * _loop_product(a, a, 2 * n) + 2 * cross)
     return total
-
-
-def compose_maps(tx: Tensor, ty: Tensor, mid: int) -> Tensor:
-    """Compose map tensors: contract tx's last ``mid`` slots with ty's first."""
-    axes_x = tuple(range(tx.ndim - mid, tx.ndim))
-    axes_y = tuple(range(mid))
-    return tx.contract(ty, axes_x, axes_y)
-
-
-def tensor_maps(tx: Tensor, shape_x: tuple[int, int],
-                ty: Tensor, shape_y: tuple[int, int]) -> Tensor:
-    """Side-by-side product of map tensors, with slots interleaved correctly."""
-    r1, s1 = shape_x
-    r2, s2 = shape_y
-    raw = tx.outer(ty)
-    perm = tuple(range(r1)) + tuple(r1 + s1 + i for i in range(r2)) \
-        + tuple(r1 + i for i in range(s1)) + tuple(r1 + s1 + r2 + i for i in range(s2))
-    return raw.transpose(perm)
 
 
 def _gram_rank(diag: list[int], column) -> int:
@@ -410,22 +294,9 @@ def rank_of_span(tensors: list[Tensor]) -> int:
     return _gram_rank([sum(v * v for _, v in data) for data in scaled], column)
 
 
-def ev_gram(matchings: list[PerfectMatching], n: int) -> list[list[int]]:
-    """Gram matrix of the tensors of the flat diagrams ``matchings``, in closed form.
-
-    For matchings a and b the entry is s(a) s(b) times one factor +-2n per
-    loop of a and b together, s = (-1)^crossings.  A loop walked from its
-    smallest point, an a-strand step then a b-strand step, with l a-steps
-    and f steps from a smaller to a larger point, gives +2n when f + l is
-    even and -2n otherwise: each strand contributes the cup matrix C = -J or
-    its transpose -C, and C^2 = -1 on the 2n-dimensional space.
-    """
-    size, entry = _flat_gram(matchings, n)
-    return [[entry(i, j) for j in range(size)] for i in range(size)]
-
-
 def ev_gram_rank(matchings: list[PerfectMatching], n: int) -> int:
-    """Rank of ``ev_gram(matchings, n)``; only its pivot columns are formed."""
+    """Rank of the Gram matrix of the flat diagrams ``matchings`` (``_flat_gram``);
+    only its pivot columns are formed."""
     size, entry = _flat_gram(matchings, n)
     return _gram_rank([entry(i, i) for i in range(size)],
                       lambda p, rows: [entry(i, p) for i in rows])
@@ -580,7 +451,16 @@ def _root_of_unity(order: int) -> tuple[int, int]:
 
 
 def _flat_gram(matchings: list[PerfectMatching], n: int):
-    """The size of ``ev_gram(matchings, n)`` and its entry function (i, j) -> G[i][j]."""
+    """The size of the Gram matrix G of the tensors of the flat diagrams
+    ``matchings``, in closed form, and its entry function (i, j) -> G[i][j].
+
+    For matchings a and b the entry is s(a) s(b) times one factor +-2n per
+    loop of a and b together, s = (-1)^crossings.  A loop walked from its
+    smallest point, an a-strand step then a b-strand step, with l a-steps
+    and f steps from a smaller to a larger point, gives +2n when f + l is
+    even and -2n otherwise: each strand contributes the cup matrix C = -J or
+    its transpose -C, and C^2 = -1 on the 2n-dimensional space.
+    """
     mates, signs = [], []
     for m in matchings:
         if m.n_points != matchings[0].n_points:
@@ -591,7 +471,7 @@ def _flat_gram(matchings: list[PerfectMatching], n: int):
 
 
 def _loop_product(a: list[int], b: list[int], dim: int) -> int:
-    """Product over the loops of the mate arrays a and b of +-dim (see ev_gram)."""
+    """Product over the loops of the mate arrays a and b of +-dim (see ``_flat_gram``)."""
     seen = [False] * len(a)
     value = 1
     for start in range(1, len(a)):
@@ -609,21 +489,3 @@ def _loop_product(a: list[int], b: list[int], dim: int) -> int:
                 break
         value *= -dim if parity else dim
     return value
-
-
-def symplectic_sample(n: int) -> list[dict[int, tuple[int, int]]]:
-    """A few exact form-preserving monomial maps, as col -> (row, sign)."""
-    d = 2 * n
-    maps = []
-    maps.append({j: (j, -1) for j in range(d)})  # -identity
-    rot = {}
-    for i in range(n):
-        rot[i] = (i + n, 1)      # e_i -> f_i
-        rot[i + n] = (i, -1)     # f_i -> -e_i
-    maps.append(rot)
-    if n >= 2:
-        swap = {j: (j, 1) for j in range(d)}
-        swap[0], swap[1] = (1, 1), (0, 1)
-        swap[n], swap[n + 1] = (n + 1, 1), (n, 1)
-        maps.append(swap)
-    return maps

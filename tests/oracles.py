@@ -11,7 +11,7 @@ sums the package's ``mn_character`` values where ``schur_expand`` adds
 ribbons, ``orbits_by_rotate``,
 which walks orbits with ``PerfectMatching.rotate`` where ``orbits`` reads
 them off one index permutation, ``gram_by_dot``, which takes dot
-products of the package's tensors where ``ev_gram`` counts loops, and
+products of the package's tensors where ``_flat_gram`` counts loops, and
 ``compose_by_definition``, which multiplies the package's scalars pair by
 pair where ``Morphism.__mul__`` sums integer numerators,
 ``check_eq_ch_by_definition``, which builds ``e.scaled(rho)`` per diagram
@@ -27,6 +27,23 @@ and ``adjoint_invariant_character`` sum integer numerators,
 ``orbit_multiplicities_by_moebius``, which inverts
 the package's reduction mod q^N - 1 by the Moebius function where
 ``orbit_multiplicities`` peels divisor classes.
+
+The reference routes that tests compare the package against, but that no
+command runs, also live here and use the package's types:
+
+- ``ev_sliced`` cuts a diagram into elementary layers (one cup, cap or
+  crossing each) and contracts the generator tensors in sequence with
+  ``Tensor.contract``, where ``ev_diagram`` writes the tensor down in closed
+  form; two slicings agree with each other and with the closed form
+  (criterion 3).  ``outer``, ``transpose``, ``compose_maps``,
+  ``tensor_maps``, ``ev_generator``, ``identity_tensor`` and
+  ``symplectic_sample`` are its contraction layer.
+- ``enumerate_pf_generators`` lists every kernel generator on a boundary
+  (criterion 4).
+- ``orbit_multiplicities``, which runs the package's ``csp._peel`` that
+  ``verify_csp`` uses, and ``is_cyclic_sieving_polynomial`` (criterion 8b).
+- ``syt_count`` (the hook length formula), ``q_int``, ``q_factorial``, the
+  Hall inner product ``scalar_product`` and ``plethysm_p``.
 """
 
 from __future__ import annotations
@@ -379,7 +396,7 @@ def cauchy_pairing_by_definition(r: int, g, partner):
     """<h_r(X * g(Y)), partner(Y)>_Y: for each nu of r the product of the
     plethysms p_t[g] over the parts t of nu, Hall-paired with partner, over z_nu."""
     from brauercat.partitions import partitions, z_order
-    from brauercat.symfunc import SymFuncP, plethysm_p, scalar_product
+    from brauercat.symfunc import SymFuncP
 
     out = {}
     for nu in partitions(r):
@@ -396,7 +413,7 @@ def plethysm_by_products(f, g, max_degree=None):
     """f composed with g as a sum of ``SymFuncP`` products: each p_lam of f
     becomes the product of the ``plethysm_p(t, g)`` over the parts t of lam,
     every factor and partial product cut to degree ``max_degree`` (None: no cut)."""
-    from brauercat.symfunc import SymFuncP, plethysm_p
+    from brauercat.symfunc import SymFuncP
 
     def capped(h):
         if max_degree is None:
@@ -577,3 +594,256 @@ def check_eq_ch_by_definition(e, n: int):
         if compose_by_definition(e, xm) != want:
             return CentralityReport(False, x, "e*x != rho(x)*e")
     return CentralityReport(True)
+
+
+def outer(t, u):
+    """Outer product of two package ``Tensor``s: t's axes, then u's."""
+    from brauercat.tensors import Tensor
+
+    data = {}
+    for k1, v1 in t.data.items():
+        for k2, v2 in u.data.items():
+            data[k1 + k2] = v1 * v2
+    return Tensor(t.dims + u.dims, data)
+
+
+def transpose(t, perm: tuple[int, ...]):
+    """The package ``Tensor`` t with its axes permuted: axis i of the result is perm[i] of t."""
+    from brauercat.tensors import Tensor
+
+    if sorted(perm) != list(range(t.ndim)):
+        raise ValueError(f"bad axis permutation {perm}")
+    dims = tuple(t.dims[p] for p in perm)
+    data = {tuple(k[p] for p in perm): v for k, v in t.data.items()}
+    return Tensor(dims, data)
+
+
+def ev_generator(kind: str, n: int):
+    """Tensor of an elementary generator: "cup", "cap" or "crossing", from
+    the package's closed form.
+
+    Cup has two output slots, cap two input slots, crossing inputs then outputs.
+    """
+    from brauercat.matchings import Diagram, PerfectMatching
+    from brauercat.tensors import ev_diagram
+
+    shapes = {"cup": (0, 2, ((1, 2),)), "cap": (2, 0, ((1, 2),)),
+              "crossing": (2, 2, ((1, 4), (2, 3)))}
+    if kind not in shapes:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    r, s, pairs = shapes[kind]
+    return ev_diagram(Diagram(r, s, PerfectMatching(pairs)), n)
+
+
+def identity_tensor(n: int):
+    from brauercat.matchings import Diagram
+    from brauercat.tensors import ev_diagram
+
+    return ev_diagram(Diagram.identity(1), n)
+
+
+def ev_sliced(d, n: int, strategy: str):
+    """Tensor of a diagram contracted layer by layer from the generators with
+    the package's ``Tensor.contract``, where ``ev_diagram`` writes it down in
+    closed form.
+
+    The diagram is sliced into layers of one cup, cap or crossing each; the
+    "left" and "right" strategies use different layer orders, so comparing
+    them with each other and with ev_diagram checks slicing independence.
+    """
+    from brauercat.tensors import Tensor
+
+    if strategy not in ("left", "right"):
+        raise ValueError(f"unknown slicing strategy {strategy!r}")
+    left = strategy == "left"
+    r = d.r
+    wires = list(range(1, r + 1))  # the top point, later the bottom point, of each wire
+    layers = []  # (generator kind, position of its left wire)
+
+    def cross(p):
+        layers.append(("crossing", p))
+        wires[p:p + 2] = wires[p + 1], wires[p]
+
+    caps = sorted((ab for ab in d.matching.pairs if ab[1] <= r),
+                  key=lambda ab: ab[0] if left else -ab[1])
+    for a, b in caps:
+        pa, pb = wires.index(a), wires.index(b)
+        if left:  # bring b leftwards next to a
+            for p in range(pb - 1, pa, -1):
+                cross(p)
+        else:  # bring a rightwards next to b
+            for p in range(pa, pb - 1):
+                cross(p)
+            pa = pb - 1
+        layers.append(("cap", pa))
+        del wires[pa:pa + 2]
+    through = {a: b for a, b in d.matching.pairs if a <= r < b}
+    wires[:] = [through[w] for w in wires]
+    cups = sorted(ab for ab in d.matching.pairs if ab[0] > r)
+    for a, b in (cups if left else reversed(cups)):
+        p = len(wires) if left else 0
+        layers.append(("cup", p))
+        wires[p:p] = [a, b]
+    passes = range(len(wires) - 1) if left else range(len(wires) - 2, -1, -1)
+    unsorted = True
+    while unsorted:  # bubble passes sort the wires by destination
+        unsorted = False
+        for p in passes:
+            if wires[p] > wires[p + 1]:
+                cross(p)
+                unsorted = True
+
+    # Axes: the r top slots, then one per open wire from left to right.
+    t = Tensor.scalar(1)
+    for _ in range(r):
+        t = outer(t, identity_tensor(n))
+    t = transpose(t, tuple(range(0, 2 * r, 2)) + tuple(range(1, 2 * r, 2)))
+    generators = {kind: ev_generator(kind, n) for kind in ("cup", "cap", "crossing")}
+    for kind, p in layers:
+        if kind == "cup":
+            t = outer(t, generators[kind])
+        else:
+            t = t.contract(generators[kind], (r + p, r + p + 1), (0, 1))
+        if kind != "cap":  # move the two new output axes to wires p, p + 1
+            rest = tuple(range(t.ndim - 2))
+            t = transpose(t, rest[:r + p] + (t.ndim - 2, t.ndim - 1) + rest[r + p:])
+    return t
+
+
+def compose_maps(tx, ty, mid: int):
+    """Compose map tensors: contract tx's last ``mid`` slots with ty's first."""
+    axes_x = tuple(range(tx.ndim - mid, tx.ndim))
+    axes_y = tuple(range(mid))
+    return tx.contract(ty, axes_x, axes_y)
+
+
+def tensor_maps(tx, shape_x: tuple[int, int], ty, shape_y: tuple[int, int]):
+    """Side-by-side product of map tensors, with slots interleaved correctly."""
+    r1, s1 = shape_x
+    r2, s2 = shape_y
+    perm = tuple(range(r1)) + tuple(r1 + s1 + i for i in range(r2)) \
+        + tuple(r1 + i for i in range(s1)) + tuple(r1 + s1 + r2 + i for i in range(s2))
+    return transpose(outer(tx, ty), perm)
+
+
+def symplectic_sample(n: int) -> list[dict[int, tuple[int, int]]]:
+    """A few exact form-preserving monomial maps, as col -> (row, sign)."""
+    d = 2 * n
+    maps = []
+    maps.append({j: (j, -1) for j in range(d)})  # -identity
+    rot = {}
+    for i in range(n):
+        rot[i] = (i + n, 1)      # e_i -> f_i
+        rot[i + n] = (i, -1)     # f_i -> -e_i
+    maps.append(rot)
+    if n >= 2:
+        swap = {j: (j, 1) for j in range(d)}
+        swap[0], swap[1] = (1, 1), (0, 1)
+        swap[n], swap[n + 1] = (n + 1, 1), (n, 1)
+        maps.append(swap)
+    return maps
+
+
+def enumerate_pf_generators(n: int, points: int):
+    """All kernel generators (the package's ``PfGenerator``) on the given
+    boundary, in a deterministic order."""
+    from brauercat.matchings import _matchings_of
+    from brauercat.pfaffian import PfGenerator
+
+    size = 2 * (n + 1)
+    if points < size or points % 2 != 0:
+        return
+    all_points = tuple(range(1, points + 1))
+    for subset in combinations(all_points, size):
+        rest_points = tuple(p for p in all_points if p not in subset)
+        for f in _matchings_of(rest_points):
+            yield PfGenerator(n, points, subset, f)
+
+
+def orbit_multiplicities(p, order: int):
+    """Orbit-size multiplicities any sieving set for p would need, by the
+    package's peeling of divisor classes (``csp._peel``, which
+    ``verify_csp`` runs).
+
+    Returns None when the reduction of p is not constant on gcd classes;
+    otherwise a map orbit size -> multiplicity (possibly negative or
+    fractional, which disqualifies p as a sieving polynomial).
+    """
+    from brauercat.csp import _peel
+
+    reduced = p.reduce_mod_cyclic(order)
+    by_class: dict[int, object] = {}
+    for e in range(order):
+        c = gcd(e, order) if e else order
+        value = reduced.coefficient(e)
+        if c in by_class and by_class[c] != value:
+            return None
+        by_class.setdefault(c, value)
+    # by_class[c] counts the orbits of each size N/c' with c' dividing c
+    return {order // c: v for c, v in _peel(by_class).items() if v}
+
+
+def is_cyclic_sieving_polynomial(p, order: int) -> bool:
+    """Whether some set with a free-enough rotation could realize p."""
+    if not p.is_nonnegative_integer():
+        return False
+    mult = orbit_multiplicities(p, order)
+    if mult is None:
+        return False
+    return all(isinstance(m, int) and m >= 0 for m in mult.values())
+
+
+def syt_count(shape) -> int:
+    """Hook length formula."""
+    from brauercat.partitions import check_partition, hooks
+
+    shape = check_partition(shape)
+    m = sum(shape)
+    prod = 1
+    for h in hooks(shape):
+        prod *= h
+    return factorial(m) // prod
+
+
+def q_int(m: int):
+    """1 + q + ... + q^(m-1)."""
+    from brauercat.qpoly import QPolynomial
+
+    if m < 0:
+        raise ValueError("q-integer of a negative number")
+    return QPolynomial((1,) * m)
+
+
+def q_factorial(m: int):
+    from brauercat.qpoly import QPolynomial
+
+    acc = QPolynomial((1,))
+    for i in range(1, m + 1):
+        acc = acc * q_int(i)
+    return acc
+
+
+def scalar_product(f, g) -> Fraction:
+    """Hall inner product of two ``SymFuncP``: <p_lam, p_mu> = z_lam [lam = mu]."""
+    from brauercat.partitions import z_order
+
+    small, big = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
+    total = Fraction(0)
+    for lam, c in small.coeffs.items():
+        d = big.coeffs.get(lam)
+        if d:
+            total += c * d * z_order(lam)
+    return total
+
+
+def plethysm_p(m: int, g):
+    """p_m composed with the ``SymFuncP`` g: substitute p_j -> p_{jm} in g, for m >= 1."""
+    from brauercat.symfunc import SymFuncP
+
+    if m < 1:
+        raise ValueError(f"plethysm_p needs m >= 1, got m={m}")
+    out = {}
+    for lam, c in g.coeffs.items():
+        key = tuple(sorted((j * m for j in lam), reverse=True))
+        out[key] = out.get(key, Fraction(0)) + c
+    return SymFuncP._from_partitions(out)

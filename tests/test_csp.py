@@ -5,8 +5,7 @@ from math import gcd
 import pytest
 
 from brauercat.csp import (CspInstance, divisors, evaluate_at_root_of_unity,
-                           fixed_points, is_cyclic_sieving_polynomial,
-                           orbit_multiplicities, orbit_polynomial, verify_csp,
+                           fixed_points, orbit_polynomial, verify_csp,
                            verify_csp_X)
 from brauercat.matchings import (PerfectMatching, count_fixed_X, count_X,
                                  enumerate_X, enumerate_X_blocked)
@@ -14,6 +13,7 @@ from brauercat.qpoly import QPolynomial
 from brauercat.symfunc import (fake_degree, invariant_character_matchings,
                                invariant_character_sym_power)
 from oracles import (blocked_by_definition, enumerate_X_by_filter,
+                     is_cyclic_sieving_polynomial, orbit_multiplicities,
                      orbit_multiplicities_by_moebius)
 
 

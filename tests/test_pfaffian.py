@@ -7,12 +7,12 @@ from brauercat.category import Morphism, e_sum
 from brauercat.matchings import (Diagram, PerfectMatching, bend, crossing_pairs,
                                  enumerate_matchings, enumerate_X,
                                  find_mutually_crossing, unbend)
-from brauercat.pfaffian import (PfGenerator, _rewrite_pairs, enumerate_pf_generators,
-                                find_violation, normal_form, pfaffian,
-                                rewrite_step)
+from brauercat.pfaffian import (PfGenerator, _rewrite_pairs, find_violation,
+                                normal_form, pfaffian, rewrite_step)
 from brauercat.scalars import DeltaPoly
 from oracles import (all_matchings, crossing_count_by_definition, double_factorial,
-                     first_k_mutual_crossing, normal_form_rescan, rewrite_by_definition)
+                     enumerate_pf_generators, first_k_mutual_crossing,
+                     normal_form_rescan, rewrite_by_definition)
 
 PM = PerfectMatching
 

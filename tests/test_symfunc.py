@@ -19,15 +19,14 @@ from brauercat.symfunc import (SymFuncP, _bead_mask, _bead_syt_count,
                                littlewood_check, mn_character,
                                partition_category_character,
                                partition_category_character_multiset,
-                               plethysm, plethysm_p,
-                               regular_graph_character, scalar_product,
+                               plethysm, regular_graph_character,
                                schur_expand, schur_to_p)
-from brauercat.tableaux import syt_count
 from oracles import (adjoint_by_kronecker, bell, cauchy_pairing_by_definition,
                      fake_degree_by_syt, fundamental_by_sums, multiset_partition_count,
-                     p_to_schur_coeff, plethysm_by_products,
-                     regular_multigraph_count, schur_expand_by_definition,
-                     schur_sum_by_mn, set_partition_count)
+                     p_to_schur_coeff, plethysm_by_products, plethysm_p,
+                     regular_multigraph_count, scalar_product,
+                     schur_expand_by_definition, schur_sum_by_mn,
+                     set_partition_count, syt_count)
 
 F = Fraction
 
