@@ -36,7 +36,8 @@ class PerfectMatching:
     @classmethod
     def _from_canonical(cls, pairs: tuple[tuple[int, int], ...]) -> PerfectMatching:
         """Wrap pairs that are already a canonical perfect matching, unchecked;
-        the search of X(r, n, k) builds its outputs through this."""
+        the enumerations, ``bend`` and ``pfaffian`` build their outputs
+        through this."""
         out = cls.__new__(cls)
         object.__setattr__(out, "pairs", pairs)
         return out
@@ -117,7 +118,7 @@ def enumerate_matchings(points: int) -> Iterator[PerfectMatching]:
     """All (points-1)!! perfect matchings of {1, ..., points}, smallest free point first."""
     if points % 2 != 0 or points < 0:
         raise ValueError(f"point count must be even and non-negative, got {points}")
-    yield from (PerfectMatching(p) for p in _matchings_of(tuple(range(1, points + 1))))
+    yield from map(PerfectMatching._from_canonical, _matchings_of(tuple(range(1, points + 1))))
 
 
 def _matchings_of(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -345,10 +346,21 @@ def bend(d: Diagram) -> Diagram:
 
     Top points are read right to left (top point i becomes boundary point
     r+1-i), bottom points keep their labels; this realizes Hom(r, s) = Hom(0, r+s).
+    A flat diagram is its own bend.
     """
-    relabel = lambda p: d.r + 1 - p if p <= d.r else p
-    pm = PerfectMatching(tuple((relabel(a), relabel(b)) for a, b in d.matching.pairs))
-    return Diagram(0, d.r + d.s, pm)
+    return Diagram(0, d.r + d.s, _bent_matching(d)) if d.r else d
+
+
+def _bent_matching(d: Diagram) -> PerfectMatching:
+    """The matching of ``bend(d)``, built without the diagram.  Relabelling
+    keeps a pair (a, b), a < b, increasing unless both ends are top points,
+    so the canonical pairs take one swap per cap and one sort."""
+    r = d.r
+    if not r:
+        return d.matching
+    pairs = sorted((r + 1 - b, r + 1 - a) if b <= r else (r + 1 - a, b) if a <= r else (a, b)
+                   for a, b in d.matching.pairs)
+    return PerfectMatching._from_canonical(tuple(pairs))
 
 
 def unbend(m: PerfectMatching | Diagram, r: int, s: int) -> Diagram:

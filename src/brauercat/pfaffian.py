@@ -16,9 +16,8 @@ from fractions import Fraction
 from functools import cache
 
 from .category import Morphism
-from .matchings import (Diagram, PerfectMatching, bend, crossing_pairs,
-                        find_mutually_crossing, unbend, _first_mutually_crossing,
-                        _matchings_of)
+from .matchings import (Diagram, PerfectMatching, crossing_pairs, find_mutually_crossing,
+                        unbend, _bent_matching, _first_mutually_crossing, _matchings_of)
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ def pfaffian(g: PfGenerator, delta=None) -> Morphism:
     """Sum of all matchings of the subset, each completed by the fixed matching."""
     terms = {}
     for s in _matchings_of(g.subset):
-        pm = PerfectMatching(s + g.rest)
+        pm = PerfectMatching._from_canonical(tuple(sorted(s + g.rest)))
         terms[Diagram(0, g.points, pm)] = 1
     return Morphism(0, g.points, terms, delta)
 
@@ -137,7 +136,7 @@ def normal_form(m: Morphism, n: int, _trace: list | None = None) -> Morphism:
         bucket[pairs] = bucket.get(pairs, 0) + c
 
     for d, c in terms:
-        pm = bend(d).matching if m.r else d.matching
+        pm = _bent_matching(d)
         push(pm.pairs, crossing_pairs(pm), c)
     out: dict[tuple, object] = {}
     # rewrites fill lower buckets during the walk, so walk the counts, not a snapshot

@@ -9,9 +9,14 @@ diagrams.
 Tensors are sparse, index tuples to exact values ((2n)^m nonzero on 2m points);
 ``ev_morphism`` sums on integer-coded keys and decodes only the survivors.
 Where it costs fewer steps, it first takes the Gram norm of the sum in
-integers, one loop walk per pair of terms (``_ev_norm``): bending preserves
-dot products, and over Q a zero norm is a zero tensor, so a kernel element
-such as a Pfaffian generator or the idempotent's E is settled with no tensor.
+integers (``_ev_norm``): bending preserves dot products, and over Q a zero
+norm is a zero tensor, so a kernel element such as a Pfaffian generator or
+the idempotent's E is settled with no tensor.  A point permutation sigma
+acts by P_sigma ev(d) = sgn(sigma) ev(sigma d), the crossing sign being the
+Pfaffian sign, so the Gram is invariant under it, and the norm is summed
+over the classes of the point transpositions that preserve the
+coefficients: T loop walks for E or a Pfaffian generator of T terms, and
+the T (T + 1) / 2 of all pairs when no transposition does.
 
 Exact ranks are integer-only, all from one left-looking LDL^T kernel,
 ``_gram_rank``, that asks a positive semidefinite Gram matrix only for its k
@@ -29,13 +34,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import count, product
+from itertools import count
 from math import gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .category import Morphism
-from .matchings import (Diagram, PerfectMatching, bend, count_X, crossing_pairs,
-                        enumerate_matchings, enumerate_X, rotation_cycles)
+from .matchings import (Diagram, PerfectMatching, count_X, crossing_pairs, enumerate_matchings,
+                        enumerate_X, rotation_cycles, _bent_matching)
 from .pfaffian import PfGenerator, pfaffian
 from .scalars import integer_terms
 
@@ -48,6 +53,14 @@ class Tensor:
     def __init__(self, dims: tuple[int, ...], data: dict | None = None):
         self.dims = tuple(dims)
         self.data = {k: v for k, v in (data or {}).items() if v}
+
+    @classmethod
+    def _from_nonzero(cls, dims: tuple[int, ...], data: dict) -> Tensor:
+        """Wrap a dict that holds no zero value, unchecked and uncopied;
+        ``ev_diagram`` builds its tensors through this."""
+        out = cls.__new__(cls)
+        out.dims, out.data = dims, data
+        return out
 
     @classmethod
     def scalar(cls, value=1) -> Tensor:
@@ -123,11 +136,16 @@ def _closed_form(d: Diagram, n: int) -> tuple[int, list]:
     """The sign and strand tables of ``ev_diagram``, in the order of the pairs."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    sign = -1 if crossing_pairs(bend(d).matching) % 2 else 1
-    cap = [((i, n + i), 1) for i in range(n)] + [((n + i, i), -1) for i in range(n)]
-    cup = [(ij, -v) for ij, v in cap]
-    ident = [((i, i), 1) for i in range(2 * n)]
+    sign = -1 if crossing_pairs(_bent_matching(d)) % 2 else 1
+    ident, cap, cup = _strand_tables(n)
     return sign, [ident if a <= d.r < b else cap if b <= d.r else cup for a, b in d.matching.pairs]
+
+
+@cache
+def _strand_tables(n: int) -> tuple[list, list, list]:
+    """The identity, cap and cup tables of ``_closed_form`` at rank n."""
+    cap = [((i, n + i), 1) for i in range(n)] + [((n + i, i), -1) for i in range(n)]
+    return [((i, i), 1) for i in range(2 * n)], cap, [(ij, -v) for ij, v in cap]
 
 
 def ev_diagram(d: Diagram, n: int) -> Tensor:
@@ -140,25 +158,27 @@ def ev_diagram(d: Diagram, n: int) -> Tensor:
     strand the identity.  ``_closed_form`` holds the sign and the tables.
     """
     sign, factors = _closed_form(d, n)
-    pairs = d.matching.pairs
-    data = {}
-    key = [0] * (d.r + d.s)
-    for choice in product(*factors):
-        value = sign
-        for (a, b), ((i, j), v) in zip(pairs, choice):
-            key[a - 1], key[b - 1] = i, j
-            value *= v
-        data[tuple(key)] = value
-    return Tensor((2 * n,) * (d.r + d.s), data)
+    entries = [((), sign)]  # keys in pair order: i_a1, i_b1, i_a2, i_b2, ...
+    for table in factors:
+        entries = [(key + ij, x * v) for key, x in entries for ij, v in table]
+    points = d.r + d.s
+    if not points:
+        return Tensor._from_nonzero((), dict(entries))
+    slot = [0] * points  # slot p - 1 reads position slot[p - 1] of a pair-order key
+    for pos, p in enumerate(p for pair in d.matching.pairs for p in pair):
+        slot[p - 1] = pos
+    reorder = itemgetter(*slot)
+    return Tensor._from_nonzero((2 * n,) * points, {reorder(key): x for key, x in entries})
 
 
 def ev_morphism(m: Morphism, n: int) -> Tensor:
     """Linear extension of the diagram evaluation, with Fraction values.
 
     The terms are lcm-scaled to integers.  When the Gram norm of the sum costs
-    no more loop steps than its expansion has entries, about (T + 1) P / 4
-    against (2n)^(P/2) per term for T terms on P points, ``_ev_norm`` is taken
-    first: a zero norm is a zero tensor.  Otherwise, and for a nonzero norm,
+    no more loop steps than its expansion has entries, at most about
+    (T + 1) P / 4 (with no symmetry to sum over) against (2n)^(P/2) per term
+    for T terms on P points, ``_ev_norm`` is taken first: a zero norm is a
+    zero tensor.  Otherwise, and for a nonzero norm,
     the closed forms are summed with no tensor on integer keys (slot p of P
     weighs (2n)^(P-p)); only survivors are decoded.
     """
@@ -188,28 +208,77 @@ def ev_morphism(m: Morphism, n: int) -> Tensor:
 
 
 def _ev_norm(terms: list, n: int) -> int:
-    """The squared length sum_k v_k^2 of the tensor sum_i c_i ev(d_i), for
-    integer terms (d_i, c_i), by the loop rule of ``_flat_gram``.
+    """The squared length sum_k v_k^2 of the tensor v = sum_i c_i ev(d_i), for
+    integer terms (d_i, c_i), by the loop rule of ``_flat_gram``, summed over
+    classes of a point symmetry of the terms.
 
     Bending contracts each top slot with a cup, whose table is a signed
     permutation of the 2n indices.  That map is the same for every diagram of
-    one shape (r, s) and preserves dot products, so <ev(d), ev(d')> is the
-    flat Gram entry of bend(d) and bend(d'), whose sign is the crossing sign
-    of ``_closed_form``.  The sum runs over i <= j, the off-diagonal entries
-    counted twice.  Over Q the dot product is anisotropic, so the norm is 0
-    exactly when the tensor is.  The signs go into the coefficients, and the
-    loop products are taken directly: ``_flat_gram``'s entry function would
-    double the cost.
+    one shape (r, s) and preserves dot products, so the norm is that of the
+    flat sum of c_i ev(bend(d_i)), and <ev(a), ev(b)> = G(a, b) is a flat
+    Gram entry.  Over Q the dot product is anisotropic, so the norm is 0
+    exactly when the tensor is.
+
+    A point permutation sigma moves the slots: P_sigma ev(d) =
+    sgn(sigma) ev(sigma d), since the crossing sign (-1)^crossings is the
+    Pfaffian sign of d and a strand turned around flips its antisymmetric
+    factor.  So G(sigma a, sigma b) = G(a, b).  Each point transposition
+    (i j), i < j, that does not join two points already in one block is
+    tested for whether it preserves the map from flat matching to
+    coefficient (one swapped mate tuple per term, looked up); those that do
+    generate a product H of symmetric groups on point blocks, and the terms
+    are a union of H-orbits, each with one coefficient c_O.  The orbit of a
+    matching is its multiset of strand block pairs, and for orbits O, O',
+    with x_O in O, sum over x in O and y in O' of G(x, y) is
+    |O| sum_(y in O') G(x_O, y).  So the norm is the sum over orbits O of
+    |O| c_O sum_y c_y G(x_O, y), y running over O and, counted twice, the
+    orbits after O: one loop walk per term y for each orbit up to y's own.
+    With no symmetry that is the T (T + 1) / 2 walks of every pair i <= j of
+    T terms, and for one orbit it is T walks.  The crossing signs go into
+    the coefficients, and the loop products are taken directly:
+    ``_flat_gram``'s entry function would double the cost.
     """
-    flat = []
+    coeff, signed = {}, {}  # flat mate tuple -> coefficient, and times the crossing sign
     for d, c in terms:
-        pm = bend(d).matching
-        flat.append((pm.involution(), -c if crossing_pairs(pm) % 2 else c))
+        pm = _bent_matching(d)
+        mate = tuple(pm.involution())
+        coeff[mate] = c
+        signed[mate] = -c if crossing_pairs(pm) % 2 else c
+    points = len(next(iter(coeff), (0,))) - 1
+    block = list(range(points + 1))  # block[p]: a label shared by the points of p's block
+    for i in range(1, points + 1):
+        for j in range(i + 1, points + 1):
+            if block[i] != block[j] and _preserves(coeff, i, j):
+                old = block[j]
+                block = [block[i] if b == old else b for b in block]
+    orbits: dict[tuple, list] = {}
+    for mate, x in signed.items():
+        ends = ((block[p], block[q]) for p, q in enumerate(mate) if p < q)
+        key = tuple(sorted((u, v) if u < v else (v, u) for u, v in ends))
+        orbits.setdefault(key, []).append((mate, x))
+    classes = list(orbits.values())
     total = 0
-    for i, (a, x) in enumerate(flat):
-        cross = sum(y * _loop_product(a, b, 2 * n) for b, y in flat[i + 1:])
-        total += x * (x * _loop_product(a, a, 2 * n) + 2 * cross)
+    for o, members in enumerate(classes):
+        a, x = members[0]
+        own = sum(y * _loop_product(a, b, 2 * n) for b, y in members)
+        cross = sum(y * _loop_product(a, b, 2 * n) for later in classes[o + 1:] for b, y in later)
+        total += len(members) * x * (own + 2 * cross)
     return total
+
+
+def _preserves(coeff: dict, i: int, j: int) -> bool:
+    """Whether the point transposition (i j) maps each mate tuple of ``coeff``
+    to one with the same coefficient: mate' = (i j) mate (i j)."""
+    get = coeff.get
+    for mate, c in coeff.items():
+        mi, mj = mate[i], mate[j]
+        if mi == j:  # the strand (i, j) is its own image
+            continue
+        image = list(mate)
+        image[i], image[j], image[mi], image[mj] = mj, mi, j, i
+        if get(tuple(image), 0) != c:
+            return False
+    return True
 
 
 def _gram_rank(diag: list[int], column) -> int:
@@ -333,10 +402,11 @@ def _block_work(r: int, n: int, k: int) -> int:
     """Estimated cost of the block route in steps of ``_gram_rank`` (about
     0.1 us each on a 2-core host): 3 k^2 for the loop walks and the Fourier
     sums, (r + 1) (k / 2r)^3 for the eliminations, 30 per loop walk of the
-    Pfaffian check (T (T + 1) / 2 walks for T = (2n+1)!! terms, when n < r),
-    and 3000 for the enumeration of X and the prime search."""
+    Pfaffian check (T walks for its T = (2n+1)!! terms, one symmetry class
+    for ``_ev_norm``, when n < r), and 3000 for the enumeration of X and the
+    prime search."""
     pf_terms = prod(range(1, 2 * n + 2, 2)) if n < r else 0
-    return 3 * k * k + (r + 1) * (k // (2 * r)) ** 3 + 15 * pf_terms * (pf_terms + 1) + 3000
+    return 3 * k * k + (r + 1) * (k // (2 * r)) ** 3 + 30 * pf_terms + 3000
 
 
 def _pfaffian_vanishes(n: int) -> bool:

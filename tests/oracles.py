@@ -11,7 +11,9 @@ sums the package's ``mn_character`` values where ``schur_expand`` adds
 ribbons, ``orbits_by_rotate``,
 which walks orbits with ``PerfectMatching.rotate`` where ``orbits`` reads
 them off one index permutation, ``gram_by_dot``, which takes dot
-products of the package's tensors where ``_flat_gram`` counts loops, and
+products of the package's tensors where ``_flat_gram`` counts loops,
+``pairwise_ev_norm``, which walks the package's loop products for every
+pair of terms where ``_ev_norm`` walks one matching per symmetry class, and
 ``compose_by_definition``, which multiplies the package's scalars pair by
 pair where ``Morphism.__mul__`` sums integer numerators,
 ``check_eq_ch_by_definition``, which builds ``e.scaled(rho)`` per diagram
@@ -574,6 +576,25 @@ def gram_by_dot(tensors) -> list:
             row.append(sum(v * big.get(k, 0) for k, v in small.items()))
         gram.append(row)
     return gram
+
+
+def pairwise_ev_norm(terms, n: int) -> int:
+    """The squared length of sum_i c_i ev(d_i) for integer terms (d_i, c_i),
+    one loop walk per pair i <= j, the off-diagonal pairs counted twice: the
+    package's ``_loop_product`` of the bent matchings, each coefficient signed
+    by its matching's crossing parity."""
+    from brauercat.matchings import bend, crossing_pairs
+    from brauercat.tensors import _loop_product
+
+    flat = []
+    for d, c in terms:
+        pm = bend(d).matching
+        flat.append((pm.involution(), -c if crossing_pairs(pm) % 2 else c))
+    total = 0
+    for i, (a, x) in enumerate(flat):
+        cross = sum(y * _loop_product(a, b, 2 * n) for b, y in flat[i + 1:])
+        total += x * (x * _loop_product(a, a, 2 * n) + 2 * cross)
+    return total
 
 
 def check_eq_ch_by_definition(e, n: int):

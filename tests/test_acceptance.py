@@ -7,11 +7,8 @@ morphisms; nothing is approximate anywhere in this file.
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
 from brauercat.category import (Morphism, check_eq_ch, compose_diagrams,
-                                e_rec, e_sum, generator_s, generator_u,
-                                r_element)
+                                e_rec, e_sum, r_element)
 from brauercat.csp import CspInstance, verify_csp
 from brauercat.matchings import (Diagram, enumerate_matchings, enumerate_X,
                                  enumerate_X_blocked, iter_set_partitions,

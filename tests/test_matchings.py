@@ -103,6 +103,7 @@ def test_enumerate_matchings_double_factorial():
         seen = list(enumerate_matchings(2 * m))
         assert len(seen) == double_factorial(2 * m - 1)
         assert len(set(seen)) == len(seen)
+        assert all(pm == PM(pm.pairs) for pm in seen)  # built unchecked, so check canonical
 
 
 def test_enumerate_matchings_rejects_odd():
@@ -280,6 +281,7 @@ def test_bend_bijection():
             assert len(bent) == len(diagrams)
             for d in diagrams:
                 assert unbend(bend(d).matching, r, s) == d
+                assert bend(d).matching == PM(bend(d).matching.pairs)  # canonical pairs
 
 
 @pytest.mark.parametrize("r,n,expect", [(4, 2, 8), (3, 3, 5), (3, 5, 5), (0, 2, 1)])

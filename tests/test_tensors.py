@@ -5,9 +5,8 @@ from math import lcm
 
 import pytest
 
-from brauercat.category import (Morphism, compose_diagrams, e_sum,
-                                generator_s, generator_u, tensor_diagrams)
-from brauercat.matchings import (Diagram, PerfectMatching, count_X, enumerate_matchings,
+from brauercat.category import Morphism, compose_diagrams, e_sum, generator_u, tensor_diagrams
+from brauercat.matchings import (Diagram, PerfectMatching, bend, count_X, enumerate_matchings,
                                  enumerate_X, unbend)
 from brauercat.pfaffian import PfGenerator, normal_form, pfaffian
 from brauercat.scalars import integer_terms
@@ -17,8 +16,8 @@ from brauercat.tensors import (Tensor, _block_rank, _ev_norm, _flat_gram, _gram_
                                rank_of_span)
 from oracles import (compose_maps, ev_generator, ev_sliced, exact_rank_bareiss,
                      generator_tensor_by_form, gram_by_dot, identity_tensor,
-                     strand_factor_tensor, symplectic_form, symplectic_sample,
-                     tensor_maps)
+                     pairwise_ev_norm, strand_factor_tensor, symplectic_form,
+                     symplectic_sample, tensor_maps)
 
 
 def diagrams(r, s):
@@ -102,6 +101,29 @@ def test_closed_form_matches_slicing_at_eight_points():
         want = ev_sliced(d, n, "left")
         assert ev_diagram(d, n) == want, (d, n)
         assert ev_sliced(d, n, "right") == want, (d, n)
+
+
+def test_ev_diagram_on_the_smallest_shapes():
+    # no points: the scalar 1; two points: the key reorder takes two slots
+    for n in (1, 2, 3):
+        assert ev_diagram(Diagram(0, 0, PerfectMatching(())), n) == Tensor.scalar(1)
+        for r in (0, 1, 2):
+            d = Diagram(r, 2 - r, PerfectMatching(((1, 2),)))
+            assert ev_diagram(d, n) == ev_sliced(d, n, "left") == ev_sliced(d, n, "right"), (d, n)
+
+
+def test_ev_diagram_through_strands_match_slicing():
+    # every shape with a through strand up to 6 points, and a sample at 8
+    rng = random.Random(32)
+    for n in (1, 2, 3):
+        for r, s in ((1, 1), (1, 3), (3, 1), (2, 2), (1, 5), (5, 1), (2, 4), (4, 2), (3, 3)):
+            for d in diagrams(r, s):
+                if d.propagating_number:
+                    assert ev_diagram(d, n) == ev_sliced(d, n, "left"), (d, n)
+    for r in (1, 3, 5, 7):
+        through = [d for d in diagrams(r, 8 - r) if d.propagating_number]
+        for d in rng.sample(through, 4):
+            assert ev_diagram(d, 2) == ev_sliced(d, 2, "right"), d
 
 
 def test_ev_sliced_rejects_unknown_strategy():
@@ -263,12 +285,116 @@ def test_ev_norm_is_the_squared_length_of_the_expansion():
     for m, n, kernel in cases:
         terms, scale = integer_terms(m.terms)
         want = _expanded(terms, n)  # scale times the tensor of m
-        assert _ev_norm(terms, n) == sum(v * v for v in want.values()), (m, n)
+        norm = sum(v * v for v in want.values())
+        assert _ev_norm(terms, n) == pairwise_ev_norm(terms, n) == norm, (m, n)
         assert not kernel or (len(terms) > 1 and not want), (m, n)
         assert ev_morphism(m, n) == Tensor((2 * n,) * (m.r + m.s),
                                            {k: Fraction(v, scale) for k, v in want.items()})
         nonzero_norm_side += bool(want) and _norm_side(m, n)
     assert nonzero_norm_side > 100
+
+
+def _norm_walks(monkeypatch, terms, n) -> tuple[int, int]:
+    """``_ev_norm`` of integer terms, and the number of loop walks it took."""
+    import brauercat.tensors as tensors
+
+    walk, walks = tensors._loop_product, []
+    monkeypatch.setattr(tensors, "_loop_product",
+                        lambda a, b, dim: walks.append(1) or walk(a, b, dim))
+    norm = _ev_norm(terms, n)
+    monkeypatch.setattr(tensors, "_loop_product", walk)
+    return norm, len(walks)
+
+
+def _check_norm(monkeypatch, m, n) -> int:
+    """``_ev_norm`` of m against the pairwise oracle and the expansion; its walks."""
+    terms, _ = integer_terms(m.terms)
+    norm, walks = _norm_walks(monkeypatch, terms, n)
+    assert norm == pairwise_ev_norm(terms, n), (m, n)
+    assert norm == sum(v * v for v in _expanded(terms, n).values()), (m, n)
+    return walks
+
+
+def _block_key(blocks):
+    """The orbit of a flat matching under the Young subgroup of ``blocks``:
+    its sorted multiset of strand block pairs."""
+    label = {p: i for i, block in enumerate(blocks) for p in block}
+    return lambda pairs: tuple(sorted(tuple(sorted((label[a], label[b]))) for a, b in pairs))
+
+
+def test_ev_norm_sums_over_young_subgroup_orbits(monkeypatch):
+    # sums of whole orbits of a 2- or 3-block Young subgroup, one distinct
+    # coefficient per orbit: one walk per term y for each orbit up to y's own
+    rng = random.Random(33)
+    cases = [(1, ((1, 4, 6), (2, 3, 5, 7, 8)), 2), (2, ((1, 4, 6, 7), (2, 3, 5, 8)), 2),
+             (1, ((2, 7), (1, 3, 8), (4, 5, 6)), 4), (2, ((2, 7), (1, 3, 8), (4, 5, 6)), 3),
+             (1, ((1, 2), (3, 5, 9), (4, 6, 7, 8, 10)), 2)]
+    for n, blocks, count in cases:
+        points, key = sum(map(len, blocks)), _block_key(blocks)
+        orbits = {}
+        for pm in enumerate_matchings(points):
+            orbits.setdefault(key(pm.pairs), []).append(pm)
+        picked = rng.sample(sorted(orbits), count)
+        coeffs = [rng.choice((-1, 1)) * c for c in rng.sample(range(1, 40), count)]
+        flat = Morphism(0, points, {Diagram(0, points, pm): Fraction(c, 6)
+                                    for o, c in zip(picked, coeffs) for pm in orbits[o]},
+                        Fraction(-2 * n))
+        sizes = [len(orbits[o]) for o in picked]
+        assert len(set(sizes)) > 1, sizes
+        order = list(dict.fromkeys(key(d.matching.pairs) for d in flat.terms))
+        want = sum(len(orbits[o]) * (i + 1) for i, o in enumerate(order))
+        terms = len(flat.terms)
+        assert _check_norm(monkeypatch, flat, n) == want < terms * (terms + 1) // 2, (blocks, n)
+        # the same terms bent to shape (3, points - 3): the norm reads the flat matchings
+        bent = Morphism(3, points - 3, {unbend(d, 3, points - 3): c for d, c in flat.terms.items()},
+                        flat.delta)
+        assert _check_norm(monkeypatch, bent, n) == want, (blocks, n)
+
+
+def test_ev_norm_walks_once_per_term_on_one_orbit(monkeypatch):
+    for n in (1, 2, 3, 4):
+        terms, _ = integer_terms(e_sum(n).terms)
+        assert _norm_walks(monkeypatch, terms, n) == (0, len(terms)), n
+    # Pfaffian generators with fixed strands: Sym(S) times the flips of each fixed strand
+    for n, points, subset, rest in ((1, 8, (2, 4, 5, 7), ((1, 6), (3, 8))),
+                                    (2, 10, (1, 3, 4, 6, 9, 10), ((2, 7), (5, 8)))):
+        pf = pfaffian(PfGenerator(n, points, subset, rest), Fraction(-2 * n))
+        assert all(d.matching == PerfectMatching(d.matching.pairs) for d in pf.terms)
+        terms, _ = integer_terms(pf.terms)
+        assert _norm_walks(monkeypatch, terms, n) == (0, len(terms)), (n, subset)
+
+
+def test_ev_norm_walks_every_pair_without_symmetry(monkeypatch):
+    # distinct coefficients and no strand common to every term: no point
+    # transposition maps the terms to themselves
+    rng = random.Random(34)
+    for n, (r, s), count in ((1, (2, 6), 7), (2, (3, 3), 9), (1, (0, 10), 12)):
+        picked = rng.sample(diagrams(r, s), count)
+        coeffs = [rng.choice((-1, 1)) * c for c in rng.sample(range(1, 50), count)]
+        m = Morphism(r, s, {d: Fraction(c) for d, c in zip(picked, coeffs)}, Fraction(-2 * n))
+        assert not set.intersection(*(set(bend(d).matching.pairs) for d in picked)), (r, s)
+        assert _check_norm(monkeypatch, m, n) == count * (count + 1) // 2, (r, s, n)
+
+
+def test_ev_norm_near_misses(monkeypatch):
+    # a Pfaffian generator with one term dropped (equal coefficients, not
+    # closed), and with one coefficient changed (closed, unequal)
+    for n, points, subset, rest in ((1, 6, (1, 2, 4, 6), ((3, 5),)),
+                                    (2, 8, (1, 2, 3, 5, 6, 8), ((4, 7),))):
+        delta = Fraction(-2 * n)
+        pf = pfaffian(PfGenerator(n, points, subset, rest), delta)
+        for d in list(pf.terms)[::2]:
+            dropped = Morphism(0, points, {e: c for e, c in pf.terms.items() if e != d}, delta)
+            changed = Morphism(0, points, {**pf.terms, d: Fraction(2)}, delta)
+            for m in (dropped, changed):
+                _check_norm(monkeypatch, m, n)
+                assert not ev_morphism(m, n).is_zero(), (m, n)
+    # e_sum(2) with one coefficient changed, bent and flat
+    e = e_sum(2)
+    for d in list(e.terms)[::4]:
+        m = Morphism(3, 3, {**e.terms, d: Fraction(1, 3)}, e.delta)
+        _check_norm(monkeypatch, m, 2)
+        assert ev_morphism(m, 2) == ev_diagram(d, 2).scaled(Fraction(1, 6))
 
 
 def test_ev_morphism_rejects_rank_below_one():
