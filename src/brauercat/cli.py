@@ -63,10 +63,10 @@ def cmd_enumerate(args) -> int:
     what = args.what
     k = None if args.k == 1 else args.k  # --k 1 names X(r, n), as in csp-verify
     if args.count and what in ("X", "oscillating"):
-        # X(r, n) is in bijection with the oscillating tableaux of length 2r with at most n rows
+        # counted without listing: X(r, n) through the oscillating tableaux of
+        # length 2r with at most n rows, X(r, n, k) through the strip walks
         print(tb.count_oscillating(2 * args.r, args.n) if what == "oscillating"
-              else mt.count_X(args.r, args.n) if k is None
-              else mt.count_fixed_X(args.r, args.n, k, 0))
+              else mt.count_X(args.r, args.n, k))
         return 0
     if what == "matchings":
         items = [str(m) for m in enumerate_matchings(2 * args.r)]
@@ -291,71 +291,79 @@ def cmd_kronecker_check(args) -> int:
                        == sf.adjoint_invariant_character(r, r), args.r)
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="brauercat",
-        description="Exact diagram algebra, symplectic tensor evaluation, "
-                    "and cyclic sieving certificates.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add = sub.add_parser
+_COMMANDS = {
+    "enumerate": "list combinatorial sets",
+    "compose": "evaluate a morphism expression",
+    "normal-form": "reduce to noncrossing support",
+    "idempotent-check": "idempotent, centrality, trace and recursion certificates",
+    "ev-rank": "tensor rank against noncrossing count",
+    "frobenius": "frobenius of an invariant character",
+    "fake-degree": "fake degree of an invariant character",
+    "csp-verify": "cyclic sieving certificate",
+    "littlewood-check": "plethysm against the even-row Schur sum",
+    "kronecker-check": "power sums against Kronecker squares",
+}
 
-    p = add("enumerate", help="list combinatorial sets")
-    p.add_argument("--what", required=True,
-                   choices=["matchings", "X", "oscillating", "syt", "set-partitions"])
-    p.add_argument("--r", type=_positive_int, default=1)
-    p.add_argument("--n", type=_positive_int, default=1)
-    p.add_argument("--k", type=_positive_int)
-    p.add_argument("--shape")
-    p.add_argument("--count", action="store_true", help="print only the count")
 
-    p = add("compose", help="evaluate a morphism expression")
-    p.add_argument("expression")
-    p.add_argument("--n", type=_positive_int, help="rank; sets delta = -2n")
-    p.add_argument("--delta", help="explicit rational loop value, e.g. -3/2")
-    p.add_argument("--strands", type=_positive_int, help="strand count for u_i/s_i/R_i")
-
-    p = add("normal-form", help="reduce to noncrossing support")
-    p.add_argument("file", help="morphism file, or - for stdin")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--delta")
-    p.add_argument("--trace", action="store_true")
-
-    p = add("idempotent-check", help="idempotent, centrality, trace and recursion certificates")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--delta")
-
-    p = add("ev-rank", help="tensor rank against noncrossing count")
-    p.add_argument("--r", type=_positive_int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-
-    for name in ("frobenius", "fake-degree"):
-        p = add(name, help=f"{name.replace('-', ' ')} of an invariant character")
+def _add_arguments(p: argparse.ArgumentParser, name: str):
+    if name == "enumerate":
+        p.add_argument("--what", required=True,
+                       choices=["matchings", "X", "oscillating", "syt", "set-partitions"])
+        p.add_argument("--r", type=_positive_int, default=1)
+        p.add_argument("--n", type=_positive_int, default=1)
+        p.add_argument("--k", type=_positive_int)
+        p.add_argument("--shape")
+        p.add_argument("--count", action="store_true", help="print only the count")
+    elif name == "compose":
+        p.add_argument("expression")
+        p.add_argument("--n", type=_positive_int, help="rank; sets delta = -2n")
+        p.add_argument("--delta", help="explicit rational loop value, e.g. -3/2")
+        p.add_argument("--strands", type=_positive_int, help="strand count for u_i/s_i/R_i")
+    elif name == "normal-form":
+        p.add_argument("file", help="morphism file, or - for stdin")
+        p.add_argument("--n", type=_positive_int, required=True)
+        p.add_argument("--delta")
+        p.add_argument("--trace", action="store_true")
+    elif name == "idempotent-check":
+        p.add_argument("--n", type=_positive_int, required=True)
+        p.add_argument("--delta")
+    elif name == "ev-rank":
+        p.add_argument("--r", type=_positive_int, required=True)
+        p.add_argument("--n", type=_positive_int, required=True)
+    elif name in ("frobenius", "fake-degree"):
         p.add_argument("--kind", choices=_KINDS, default="matchings")
         p.add_argument("--r", type=_positive_int, default=1)
         p.add_argument("--n", type=_positive_int, default=1)
         p.add_argument("--k", type=_positive_int)
         if name == "fake-degree":
             p.add_argument("--shape", help="partition like 2,2: fake degree of one Schur term")
+    elif name == "csp-verify":
+        p.add_argument("--r", type=_positive_int)
+        p.add_argument("--n", type=_positive_int)
+        p.add_argument("--k", type=_positive_int)
+        p.add_argument("--format", choices=["text", "tsv"], default="text")
+        p.add_argument("--grid", help="bounds like r<=5,n<=3")
+    else:  # littlewood-check, kronecker-check
+        p.add_argument("--r", type=_positive_int, default=5 if name == "littlewood-check" else 6)
 
-    p = add("csp-verify", help="cyclic sieving certificate")
-    p.add_argument("--r", type=_positive_int)
-    p.add_argument("--n", type=_positive_int)
-    p.add_argument("--k", type=_positive_int)
-    p.add_argument("--format", choices=["text", "tsv"], default="text")
-    p.add_argument("--grid", help="bounds like r<=5,n<=3")
 
-    p = add("littlewood-check", help="plethysm against the even-row Schur sum")
-    p.add_argument("--r", type=_positive_int, default=5)
-
-    p = add("kronecker-check", help="power sums against Kronecker squares")
-    p.add_argument("--r", type=_positive_int, default=6)
-
+@cache
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only the named command's subparser, or with all of
+    them for None; a call parses with the one its first argument names."""
+    parser = _Parser(
+        prog="brauercat",
+        description="Exact diagram algebra, symplectic tensor evaluation, "
+                    "and cyclic sieving certificates.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if command is None else (command,):
+        _add_arguments(sub.add_parser(name, help=_COMMANDS[name]), name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     # looked up per call, so a wrapper set on cli.cmd_* after the parser is built still runs
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

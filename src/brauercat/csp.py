@@ -116,13 +116,15 @@ def verify_csp(inst: CspInstance) -> CspCertificate:
 def verify_csp_X(r: int, n: int, k: int | None, poly: QPolynomial) -> CspCertificate:
     """Decide the sieving congruence for X(r, n) under rotation by one point
     (k None or 1), or for X(r, n, k) under rotation by k points, without
-    listing X: each divisor power of the rotation gets its fixed matchings
-    counted by ``count_fixed_X``, except that |X(r, n)| is ``count_X``."""
+    listing X: |X|, the certificate's ``size``, is ``count_X`` (for blocked X
+    the strip-walk count of ``tableaux.count_strip_walks``), and each proper
+    divisor power of the rotation gets its fixed matchings counted by
+    ``count_fixed_X``."""
+    size = count_X(r, n, k)
     if k is None or k == 1:
-        size, order = count_X(r, n), 2 * r
-        r, k = 2 * r, 1  # X(r, n) is X(2r, n, 1)
+        order, r, k = 2 * r, 2 * r, 1  # X(r, n) is X(2r, n, 1)
     else:
-        size, order = count_fixed_X(r, n, k, 0), r
+        order = r
     counts = {s: count_fixed_X(r, n, k, s) for s in divisors(order)[:-1]}
     counts[order] = size
     return _certificate(poly, order, counts)

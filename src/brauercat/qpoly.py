@@ -7,6 +7,10 @@ from functools import cache
 
 
 def _norm(value):
+    """An exact coefficient as an int when it is integral, else a Fraction
+    (a bool becomes an int)."""
+    if type(value) is int:
+        return value
     f = Fraction(value)
     return int(f) if f.denominator == 1 else f
 

@@ -9,7 +9,8 @@ by the hook length formula; ``_add_ribbons`` adds ribbons to expand back.
 ``mn_character`` is the one-value character route the tests compare with.
 Plethysm and the Cauchy pairing share one integer walk, ``_power_products``,
 over products of the substitutions p_t[g] (p_j -> p_{jt}) with shared
-prefixes; a degree cap drops the terms no caller reads.
+prefixes; a degree cap drops the terms no caller reads, and the pairing
+keeps each walk's products in a read-only memo per (r, g).
 Fake degrees sum q-hook polynomials in integers: ``fake_degree`` over the
 Schur expansion of any function, ``fake_degree_matchings`` over the doubled
 shapes 2mu of the invariant character directly, with no expansion at all.
@@ -384,19 +385,29 @@ def cauchy_pairing(r: int, g: SymFuncP, partner: SymFuncP) -> SymFuncP:
 
     Uses h_r(XZ) = sum over nu of p_nu(X) p_nu[Z](Y) / z_nu with Z = g(Y).
     g and partner are scaled once to integers (z_lam folded into the
-    partner); the walk of ``plethysm``, ``_power_products``, builds each
-    p_nu[g] over ``partitions(r)``, pairs it with the partner at its leaf,
-    and each nu gets one ``Fraction``.
+    partner); each p_nu[g] on g's numerators comes from ``_cauchy_products``,
+    formed once per (r, g) in a process, is paired with the partner, and
+    each nu gets one ``Fraction``.
     """
     g_int, g_den = integer_terms(g.coeffs)
     partner_int, partner_den = integer_terms(partner.coeffs)
     weight = {lam: c * z_order(lam) for lam, c in partner_int}
     out = {}
-    for nu, _, product in _power_products([(nu, 1) for nu in partitions(r)], g_int, None):
+    for nu, product in _cauchy_products(r, tuple(g_int)):
         total = sum(c * weight[lam] for lam, c in product.items() if lam in weight)
         if total:
             out[nu] = Fraction(total, g_den ** len(nu) * partner_den * z_order(nu))
     return SymFuncP._from_partitions(out)
+
+
+@cache
+def _cauchy_products(r: int, g_int: tuple) -> tuple[tuple[tuple[int, ...], MappingProxyType], ...]:
+    """(nu, p_nu[G]) for the nu |- r whose product is nonzero, G = sum of
+    b * p_mu over (mu, b) in g_int, each product a read-only integer map, from
+    one ``_power_products`` walk; the sym-power, fundamental and multiset
+    characters of one (r, k) share it whatever their partner."""
+    return tuple((nu, MappingProxyType(product)) for nu, _, product
+                 in _power_products([(nu, 1) for nu in partitions(r)], g_int, None))
 
 
 @cache
@@ -479,6 +490,7 @@ def adjoint_character_full(r: int) -> SymFuncP:
     return SymFuncP({lam: Fraction(1) for lam in partitions(r)})
 
 
+@cache
 def adjoint_invariant_character(r: int, n: int) -> SymFuncP:
     """Kronecker squares of Schur functions with at most n rows: p_mu gets
     the sum of the integers chi^lam(mu)^2 over those lam, over z_mu."""

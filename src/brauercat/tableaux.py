@@ -137,17 +137,79 @@ def enumerate_oscillating(length: int, n: int) -> Iterator[OscillatingTableau]:
 
 @cache
 def count_oscillating(length: int, n: int) -> int:
-    """Number of closed walks, by dynamic programming over shapes."""
+    """Number of closed walks, by dynamic programming over shapes.  A shape
+    with more cells than steps left cannot return to the empty shape, so it
+    is dropped; each shape's one-cell moves are formed once per call."""
     if length % 2 != 0:
         raise ValueError(f"length must be even, got {length}")
+    moves: dict = {}
     counts = {(): 1}
-    for _ in range(length):
+    for left in range(length - 1, -1, -1):
         nxt: dict = {}
         for shape, ways in counts.items():
-            for s in cells_removed(shape):
-                nxt[s] = nxt.get(s, 0) + ways
-            for s in cells_added(shape):
-                if len(s) <= n:
+            if shape not in moves:
+                moves[shape] = [*cells_removed(shape),
+                                *(s for s in cells_added(shape) if len(s) <= n)]
+            for s in moves[shape]:
+                if sum(s) <= left:
                     nxt[s] = nxt.get(s, 0) + ways
         counts = nxt
     return counts.get((), 0)
+
+
+@cache
+def count_strip_walks(steps: int, k: int, n: int) -> int:
+    """Number of closed walks of ``steps`` steps from the empty shape, each
+    step removing a horizontal strip of some size a (0 <= a <= k) and then
+    adding one of size k - a, on shapes of at most n rows; a walk is the
+    sequence of its intermediate and end shapes.
+
+    This is the dimension of the Sp(2n) invariants in (Sym^k V)^{(x) steps}.
+    Sym^k V is irreducible with the one-row highest weight (k), and the
+    Newell-Littlewood rule with a one-row partner (Koike and Terada, J.
+    Algebra 107, 1987) tensors a character with it by exactly this step.
+    Adding a strip to a shape of at most n rows gives at most n + 1 rows,
+    and a shape of exactly n + 1 rows has character 0 for Sp(2n) (King's
+    modification rule, strip length 2(n + 1) - 2n - 2 = 0), so truncating
+    the walk at n rows is exact.  Each step shrinks a shape by at most k
+    cells, so a shape with more than k times the steps left is dropped.
+    """
+    if steps < 0 or k < 1 or n < 1:
+        raise ValueError(f"need steps >= 0, k >= 1 and n >= 1, got {steps}, {k}, {n}")
+    counts = {(): 1}
+    for left in range(steps - 1, -1, -1):
+        nxt: dict = {}
+        for shape, ways in counts.items():
+            for s, times in _strip_moves(shape, k, n):
+                if sum(s) <= k * left:
+                    nxt[s] = nxt.get(s, 0) + ways * times
+        counts = nxt
+    return counts.get((), 0)
+
+
+@cache
+def _strip_moves(shape: tuple[int, ...], k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The ends of one step of ``count_strip_walks`` from the shape, each with
+    the number of intermediate shapes that reach it."""
+    out: dict = {}
+    below = shape[1:] + (0,)
+    for a in range(min(k, sum(shape)) + 1):
+        for cut in _bounded_sums([p - q for p, q in zip(shape, below)], a):
+            inner = [p - c for p, c in zip(shape, cut)] + [0] * (n - len(shape))
+            room = [k - a] + [p - q for p, q in zip(inner, inner[1:])]
+            for grow in _bounded_sums(room, k - a):
+                end = tuple(p + g for p, g in zip(inner, grow) if p + g)
+                out[end] = out.get(end, 0) + 1
+    return tuple(out.items())
+
+
+def _bounded_sums(caps: list[int], total: int):
+    """Every tuple x with 0 <= x[i] <= caps[i] and sum(x) == total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    rest = sum(caps[1:])
+    for x in range(max(0, total - rest), min(caps[0], total) + 1):
+        for tail in _bounded_sums(caps[1:], total - x):
+            yield (x,) + tail

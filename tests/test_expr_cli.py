@@ -415,7 +415,7 @@ def test_cli_runs_a_command_wrapper_set_after_the_parser_is_built(monkeypatch, c
     args = ["frobenius", "--kind", "matchings", "--r", "2", "--n", "1"]
     assert main(args) == 0
     assert capsys.readouterr().out == str(cli.sf.invariant_character_matchings(2, 1)) + "\n"
-    assert cli._parser() is cli._parser()  # built once per process
+    assert cli._parser("frobenius") is cli._parser("frobenius")  # built once per command
     seen = []
 
     def stub(parsed):
@@ -426,6 +426,23 @@ def test_cli_runs_a_command_wrapper_set_after_the_parser_is_built(monkeypatch, c
     assert main(args) == 0
     assert seen == [("frobenius", 2, 1)]
     assert capsys.readouterr().out == ""
+
+
+def test_one_command_parser_matches_the_full_parser(capsys):
+    # main parses with a parser holding only the named command's subparser
+    for name in cli._COMMANDS:
+        assert cli._parser(name).format_usage() == f"usage: brauercat [-h] {{{name}}} ...\n"
+        seen = []
+        for parser in (cli._parser(name), cli._parser()):
+            for argv in ([name, "-h"], [name, "--no-such-option"]):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                seen.append((exc.value.code, capsys.readouterr()))
+        assert seen[:2] == seen[2:], name
+        assert seen[0][0] == 0 and seen[0][1].out.startswith(f"usage: brauercat {name} [-h]")
+        error = seen[1][1].err
+        assert seen[1][0] == 2 and error.startswith("brauercat") and error.count("\n") == 1
+        assert ": error: " in error, error
 
 
 def test_cli_usage_error():

@@ -3,12 +3,12 @@ import re
 import pytest
 
 from brauercat.matchings import (Diagram, PerfectMatching, bend, count_fixed_X,
-                                 crossing_pairs, enumerate_matchings, enumerate_X,
+                                 count_X, crossing_pairs, enumerate_matchings, enumerate_X,
                                  enumerate_X_blocked, find_mutually_crossing,
                                  iter_set_partitions, orbits, rotation_cycles,
                                  unbend)
 from brauercat.expr import parse_morphism
-from brauercat.tableaux import count_oscillating
+from brauercat.tableaux import count_oscillating, count_strip_walks
 from oracles import (all_matchings, bell, blocked_by_definition, catalan,
                      crossing_count_by_definition, double_factorial,
                      enumerate_X_by_filter, first_k_mutual_crossing,
@@ -244,6 +244,25 @@ def test_blocked_matches_definition():
             for n in range(1, 4):
                 got = [m.pairs for m in enumerate_X_blocked(r, n, k)]
                 assert got == blocked_by_definition(r, n, k), (r, n, k)
+
+
+def test_blocked_count_is_the_strip_walk_count():
+    # csp-verify's size of X(r, n, k) against the listing search, 2 <= k <= 5,
+    # rk <= 20, n <= 3; past 16 points the search counts without listing
+    # (X(10, 3, 2) holds 441,513 matchings)
+    for k in range(2, 6):
+        for r in range(1, 20 // k + 1):
+            for n in range(1, 4):
+                listed = (len(enumerate_X_blocked(r, n, k)) if r * k <= 16
+                          else count_fixed_X(r, n, k, 0))
+                assert count_X(r, n, k) == count_strip_walks(r, k, n) == listed, (r, n, k)
+                if r * k % 2:
+                    assert listed == 0, (r, n, k)
+    assert count_X(8, 2, 3) == 72784
+    assert count_X(4, 2, 1) == count_X(4, 2) == count_oscillating(8, 2)
+    for r, n, k in [(0, 1, 2), (2, 0, 2), (2, 1, 0)]:
+        with pytest.raises(ValueError, match="need r, n, k >= 1"):
+            count_X(r, n, k)
 
 
 def test_blocked_rotation_closure():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from brauercat.qpoly import QPolynomial, cyclotomic, polynomial_mod
+from brauercat.qpoly import QPolynomial, _norm, cyclotomic, polynomial_mod
 from oracles import q_factorial, q_int
 
 
@@ -12,6 +12,17 @@ def test_normalization_and_str():
     assert str(QPolynomial((0, 1))) == "q"
     assert str(QPolynomial((1, -1, 3))) == "1 - q + 3*q^2"
     assert str(QPolynomial.monomial(4)) == "q^4"
+
+
+def test_coefficients_keep_their_values_and_types():
+    cases = [(3, 3, int), (-7, -7, int), (Fraction(6, 3), 2, int),
+             (Fraction(-1, 3), Fraction(-1, 3), Fraction), (True, 1, int), (False, 0, int)]
+    for value, want, kind in cases:
+        got = _norm(value)
+        assert got == want and type(got) is kind, value
+    coeffs = QPolynomial((True, Fraction(4, 2), Fraction(1, 2), 5)).coeffs
+    assert coeffs == (1, 2, Fraction(1, 2), 5)
+    assert [type(c) for c in coeffs] == [int, int, Fraction, int]
 
 
 def test_arithmetic():

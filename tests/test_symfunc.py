@@ -7,8 +7,9 @@ import pytest
 from brauercat.matchings import enumerate_X, enumerate_X_blocked
 from brauercat.partitions import partitions, sign_of_type, z_order
 from brauercat.qpoly import QPolynomial
+from brauercat.scalars import integer_terms
 from brauercat.symfunc import (SymFuncP, _bead_mask, _bead_syt_count,
-                               _even_column_schur_sum,
+                               _cauchy_products, _even_column_schur_sum,
                                _schur_sum_to_p, adjoint_character_full,
                                adjoint_invariant_character, cauchy_pairing,
                                dimension, e_in_p, fake_degree,
@@ -120,7 +121,8 @@ def test_memoized_tables_are_read_only():
 
 def test_character_builders_are_memoized_and_read_only():
     for builder, args in [(invariant_character_sym_power, (4, 2, 1)),
-                          (invariant_character_fundamental, (4, 2, 1))]:
+                          (invariant_character_fundamental, (4, 2, 1)),
+                          (adjoint_invariant_character, (4, 2))]:
         f = builder(*args)
         assert builder(*args) is f, builder
         _assert_read_only(f)
@@ -537,6 +539,26 @@ def test_cauchy_pairing_matches_definition_through_the_builders():
                 want = cauchy_pairing_by_definition(r, h_in_p(k) - h_in_p(k - 2),
                                                     plethysm(h_series(k * r), h_in_p(2)))
                 assert regular_graph_character(r, k) == want, ("regular-graph", r, k)
+
+
+def test_cauchy_pairing_walks_once_per_rank_and_g():
+    g = SymFuncP({(1,): 3, (2,): F(-1, 2), (2, 1): 1})  # a g no character of the package uses
+    partners = [_even_column_schur_sum(8, 2), _even_column_schur_sum(8, 4),
+                plethysm(h_in_p(2), h_series(8), 8)]
+    before = _cauchy_products.cache_info()
+    for partner in partners:
+        assert cauchy_pairing(4, g, partner) == cauchy_pairing_by_definition(4, g, partner)
+    after = _cauchy_products.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+    # the memo entry is shared by every caller, so none can change it
+    entry = _cauchy_products(4, tuple(integer_terms(g.coeffs)[0]))
+    nu, product = entry[0]
+    want = dict(product)
+    with pytest.raises(TypeError):
+        product[nu] = 0
+    with pytest.raises(TypeError):
+        entry[0] = (nu, {})
+    assert dict(_cauchy_products(4, tuple(integer_terms(g.coeffs)[0]))[0][1]) == want
 
 
 def _random_p_combination(rng: random.Random, max_degree: int) -> SymFuncP:

@@ -4,7 +4,7 @@ from brauercat.matchings import enumerate_X
 from brauercat.partitions import (cells_added, conjugate, hooks, partitions,
                                   z_order)
 from brauercat.qpoly import QPolynomial
-from brauercat.tableaux import (OscillatingTableau, count_oscillating,
+from brauercat.tableaux import (OscillatingTableau, count_oscillating, count_strip_walks,
                                 enumerate_oscillating, enumerate_SYT,
                                 fake_degree_schur, fake_degree_schur_hook, maj)
 from oracles import (cells_added_by_filter, double_factorial, q_factorial, q_int,
@@ -97,6 +97,20 @@ def test_oscillating_counts_match_matchings():
 def test_oscillating_unbounded_is_double_factorial():
     for r in range(1, 5):
         assert count_oscillating(2 * r, r) == double_factorial(2 * r - 1)
+
+
+def test_strip_walks_of_single_cells_are_oscillating_tableaux():
+    # with k = 1 a step removes or adds one cell: the two DPs share no code
+    for r in range(0, 9):
+        for n in range(1, 5):
+            assert count_strip_walks(2 * r, 1, n) == count_oscillating(2 * r, n), (r, n)
+    for steps, k in [(3, 1), (7, 3), (5, 5), (9, 1)]:
+        assert count_strip_walks(steps, k, 3) == 0  # an odd number of cells in all
+    assert count_strip_walks(0, 2, 1) == 1
+    assert count_strip_walks(2, 3, 1) == 1  # Sym^3 V is self-dual and irreducible
+    for args in [(-1, 2, 1), (2, 0, 1), (2, 2, 0)]:
+        with pytest.raises(ValueError, match="need steps >= 0, k >= 1 and n >= 1"):
+            count_strip_walks(*args)
 
 
 def test_even_part_tableaux_count_noncrossing():
