@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .tableaux import count_oscillating, count_strip_walks
+from .tableaux import count_strip_walks
 
 
 @dataclass(frozen=True, order=True)
@@ -145,16 +145,17 @@ def enumerate_X(r: int, n: int) -> list[PerfectMatching]:
 def count_X(r: int, n: int, k: int | None = None) -> int:
     """|X(r, n)| (k None or 1) or |X(r, n, k)| (k > 1), without enumeration.
 
-    The bijection of Chen, Deng, Du, Stanley and Yan sends X(r, n) onto the
-    oscillating tableaux of length 2r with at most n rows.  X(r, n, k) spans
-    the Sp(2n) invariants of (Sym^k V)^{(x) r}, so its size is the number of
-    closed r-step strip walks of ``count_strip_walks`` (0 when rk is odd);
-    ``tests/test_matchings.py`` checks that count against the listing of
+    X(r, n, k) spans the Sp(2n) invariants of (Sym^k V)^{(x) r}, so its size
+    is the number of closed r-step strip walks of ``count_strip_walks`` (0
+    when rk is odd), and X(r, n) is X(2r, n, 1): with k = 1 the walks are the
+    oscillating tableaux of length 2r with at most n rows, onto which the
+    bijection of Chen, Deng, Du, Stanley and Yan sends X(r, n).
+    ``tests/test_matchings.py`` checks the count against the listing of
     ``enumerate_X_blocked`` for 2 <= k <= 5, rk <= 20 and n <= 3.
     """
     if k is None or k == 1:
         _check_plain(r, n)
-        return count_oscillating(2 * r, n)
+        return count_strip_walks(2 * r, 1, n)
     _check_blocked(r, n, k)
     return count_strip_walks(r, k, n)
 

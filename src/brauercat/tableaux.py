@@ -135,26 +135,13 @@ def enumerate_oscillating(length: int, n: int) -> Iterator[OscillatingTableau]:
     yield from walk((), length, [()])
 
 
-@cache
 def count_oscillating(length: int, n: int) -> int:
-    """Number of closed walks, by dynamic programming over shapes.  A shape
-    with more cells than steps left cannot return to the empty shape, so it
-    is dropped; each shape's one-cell moves are formed once per call."""
+    """Number of closed walks: ``count_strip_walks`` with one-cell strips,
+    since removing a strip of size a <= 1 and adding one of size 1 - a moves
+    exactly one cell."""
     if length % 2 != 0:
         raise ValueError(f"length must be even, got {length}")
-    moves: dict = {}
-    counts = {(): 1}
-    for left in range(length - 1, -1, -1):
-        nxt: dict = {}
-        for shape, ways in counts.items():
-            if shape not in moves:
-                moves[shape] = [*cells_removed(shape),
-                                *(s for s in cells_added(shape) if len(s) <= n)]
-            for s in moves[shape]:
-                if sum(s) <= left:
-                    nxt[s] = nxt.get(s, 0) + ways
-        counts = nxt
-    return counts.get((), 0)
+    return count_strip_walks(length, 1, n)
 
 
 @cache

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .category import Morphism
@@ -62,10 +62,6 @@ class Tensor:
         out.dims, out.data = dims, data
         return out
 
-    @classmethod
-    def scalar(cls, value=1) -> Tensor:
-        return cls((), {(): value} if value else {})
-
     @property
     def ndim(self) -> int:
         return len(self.dims)
@@ -77,32 +73,6 @@ class Tensor:
         if not isinstance(other, Tensor):
             return NotImplemented
         return self.dims == other.dims and self.data == other.data
-
-    def __add__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        if self.dims != other.dims:
-            raise ValueError(f"shape mismatch: {self.dims} vs {other.dims}")
-        data = dict(self.data)
-        for k, v in other.data.items():
-            data[k] = data.get(k, 0) + v
-        return Tensor(self.dims, data)
-
-    def __neg__(self):
-        return Tensor(self.dims, {k: -v for k, v in self.data.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self + (-other)
-
-    def scaled(self, scalar) -> Tensor:
-        if not scalar:
-            return Tensor(self.dims)
-        return Tensor(self.dims, {k: v * scalar for k, v in self.data.items()})
-
-    def __rmul__(self, scalar):
-        return self.scaled(scalar)
 
     def contract(self, other: Tensor, self_axes: tuple[int, ...],
                  other_axes: tuple[int, ...]) -> Tensor:
@@ -374,9 +344,7 @@ def ev_gram_rank(matchings: list[PerfectMatching], n: int) -> int:
 def ev_rank(r: int, n: int) -> int:
     """Exact rank of span{ev(d)} over all perfect matchings d of 2r points.
 
-    Where the block route's estimated work (``_block_work``) is below the
-    N k^2 / 2 steps of ``ev_gram_rank`` over all N = (2r-1)!! matchings, for
-    k = |X(r, n)|, the rank is certified to be k in two halves:
+    The rank is certified to be k = |X(r, n)| in two halves:
 
     - rank >= k: the Gram matrix of X has rank k modulo a prime
       (``_block_rank``), and the rank over Q is at least the rank mod p.
@@ -388,25 +356,13 @@ def ev_rank(r: int, n: int) -> int:
       ev(Pf) = 0 on 2n + 2 points through the Gram norm, puts the relations in
       ker ev.  For n >= r, X holds every matching and the check is skipped.
 
-    If either half fails (an unlucky prime, or a true mismatch), and where the
-    exact route is cheaper, the rank is ``ev_gram_rank`` of all matchings.
+    If either half fails (an unlucky prime, or a true mismatch), the rank is
+    ``ev_gram_rank`` of all N = (2r-1)!! matchings, about N k^2 / 2 steps.
     """
     k = count_X(r, n)
-    if _block_work(r, n, k) < prod(range(1, 2 * r, 2)) * k * k // 2:
-        if _block_rank(enumerate_X(r, n), n) == k and (n >= r or _pfaffian_vanishes(n)):
-            return k
+    if _block_rank(enumerate_X(r, n), n) == k and (n >= r or _pfaffian_vanishes(n)):
+        return k
     return ev_gram_rank(list(enumerate_matchings(2 * r)), n)
-
-
-def _block_work(r: int, n: int, k: int) -> int:
-    """Estimated cost of the block route in steps of ``_gram_rank`` (about
-    0.1 us each on a 2-core host): 3 k^2 for the loop walks and the Fourier
-    sums, (r + 1) (k / 2r)^3 for the eliminations, 30 per loop walk of the
-    Pfaffian check (T walks for its T = (2n+1)!! terms, one symmetry class
-    for ``_ev_norm``, when n < r), and 3000 for the enumeration of X and the
-    prime search."""
-    pf_terms = prod(range(1, 2 * n + 2, 2)) if n < r else 0
-    return 3 * k * k + (r + 1) * (k // (2 * r)) ** 3 + 30 * pf_terms + 3000
 
 
 def _pfaffian_vanishes(n: int) -> bool:
@@ -437,8 +393,9 @@ def _block_rank(xs: list[PerfectMatching], n: int) -> int:
     M_j(O, O') = (|O'| / g) sum_(t < g) omega^(jt) f(t).  The same relation
     gives M_(-j)(O', O) = (|O| / |O'|) M_j(O, O'): block -j is the transpose
     of block j up to a diagonal scaling, so only j = 0..r are eliminated.
+    On no points the rotation is the identity, of order 1.
     """
-    order = xs[0].n_points
+    order = xs[0].n_points or 1
     p, omega = _root_of_unity(order)
     cycles = rotation_cycles([x.pairs for x in xs])
     _, entry = _flat_gram(xs, n)

@@ -39,7 +39,8 @@ command runs, also live here and use the package's types:
   form; two slicings agree with each other and with the closed form
   (criterion 3).  ``outer``, ``transpose``, ``compose_maps``,
   ``tensor_maps``, ``ev_generator``, ``identity_tensor`` and
-  ``symplectic_sample`` are its contraction layer.
+  ``symplectic_sample`` are its contraction layer, and ``tensor_sum`` forms
+  the linear combinations that tests expect.
 - ``enumerate_pf_generators`` lists every kernel generator on a boundary
   (criterion 4).
 - ``orbit_multiplicities``, which runs the package's ``csp._peel`` that
@@ -628,6 +629,18 @@ def outer(t, u):
     return Tensor(t.dims + u.dims, data)
 
 
+def tensor_sum(dims: tuple[int, ...], terms):
+    """The package ``Tensor`` of shape ``dims`` summing c * t over ``terms``,
+    pairs (t, c) of a tensor of that shape and a coefficient."""
+    from brauercat.tensors import Tensor
+    data = {}
+    for t, c in terms:
+        assert t.dims == dims, f"shape mismatch: {t.dims} vs {dims}"
+        for k, v in t.data.items():
+            data[k] = data.get(k, 0) + c * v
+    return Tensor(dims, data)
+
+
 def transpose(t, perm: tuple[int, ...]):
     """The package ``Tensor`` t with its axes permuted: axis i of the result is perm[i] of t."""
     from brauercat.tensors import Tensor
@@ -715,7 +728,7 @@ def ev_sliced(d, n: int, strategy: str):
                 unsorted = True
 
     # Axes: the r top slots, then one per open wire from left to right.
-    t = Tensor.scalar(1)
+    t = Tensor((), {(): 1})
     for _ in range(r):
         t = outer(t, identity_tensor(n))
     t = transpose(t, tuple(range(0, 2 * r, 2)) + tuple(range(1, 2 * r, 2)))

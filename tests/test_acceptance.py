@@ -29,7 +29,7 @@ from brauercat.tableaux import (count_oscillating, fake_degree_schur,
                                 fake_degree_schur_hook)
 from brauercat.tensors import ev_diagram, ev_morphism, rank_of_span
 from oracles import (catalan, compose_maps, enumerate_pf_generators, ev_sliced,
-                     is_cyclic_sieving_polynomial, set_partition_count)
+                     is_cyclic_sieving_polynomial, set_partition_count, tensor_sum)
 
 F = Fraction
 
@@ -110,7 +110,8 @@ def test_criterion_3_functoriality_and_slicing():
                 for dy in diagrams(s, t):
                     loops, glued = compose_diagrams(dx, dy)
                     lhs = compose_maps(ev_diagram(dx, n), ev_diagram(dy, n), s)
-                    rhs = ev_diagram(glued, n).scaled((-2 * n) ** loops)
+                    rhs = tensor_sum((2 * n,) * (r + t),
+                                     [(ev_diagram(glued, n), (-2 * n) ** loops)])
                     if lhs != rhs:
                         failures.append(f"functoriality n={n} {dx} . {dy}")
     finish(tag="3 functoriality + slicing independence (<=6 points, n=1,2)",

@@ -218,13 +218,18 @@ def test_cli_ev_rank_ten_points(capsys):
 
 @pytest.mark.parametrize("broken", ["short block rank", "nonzero Pfaffian"])
 def test_cli_ev_rank_falls_back_on_the_exact_rank(monkeypatch, capsys, broken):
-    # a failed half of the block certificate sends ev-rank to the exact Gram rank
-    args = ["ev-rank", "--r", "4", "--n", "2"]
+    # a failed half of the block certificate sends ev-rank to the exact Gram
+    # rank; at r = 3 as at r = 4 that is the only way to reach it
+    sizes = [(3, 14, 15), (4, 84, 105)]  # r, |X(r, 2)|, (2r - 1)!!
     exact = []
     monkeypatch.setattr(tensors, "ev_gram_rank",
                         lambda pool, n: exact.append(len(pool)) or ev_gram_rank(pool, n))
-    assert main(args) == 0
-    want = capsys.readouterr().out
+
+    def same_line_at_every_size():
+        for r, k, _ in sizes:
+            assert main(["ev-rank", "--r", str(r), "--n", "2"]) == 0
+            assert capsys.readouterr().out == f"rank={k} noncrossing={k} MATCH\n"
+    same_line_at_every_size()
     assert exact == []  # the certificate holds: no exact rank
     if broken == "short block rank":
         monkeypatch.setattr(tensors, "_block_rank", lambda xs, n: len(xs) - 1)
@@ -232,9 +237,8 @@ def test_cli_ev_rank_falls_back_on_the_exact_rank(monkeypatch, capsys, broken):
         nonzero = Morphism.from_diagram(Diagram(0, 6, PerfectMatching(((1, 2), (3, 4), (5, 6)))),
                                         Fraction(-4))
         monkeypatch.setattr(tensors, "pfaffian", lambda g, delta: nonzero)
-    assert main(args) == 0
-    assert capsys.readouterr().out == want == "rank=84 noncrossing=84 MATCH\n"
-    assert exact == [105]
+    same_line_at_every_size()
+    assert exact == [pool for _, _, pool in sizes]
 
 
 def test_cli_enumerate_blocked_count(capsys):

@@ -7,7 +7,7 @@ from brauercat.qpoly import QPolynomial
 from brauercat.tableaux import (OscillatingTableau, count_oscillating, count_strip_walks,
                                 enumerate_oscillating, enumerate_SYT,
                                 fake_degree_schur, fake_degree_schur_hook, maj)
-from oracles import (cells_added_by_filter, double_factorial, q_factorial, q_int,
+from oracles import (catalan, cells_added_by_filter, double_factorial, q_factorial, q_int,
                      syt_count)
 
 
@@ -100,10 +100,17 @@ def test_oscillating_unbounded_is_double_factorial():
 
 
 def test_strip_walks_of_single_cells_are_oscillating_tableaux():
-    # with k = 1 a step removes or adds one cell: the two DPs share no code
-    for r in range(0, 9):
+    # count_oscillating is the strip walk with k = 1, against three routes
+    # that share no code with it: the listing walker, the Catalan numbers
+    # (one row: Dyck paths) and (2r - 1)!! (no row bound left at n >= r)
+    for r in range(0, 7):
         for n in range(1, 5):
-            assert count_strip_walks(2 * r, 1, n) == count_oscillating(2 * r, n), (r, n)
+            assert count_oscillating(2 * r, n) == len(list(enumerate_oscillating(2 * r, n))), (r, n)
+    for r in range(0, 13):
+        assert count_oscillating(2 * r, 1) == catalan(r), r
+    for r in range(1, 8):
+        for n in (r, r + 1):
+            assert count_oscillating(2 * r, n) == double_factorial(2 * r - 1), (r, n)
     for steps, k in [(3, 1), (7, 3), (5, 5), (9, 1)]:
         assert count_strip_walks(steps, k, 3) == 0  # an odd number of cells in all
     assert count_strip_walks(0, 2, 1) == 1
