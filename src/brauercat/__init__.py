@@ -18,9 +18,8 @@ from .qpoly import QPolynomial
 from .symfunc import (SymFuncP, fake_degree, fake_degree_matchings,
                       invariant_character_fundamental,
                       invariant_character_matchings,
-                      invariant_character_sym_power, kronecker,
-                      littlewood_check, mn_character, regular_graph_character,
-                      schur_to_p)
+                      invariant_character_sym_power, littlewood_check,
+                      mn_character, regular_graph_character, schur_to_p)
 from .csp import (CspCertificate, CspInstance, fixed_points, verify_csp,
                   verify_csp_X)
 

@@ -156,9 +156,6 @@ class Morphism:
             return NotImplemented
         return self.accumulate([(1, other)])
 
-    def __neg__(self):
-        return Morphism(self.r, self.s, {d: -c for d, c in self.terms.items()}, self.delta)
-
     def __sub__(self, other):
         if not isinstance(other, Morphism):
             return NotImplemented
@@ -225,16 +222,6 @@ class Morphism:
                 d = tensor_diagrams(dx, dy)
                 terms[d] = terms.get(d, 0) + cx * cy
         return Morphism(self.r + other.r, self.s + other.s, terms, self.delta)
-
-    def __pow__(self, exp: int):
-        if self.r != self.s:
-            raise ValueError("powers need a square shape")
-        if exp < 0:
-            raise ValueError("negative powers of a morphism are not defined")
-        acc = Morphism.identity(self.r, self.delta)
-        for _ in range(exp):
-            acc = acc * self
-        return acc
 
     def trace(self):
         """Diagrammatic closure: sum of coeff * delta^loops over the terms."""

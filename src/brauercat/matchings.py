@@ -36,8 +36,8 @@ class PerfectMatching:
     @classmethod
     def _from_canonical(cls, pairs: tuple[tuple[int, int], ...]) -> PerfectMatching:
         """Wrap pairs that are already a canonical perfect matching, unchecked;
-        the enumerations, ``bend`` and ``pfaffian`` build their outputs
-        through this."""
+        the enumerations, ``rotate``, ``bend`` and ``pfaffian`` build their
+        outputs through this."""
         out = cls.__new__(cls)
         object.__setattr__(out, "pairs", pairs)
         return out
@@ -54,10 +54,14 @@ class PerfectMatching:
         return mate
 
     def rotate(self, step: int = 1) -> PerfectMatching:
-        """Advance every point label by ``step`` cyclically (i -> i + step mod 2m)."""
+        """Advance every point label by ``step`` cyclically (i -> i + step mod 2m).
+        A rotated matching is still a matching, so only the order is restored."""
         n = self.n_points
-        shift = lambda p: (p - 1 + step) % n + 1
-        return PerfectMatching(tuple((shift(a), shift(b)) for a, b in self.pairs))
+        pairs = []
+        for a, b in self.pairs:
+            a, b = (a - 1 + step) % n + 1, (b - 1 + step) % n + 1
+            pairs.append((a, b) if a < b else (b, a))
+        return PerfectMatching._from_canonical(tuple(sorted(pairs)))
 
     def __str__(self) -> str:
         return "".join(f"({a},{b})" for a, b in self.pairs)
@@ -384,10 +388,6 @@ def unbend(m: PerfectMatching | Diagram, r: int, s: int) -> Diagram:
 
 def iter_set_partitions(r: int, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Set partitions of {1..r} with at most n blocks, as sorted block tuples."""
-    if r == 0:
-        yield ()
-        return
-
     def grow(point: int, blocks: list[list[int]]):
         if point > r:
             yield tuple(tuple(b) for b in blocks)

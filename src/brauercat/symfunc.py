@@ -94,10 +94,6 @@ class SymFuncP:
     def one(cls) -> SymFuncP:
         return cls({(): Fraction(1)})
 
-    @classmethod
-    def p(cls, lam) -> SymFuncP:
-        return cls({check_partition(lam): Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -127,28 +123,6 @@ class SymFuncP:
             return NotImplemented
         return self + (-other)
 
-    def scaled(self, scalar) -> SymFuncP:
-        scalar = Fraction(scalar)
-        return SymFuncP._from_partitions({lam: c * scalar for lam, c in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return self.scaled(scalar)
-        return NotImplemented
-
-    def __mul__(self, other):
-        """Ring product: p_lam * p_mu concatenates the parts."""
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        if not isinstance(other, SymFuncP):
-            return NotImplemented
-        out: dict = {}
-        for lam, a in self.coeffs.items():
-            for mu, b in other.coeffs.items():
-                key = tuple(sorted(lam + mu, reverse=True))
-                out[key] = out.get(key, Fraction(0)) + a * b
-        return SymFuncP._from_partitions(out)
-
     def __eq__(self, other):
         if not isinstance(other, SymFuncP):
             return NotImplemented
@@ -165,21 +139,6 @@ class SymFuncP:
             c = self.coeffs[lam]
             parts.append(f"{c}*p[{','.join(map(str, lam))}]")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def kronecker(f: SymFuncP, g: SymFuncP) -> SymFuncP:
-    """Inner product of representations: p_lam * p_lam -> z_lam p_lam."""
-    degs_f, degs_g = f.degrees(), g.degrees()
-    if f.is_zero() or g.is_zero():
-        return SymFuncP.zero()
-    if degs_f != degs_g or len(degs_f) != 1:
-        raise ValueError(f"kronecker needs equal homogeneous degrees, got {degs_f} and {degs_g}")
-    out = {}
-    for lam, a in f.coeffs.items():
-        b = g.coeffs.get(lam)
-        if b:
-            out[lam] = a * b * z_order(lam)
-    return SymFuncP._from_partitions(out)
 
 
 @cache

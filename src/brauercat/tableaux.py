@@ -105,10 +105,6 @@ class OscillatingTableau:
                     b in set(cells_added(a)) or b in set(cells_removed(a))):
                 raise ValueError(f"consecutive shapes {a} and {b} do not differ by one cell")
 
-    @property
-    def length(self) -> int:
-        return len(self.steps) - 1
-
     def __str__(self) -> str:
         return ";".join(f"[{format_partition(s)}]" for s in self.steps)
 
@@ -177,26 +173,28 @@ def count_strip_walks(steps: int, k: int, n: int) -> int:
 @cache
 def _strip_moves(shape: tuple[int, ...], k: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The ends of one step of ``count_strip_walks`` from the shape, each with
-    the number of intermediate shapes that reach it."""
+    the number of intermediate shapes that reach it.
+
+    One recursion down the rows i = 1..n: the intermediate row m_i runs over
+    [shape_{i+1}, shape_i] (a horizontal strip removed) and the end row e_i
+    over [m_i, m_{i-1}], unbounded in row 1 (a horizontal strip added), the
+    cells removed and added totalling k; rows past n stay empty."""
+    rows = shape + (0,) * (n + 1 - len(shape))
     out: dict = {}
-    below = shape[1:] + (0,)
-    for a in range(min(k, sum(shape)) + 1):
-        for cut in _bounded_sums([p - q for p, q in zip(shape, below)], a):
-            inner = [p - c for p, c in zip(shape, cut)] + [0] * (n - len(shape))
-            room = [k - a] + [p - q for p, q in zip(inner, inner[1:])]
-            for grow in _bounded_sums(room, k - a):
-                end = tuple(p + g for p, g in zip(inner, grow) if p + g)
-                out[end] = out.get(end, 0) + 1
+    end: list[int] = []
+
+    def row(i: int, above: int, left: int):
+        if i == n:
+            if not left:
+                e = tuple(p for p in end if p)
+                out[e] = out.get(e, 0) + 1
+            return
+        for m in range(max(rows[i + 1], rows[i] - left), rows[i] + 1):
+            spare = left - rows[i] + m
+            for e in range(m, min(above, m + spare) + 1):
+                end.append(e)
+                row(i + 1, m, spare - e + m)
+                end.pop()
+
+    row(0, rows[0] + k, k)  # no end row 1 reaches past rows[0] + k
     return tuple(out.items())
-
-
-def _bounded_sums(caps: list[int], total: int):
-    """Every tuple x with 0 <= x[i] <= caps[i] and sum(x) == total."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    rest = sum(caps[1:])
-    for x in range(max(0, total - rest), min(caps[0], total) + 1):
-        for tail in _bounded_sums(caps[1:], total - x):
-            yield (x,) + tail

@@ -45,8 +45,12 @@ command runs, also live here and use the package's types:
   (criterion 4).
 - ``orbit_multiplicities``, which runs the package's ``csp._peel`` that
   ``verify_csp`` uses, and ``is_cyclic_sieving_polynomial`` (criterion 8b).
+- ``strip_moves_by_definition``, one step of the strip walk by filtering
+  partitions, where ``tableaux._strip_moves`` recurses down the rows.
 - ``syt_count`` (the hook length formula), ``q_int``, ``q_factorial``, the
-  Hall inner product ``scalar_product`` and ``plethysm_p``.
+  Hall inner product ``scalar_product``, ``plethysm_p``, and the ``SymFuncP``
+  ring product ``product``, scalar multiple ``scaled`` and Kronecker product
+  ``kronecker``.
 """
 
 from __future__ import annotations
@@ -405,7 +409,7 @@ def cauchy_pairing_by_definition(r: int, g, partner):
     for nu in partitions(r):
         term = SymFuncP.one()
         for part in nu:
-            term = term * plethysm_p(part, g)
+            term = product(term, plethysm_p(part, g))
         c = scalar_product(term, partner)
         if c:
             out[nu] = c / z_order(nu)
@@ -427,8 +431,8 @@ def plethysm_by_products(f, g, max_degree=None):
     for lam, c in f.coeffs.items():
         term = SymFuncP.one()
         for part in lam:
-            term = capped(term * capped(plethysm_p(part, g)))
-        total = total + term.scaled(c)
+            term = capped(product(term, capped(plethysm_p(part, g))))
+        total = total + scaled(term, c)
     return total
 
 
@@ -449,7 +453,7 @@ def adjoint_by_kronecker(r: int, n: int):
     """Sum of the Kronecker squares kronecker(s_lam, s_lam) over lam of r with
     at most n rows, added as ``SymFuncP`` values."""
     from brauercat.partitions import partitions
-    from brauercat.symfunc import SymFuncP, kronecker, schur_to_p
+    from brauercat.symfunc import SymFuncP, schur_to_p
 
     total = SymFuncP.zero()
     for lam in partitions(r):
@@ -533,6 +537,31 @@ def cells_added_by_filter(lam) -> list:
         new = tuple(p for p in new if p)
         if all(a >= b for a, b in zip(new, new[1:])):
             out.append(new)
+    return out
+
+
+def strip_moves_by_definition(shape, k: int, n: int) -> dict:
+    """The ends of one strip-walk step from ``shape``, each with the number of
+    intermediate shapes reaching it, by filtering all partitions: an
+    intermediate mu with shape/mu a horizontal strip of a <= k cells, then an
+    end nu of at most n rows with nu/mu a horizontal strip of k - a cells."""
+    from brauercat.partitions import partitions
+
+    def horizontal_strip(big, small) -> bool:
+        # big_1 >= small_1 >= big_2 >= small_2 >= ..., small no longer than big
+        if len(small) > len(big):
+            return False
+        big, small = big + (0,), small + (0,) * (len(big) - len(small))
+        return all(big[i] >= small[i] >= big[i + 1] for i in range(len(small)))
+
+    out = {}
+    size = sum(shape)
+    for a in range(min(k, size) + 1):
+        for mu in partitions(size - a):
+            if horizontal_strip(shape, mu):
+                for nu in partitions(size - a + k - a):
+                    if len(nu) <= n and horizontal_strip(nu, mu):
+                        out[nu] = out.get(nu, 0) + 1
     return out
 
 
@@ -881,3 +910,37 @@ def plethysm_p(m: int, g):
         key = tuple(sorted((j * m for j in lam), reverse=True))
         out[key] = out.get(key, Fraction(0)) + c
     return SymFuncP._from_partitions(out)
+
+
+def product(f, g):
+    """Ring product of two ``SymFuncP``: p_lam * p_mu concatenates the parts."""
+    from brauercat.symfunc import SymFuncP
+
+    out = {}
+    for lam, a in f.coeffs.items():
+        for mu, b in g.coeffs.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            out[key] = out.get(key, Fraction(0)) + a * b
+    return SymFuncP._from_partitions(out)
+
+
+def scaled(f, c):
+    """The ``SymFuncP`` f times the rational c."""
+    from brauercat.symfunc import SymFuncP
+
+    return SymFuncP._from_partitions({lam: a * Fraction(c) for lam, a in f.coeffs.items()})
+
+
+def kronecker(f, g):
+    """Kronecker (inner) product of two ``SymFuncP`` of one degree:
+    p_lam * p_lam -> z_lam p_lam, other pairs 0."""
+    from brauercat.partitions import z_order
+    from brauercat.symfunc import SymFuncP
+
+    if f.is_zero() or g.is_zero():
+        return SymFuncP.zero()
+    if f.degrees() != g.degrees() or len(f.degrees()) != 1:
+        raise ValueError(f"kronecker needs equal homogeneous degrees, "
+                         f"got {f.degrees()} and {g.degrees()}")
+    return SymFuncP._from_partitions({lam: a * g.coeffs.get(lam, 0) * z_order(lam)
+                                      for lam, a in f.coeffs.items()})

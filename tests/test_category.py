@@ -200,14 +200,6 @@ def test_rank_below_one_is_rejected():
         check_eq_ch(Morphism.identity(1, Fraction(0)), 0)
 
 
-def test_negative_power_is_rejected():
-    u = as_m(generator_u(1, 2))
-    assert u ** 0 == Morphism.identity(2)
-    assert u ** 2 == u * u
-    with pytest.raises(ValueError, match="negative"):
-        u ** -1
-
-
 def test_multi_term_coefficients_print_in_parentheses():
     u = as_m(generator_u(1, 2))
     s = as_m(generator_s(1, 2))

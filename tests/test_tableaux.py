@@ -4,11 +4,11 @@ from brauercat.matchings import enumerate_X
 from brauercat.partitions import (cells_added, conjugate, hooks, partitions,
                                   z_order)
 from brauercat.qpoly import QPolynomial
-from brauercat.tableaux import (OscillatingTableau, count_oscillating, count_strip_walks,
-                                enumerate_oscillating, enumerate_SYT,
+from brauercat.tableaux import (OscillatingTableau, _strip_moves, count_oscillating,
+                                count_strip_walks, enumerate_oscillating, enumerate_SYT,
                                 fake_degree_schur, fake_degree_schur_hook, maj)
 from oracles import (catalan, cells_added_by_filter, double_factorial, q_factorial, q_int,
-                     syt_count)
+                     strip_moves_by_definition, syt_count)
 
 
 def test_partition_basics():
@@ -120,6 +120,18 @@ def test_strip_walks_of_single_cells_are_oscillating_tableaux():
             count_strip_walks(*args)
 
 
+def test_strip_moves_match_definition():
+    cases = 0
+    for size in range(11):
+        for shape in partitions(size):
+            for n in range(len(shape) or 1, 5):
+                for k in range(1, 6):
+                    got = dict(_strip_moves(shape, k, n))
+                    assert got == strip_moves_by_definition(shape, k, n), (shape, k, n)
+                    cases += 1
+    assert cases == 1040
+
+
 def test_even_part_tableaux_count_noncrossing():
     for r in range(1, 6):
         for n in range(1, 4):
@@ -130,7 +142,6 @@ def test_even_part_tableaux_count_noncrossing():
 
 def test_oscillating_validation_and_text():
     walk = OscillatingTableau(((), (1,), (2,), (1,), ()))
-    assert walk.length == 4
     assert str(walk) == "[];[1];[2];[1];[]"
     with pytest.raises(ValueError, match="one cell"):
         OscillatingTableau(((), (2,), ()))
