@@ -102,7 +102,9 @@ def closure_loops(d: Diagram) -> int:
 
 
 class Morphism:
-    """A finite formal linear combination of same-shape diagrams."""
+    """A finite formal linear combination of same-shape diagrams.  The constructor
+    checks shapes and coerces each coefficient into delta's ring (``as_scalar``);
+    arithmetic builds its results, already in the ring, by ``_normalized``."""
 
     __slots__ = ("r", "s", "delta", "terms")
 
@@ -117,6 +119,13 @@ class Morphism:
             coeff = as_scalar(c, self.delta)
             if coeff:
                 self.terms[d] = coeff
+
+    @classmethod
+    def _normalized(cls, r: int, s: int, terms: dict, delta: Fraction | None) -> Morphism:
+        """A morphism of coefficients already in delta's ring: zeros dropped, none coerced."""
+        out = cls.__new__(cls)
+        out.r, out.s, out.delta, out.terms = r, s, delta, {d: c for d, c in terms.items() if c}
+        return out
 
     @classmethod
     def zero(cls, r: int, s: int, delta=None) -> Morphism:
@@ -149,7 +158,7 @@ class Morphism:
                     f"cannot add shapes ({self.r},{self.s}) and ({other.r},{other.s})")
             for d, c in other.terms.items():
                 terms[d] = terms.get(d, 0) + (c if sign > 0 else -c)
-        return Morphism(self.r, self.s, terms, self.delta)
+        return Morphism._normalized(self.r, self.s, terms, self.delta)
 
     def __add__(self, other):
         if not isinstance(other, Morphism):
@@ -163,7 +172,8 @@ class Morphism:
 
     def scaled(self, scalar) -> Morphism:
         k = as_scalar(scalar, self.delta)
-        return Morphism(self.r, self.s, {d: c * k for d, c in self.terms.items()}, self.delta)
+        return Morphism._normalized(self.r, self.s, {d: c * k for d, c in self.terms.items()},
+                                    self.delta)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, DeltaPoly)):
@@ -201,9 +211,9 @@ class Morphism:
                 loops, pairs = _glue(mx, my, r, s, t)
                 acc[pairs] = acc.get(pairs, 0) + cx * cy * weights[loops]
         den = lx * ly * q ** h
-        return Morphism(r, t, {Diagram(r, t, PerfectMatching._from_canonical(pairs)):
-                               a if den == 1 else Fraction(a, den) for pairs, a in acc.items()},
-                        self.delta)
+        return Morphism._normalized(r, t, {Diagram(r, t, PerfectMatching._from_canonical(pairs)):
+                                           a if p is None else Fraction(a, den)
+                                           for pairs, a in acc.items()}, self.delta)
 
     def _integer_terms(self):
         """The terms as (diagram, numerator) over the lcm of the denominators;
@@ -245,11 +255,11 @@ class Morphism:
         if not self.terms:
             return "0"
         parts = []
-        for d, c in sorted(self.terms.items(), key=lambda t: str(t[0])):
+        for text, c in sorted(((str(d), c) for d, c in self.terms.items()), key=lambda t: t[0]):
             coeff = str(c)
             if " " in coeff:  # a coefficient of two or more terms, like 1 - d
                 coeff = f"({coeff})"
-            parts.append(f"{coeff}*{d}")
+            parts.append(f"{coeff}*{text}")
         return " + ".join(parts).replace("+ -", "- ")
 
 

@@ -15,6 +15,7 @@ only as deep as its parentheses and unary minuses.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,21 +34,26 @@ class ExprError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<num>\d+(?:/\d+)?)
-  | (?P<tensor>x(?![A-Za-z0-9_])|[⊗×])
-  | (?P<comp>o(?![A-Za-z0-9_])|∘)
+# A run of pairs like (1,3)(2,4) is one token, shown as "(" in messages.  A run
+# ends at its last whole pair, and a truncated rest is read per character, so its
+# error keeps its message and column.
+_PAIR = r"\(\s*\d+\s*,\s*\d+\s*\)"
+_TOKEN_RE = re.compile(rf"""
+    (?P<pairs>{_PAIR}(?:\s*{_PAIR})*)
+  | (?P<num>\d+(?:/\d+)?)
+  | (?P<x>x(?![A-Za-z0-9_])|[⊗×])
+  | (?P<o>o(?![A-Za-z0-9_])|∘)
   | (?P<name>[A-Za-z]+(?:_\d+)?)
   | (?P<op>[+\-*|:,()])
   | (?P<ws>\s+)
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos", "value")  # value: the pairs of a run
+
+    def __init__(self, kind: str, text: str, pos: int, value=None):
+        self.kind, self.text, self.pos, self.value = kind, text, pos, value
 
 
 def tokenize(text: str) -> list[Token]:
@@ -58,14 +64,11 @@ def tokenize(text: str) -> list[Token]:
         if m is None:
             raise ExprError(f"unexpected character {text[pos]!r}", pos)
         kind = m.lastgroup
-        if kind != "ws":
-            if kind == "op":
-                kind = m.group()
-            elif kind == "tensor":
-                kind = "x"
-            elif kind == "comp":
-                kind = "o"
-            out.append(Token(kind, m.group(), pos))
+        if kind == "pairs":
+            points = map(int, re.findall(r"\d+", m.group()))
+            out.append(Token(kind, "(", pos, tuple(zip(points, points))))
+        elif kind != "ws":
+            out.append(Token(m.group() if kind == "op" else kind, m.group(), pos))
         pos = m.end()
     out.append(Token("end", "", len(text)))
     return out
@@ -100,6 +103,7 @@ class Chain:
 
 
 _LEVELS = (("+", "-"), ("x",), ("o", "*"))  # loosest first
+_TERM_BUDGET = 10 ** 6  # terms an expression may build: E(7) has 135,135, E(8) 2,027,025
 
 
 class _Parser:
@@ -159,9 +163,10 @@ class _Parser:
                 return Num(Fraction(tok.text), tok.pos)
             except ZeroDivisionError:
                 raise ExprError(f"zero denominator in {tok.text!r}", tok.pos) from None
+        if tok.kind == "pairs" or (tok.kind == "(" and self.peek(1).kind == "num"
+                                   and self.peek(2).kind == ","):  # a first pair not whole
+            return self.diagram_literal(0, None)
         if tok.kind == "(":
-            if self.peek(1).kind == "num" and self.peek(2).kind == ",":
-                return self.diagram_literal(0, None)
             self.next()
             node = self.chain(0)
             self.expect(")")
@@ -171,7 +176,8 @@ class _Parser:
         raise ExprError(f"unexpected token {tok.text!r}", tok.pos)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        pairs = []
+        """A run token's pairs, then any read per character from a truncated rest."""
+        pairs = list(self.next().value) if self.peek().kind == "pairs" else []
         while self.peek().kind == "(":
             self.next()
             a = self.integer("diagram point")
@@ -184,12 +190,14 @@ class _Parser:
     def diagram_literal(self, r: int, s: int | None):
         pos = self.peek().pos
         pairs = self.pairs()
-        pm = PerfectMatching(pairs)
+        try:
+            pm = PerfectMatching(pairs)
+        except ValueError:
+            raise ExprError(f"{''.join(f'({a},{b})' for a, b in pairs)} is not a perfect "
+                            f"matching of 1..{2 * len(pairs)}", pos) from None
         if s is None:
             s = pm.n_points - r
-        if r == 0:
-            return Diag(Diagram(0, s, pm), pos)
-        return Diag(unbend(pm, r, s), pos)
+        return Diag(unbend(pm, r, s) if r else Diagram(0, s, pm), pos)
 
     def shaped_diagram(self):
         r = self.integer("r in r|s")
@@ -337,9 +345,23 @@ def evaluate(node, delta=None, strands: int | None = None, n: int | None = None)
     if strands is None:
         strands = infer_strands(node)
     shape_of(node, strands, n)  # arity and Pf checks before any evaluation
+    if (terms := _terms(node, n)) > _TERM_BUDGET:
+        raise ValueError(f"the expression builds up to {terms} terms, over the budget of "
+                         f"{_TERM_BUDGET}")
     if delta is None:
         delta = _implied_delta(node)
     return _eval(node, delta, strands, n)
+
+
+def _terms(node, n: int | None) -> int:
+    """A bound on the terms an expression builds: (2m-1)!! for E(m), (2n+1)!! for Pf, 3 for
+    R_i(k), 1 for other atoms; a sum adds its operands' bounds, a product multiplies them."""
+    if isinstance(node, Chain):
+        counts = [_terms(node.first, n)] + [_terms(x, n) for *_, x in node.rest]
+        return sum(counts) if node.rest[0][0] in ("+", "-") else math.prod(counts)
+    if isinstance(node, Name) and node.kind in ("E", "Pf"):
+        return math.prod(range(1, 2 * (node.index if node.kind == "E" else n + 1), 2))
+    return 3 if isinstance(node, Name) and node.kind == "R" else 1
 
 
 def _implied_delta(node) -> Fraction | None:

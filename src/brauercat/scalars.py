@@ -93,12 +93,10 @@ def as_scalar(value, delta: Fraction | None):
     delta=None means the formal ring (DeltaPoly); otherwise exact rationals.
     """
     if delta is None:
-        if isinstance(value, DeltaPoly):
-            return value
-        return DeltaPoly.const(value)
+        return value if isinstance(value, DeltaPoly) else DeltaPoly.const(value)
     if isinstance(value, DeltaPoly):
         raise TypeError("formal coefficient in a specialized morphism")
-    return Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def loop_factor(loops: int, delta: Fraction | None):

@@ -9,7 +9,9 @@ from brauercat.category import (Morphism, check_eq_ch, compose_diagrams,
                                 closure_loops, e_rec, e_sum, generator_s,
                                 generator_u, r_element, tensor_diagrams)
 from brauercat.cli import _is_idempotent
+from brauercat.expr import parse_morphism
 from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
+from brauercat.pfaffian import normal_form
 from brauercat.scalars import DeltaPoly, loop_factor
 from oracles import (check_eq_ch_by_definition, closure_loops_by_union_find,
                      compose_by_definition, glue_by_union_find)
@@ -417,3 +419,30 @@ def test_accumulate_is_one_signed_sum():
         ms[0] - as_m(generator_u(1, 2))
     with pytest.raises(ValueError, match=r"cannot add shapes \(2,2\) and \(1,1\)"):
         ms[0] + Morphism.identity(1, delta)
+
+
+def _coefficients_in_ring(m):
+    """Every coefficient is a nonzero Fraction (specialized) or DeltaPoly (formal)."""
+    ring = DeltaPoly if m.delta is None else Fraction
+    return all(type(c) is ring and c for c in m.terms.values())
+
+
+@pytest.mark.parametrize("delta", PRODUCT_DELTAS, ids=str)
+def test_arithmetic_results_keep_coefficients_in_the_ring(delta):
+    # results of arithmetic skip the constructor's coercion, so an int or a zero
+    # left in them would show here; integer coefficients make integer products
+    rng = random.Random(f"ring {delta}")
+    whole = Morphism(2, 2, {d: rng.choice((1, -2, 3)) for d in diagrams(2, 2)}, delta)
+    results = [whole * whole, whole.scaled(2), whole.scaled(0), whole.scaled(Fraction(1, 3)),
+               whole - whole, whole.accumulate([(1, whole), (-1, whole.scaled(2))])]
+    for r, s, t in _product_shapes():
+        x, y = _random_morphism(rng, r, s, delta), _random_morphism(rng, s, t, delta)
+        results += [x * y, x.scaled(-3), x.accumulate([(-1, x), (1, x.scaled(2))])]
+    flat = Morphism(0, 6, {d: rng.choice((1, -1)) for d in diagrams(0, 6)}, delta)
+    results += [normal_form(flat, 1), normal_form(whole, 1)]
+    if delta is not None:
+        results.append(parse_morphism(str(flat.scaled(Fraction(-5, 7))), delta))
+    else:
+        results.append(parse_morphism("2*(1,2)(3,4) - 1/2*(1,4)(2,3) + 0*(1,3)(2,4)"))
+    assert all(_coefficients_in_ring(m) for m in results)
+    assert any(m.terms for m in results) and whole.scaled(0).is_zero()

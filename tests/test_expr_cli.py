@@ -1,8 +1,10 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from brauercat import category, cli, tensors
+from brauercat import category, cli, expr, tensors
 from brauercat.category import Morphism, e_sum, generator_s, generator_u
 from brauercat.cli import main
 from brauercat.expr import (ExprError, evaluate, parse_expr, parse_morphism,
@@ -93,6 +95,38 @@ def test_syntax_errors_have_positions():
         parse_expr("E(0)")
 
 
+@pytest.mark.parametrize("text, n, message", [
+    ("(1,2)(3", None, "expected ',', found '' (at column 8)"),
+    ("(1,2) (3", None, "expected ',', found '' (at column 9)"),
+    ("(1,2)(3,4", None, "expected ')', found '' (at column 10)"),
+    ("(1,2,3)", None, "expected ')', found ',' (at column 5)"),
+    ("((1,2)", None, "expected ')', found '' (at column 7)"),
+    ("2|2:(1,2)(3", None, "expected ',', found '' (at column 12)"),
+    ("Pf((5,6)", 1, "expected ')', found '' (at column 9)"),
+    ("(1,2)(3,4/3)", None, "diagram point must be an integer, found '4/3' (at column 9)"),
+    ("u_1 (1,2)(3,4)", None, "trailing input '(' (at column 5)"),
+    ("E((1,2))", None, "expected 'num', found '(' (at column 3)"),
+])
+def test_truncated_diagram_literals_keep_their_messages(text, n, message):
+    with pytest.raises(ExprError) as err:
+        run(text, n=n)
+    assert str(err.value) == message
+
+
+def test_long_truncated_run_is_read_once():
+    # 5000 whole pairs, then a truncated one: read in linear time, the error at the end
+    text = "".join(f"({2 * i + 1},{2 * i + 2})" for i in range(5000)) + " (1"
+    with pytest.raises(ExprError, match=rf"^expected ',', found '' \(at column {len(text) + 1}\)$"):
+        parse_expr(text)
+
+
+def test_diagram_literals_allow_whitespace():
+    want = run("(1,3)(2,4)")
+    assert run("( 1 , 3 )( 2 , 4 )") == run(" (1,3) (2,4) ") == want
+    assert run("2|2: (1,2) (3,4)") == Morphism.from_diagram(generator_u(1, 2))
+    assert run("((1,3)(2,4)) - (1,3)(2,4)").is_zero()
+
+
 def test_shape_errors_report_both_shapes():
     with pytest.raises(ExprError, match=r"\(2,2\) and \(0,4\)"):
         run("u_1 o (1,2)(3,4)")
@@ -123,6 +157,58 @@ def test_printed_morphism_parses_back():
             for r in range(points + 1):
                 m = Morphism.from_diagram(Diagram(r, points - r, pm), delta, Fraction(-5, 7))
                 assert parse_morphism(str(m), delta) == m, str(m)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_morphisms_print_and_parse_back(seed):
+    # negative and non-integer rational coefficients, flat and r|s literals,
+    # 1 to 600 terms; the terms print in the order of their diagram text
+    rng = random.Random(f"round trip {seed}")
+    delta = rng.choice((Fraction(-4), Fraction(-3, 2), Fraction(5, 7)))
+    points = rng.choice((2, 4, 6, 8, 10))
+    r = rng.choice((0, 0, rng.randint(1, points)))
+    pool = list(enumerate_matchings(points))
+    size = rng.randint(1, min(600, len(pool))) if seed else min(600, len(pool))
+    m = Morphism(r, points - r, {Diagram(r, points - r, pm): Fraction(
+        rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 9))
+        for pm in rng.sample(pool, size)}, delta)
+    text = str(m)
+    back = parse_morphism(text, delta)
+    assert back == m
+    assert str(back) == text
+    printed = re.findall(r"\*(\S+)", text)
+    assert printed == sorted(printed) == sorted(str(d) for d in m.terms)
+
+
+def test_literal_that_is_not_a_matching_is_an_expression_error(capsys):
+    for text, message in (
+            ("(1,2)(1,2)", "(1,2)(1,2) is not a perfect matching of 1..4 (at column 1)"),
+            ("(1,1)", "(1,1) is not a perfect matching of 1..2 (at column 1)"),
+            ("u_1 + 2|2:(3,1)(1,4)", "(3,1)(1,4) is not a perfect matching of 1..4 (at column 11)"),
+            ("(1,2) + (2 , 3)(3,4)", "(2,3)(3,4) is not a perfect matching of 1..4 (at column 9)")):
+        assert main(["compose", text]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_expressions_are_priced_before_they_are_built(monkeypatch, capsys):
+    # E(m) and Pf stubs record what would be built; a refusal builds nothing
+    built = []
+    monkeypatch.setattr(expr, "e_sum", lambda n, delta: built.append(n + 1)
+                        or Morphism.identity(n + 1, delta))
+    monkeypatch.setattr(expr, "pfaffian", lambda g, delta: built.append("Pf")
+                        or Morphism.zero(0, g.points, delta))
+    for argv, terms in ((["E(9)"], 34459425), (["E(8)"], 2027025), (["E(6) o E(6)"], 10395 ** 2),
+                        (["E(5) * E(5) + E(5) * E(5)"], 2 * 945 ** 2),
+                        (["Pf()", "--n", "7"], 2027025)):
+        assert main(["compose", *argv]) == 2
+        assert capsys.readouterr().err == (f"error: the expression builds up to {terms} terms, "
+                                           f"over the budget of 1000000\n")
+    assert built == []
+    for argv in (["E(7)"], ["E(5) * E(5)"], ["Pf() x Pf()", "--n", "4"], ["Pf()", "--n", "6"]):
+        assert main(["compose", *argv]) == 0
+    assert built == [7, 5, 5, "Pf", "Pf", "Pf"]
+    assert expr._terms(parse_expr("R_1(1) * R_1(2) + -id_2 + 3"), None) == 9 + 1 + 1
+    assert expr._terms(parse_expr("(1,2)(3,4) x E(3) o E(3)"), None) == 225
 
 
 def test_parse_morphism_rejects_scalar():

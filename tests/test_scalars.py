@@ -119,7 +119,9 @@ def test_mixing_with_qpolynomial_raises_type_error():
 
 def test_as_scalar_and_loop_factor():
     assert as_scalar(2, None) == DeltaPoly.const(2)
-    assert as_scalar(Fraction(1, 2), Fraction(-2)) == Fraction(1, 2)
+    half = Fraction(1, 2)
+    assert as_scalar(half, Fraction(-2)) is half  # a Fraction is returned unchanged
+    assert type(as_scalar(3, Fraction(-2))) is Fraction
     with pytest.raises(TypeError, match="formal"):
         as_scalar(DeltaPoly.delta(), Fraction(-2))
     for loops in range(4):
