@@ -330,12 +330,12 @@ def e_rec(n: int, delta="auto") -> Morphism:
     delta = _default_delta(n, delta)
     if delta is None:
         raise ValueError("recursive construction needs a rational specialization")
-    for k in range(1, n + 1):  # reject a pole of any R_k(k) before taking a product
-        r_element(k, k, k + 1, delta)
+    # every R_k(k) first, so that a pole of any of them raises before a product
+    rs = [r_element(k, k, k + 1, delta) for k in range(1, n + 1)]
     e = Morphism.identity(1, delta)
-    for j in range(2, n + 2):
+    for rk in rs:
         prev = e @ Morphism.identity(1, delta)
-        e = prev * r_element(j - 1, j - 1, j, delta) * prev
+        e = prev * rk * prev
     return e
 
 

@@ -197,6 +197,8 @@ class _Parser:
                             f"matching of 1..{2 * len(pairs)}", pos) from None
         if s is None:
             s = pm.n_points - r
+        elif pm.n_points != r + s:
+            raise ExprError(f"matching covers {pm.n_points} points, shape needs {r + s}", pos)
         return Diag(unbend(pm, r, s) if r else Diagram(0, s, pm), pos)
 
     def shaped_diagram(self):

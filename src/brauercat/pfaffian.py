@@ -18,6 +18,7 @@ from functools import cache
 from .category import Morphism
 from .matchings import (Diagram, PerfectMatching, crossing_pairs, find_mutually_crossing,
                         unbend, _bent_matching, _first_mutually_crossing, _matchings_of)
+from .scalars import as_scalar
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,13 @@ class PfGenerator:
 
 def pfaffian(g: PfGenerator, delta=None) -> Morphism:
     """Sum of all matchings of the subset, each completed by the fixed matching."""
+    delta = None if delta is None else Fraction(delta)
+    one = as_scalar(1, delta)
     terms = {}
     for s in _matchings_of(g.subset):
         pm = PerfectMatching._from_canonical(tuple(sorted(s + g.rest)))
-        terms[Diagram(0, g.points, pm)] = 1
-    return Morphism(0, g.points, terms, delta)
+        terms[Diagram(0, g.points, pm)] = one
+    return Morphism._normalized(0, g.points, terms, delta)
 
 
 def find_violation(d: Diagram, n: int) -> tuple[tuple[int, int], ...] | None:
@@ -72,9 +75,12 @@ def rewrite_step(d: Diagram, violation: tuple[tuple[int, int], ...],
     if tuple(zip(subset, subset[len(violation):])) != violation:
         raise ValueError(f"strands {violation} do not cross mutually")
     points = d.matching.n_points
+    delta = None if delta is None else Fraction(delta)
+    minus_one = as_scalar(-1, delta)
     out = _rewrite_pairs(d.matching.pairs, violation, crossing_pairs(d.matching))
-    return Morphism(0, points, {Diagram(0, points, PerfectMatching._from_canonical(pairs)): -1
-                                for pairs, _ in out}, delta)
+    terms = {Diagram(0, points, PerfectMatching._from_canonical(pairs)): minus_one
+             for pairs, _ in out}
+    return Morphism._normalized(0, points, terms, delta)
 
 
 @cache
@@ -156,6 +162,6 @@ def normal_form(m: Morphism, n: int, _trace: list | None = None) -> Morphism:
             for e, crossings in _rewrite_pairs(pairs, violation, k):
                 push(e, crossings, c)
     wrap = lambda pm: unbend(pm, m.r, m.s) if m.r else Diagram(0, points, pm)
-    return Morphism(m.r, m.s, {wrap(PerfectMatching._from_canonical(pairs)):
-                               c if den == 1 else Fraction(c, den) for pairs, c in out.items()},
-                    m.delta)
+    return Morphism._normalized(m.r, m.s, {wrap(PerfectMatching._from_canonical(pairs)):
+                                           c if m.delta is None else Fraction(c, den)
+                                           for pairs, c in out.items()}, m.delta)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import count
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -346,8 +345,9 @@ def ev_rank(r: int, n: int) -> int:
 
     The rank is certified to be k = |X(r, n)| in two halves:
 
-    - rank >= k: the Gram matrix of X has rank k modulo a prime
-      (``_block_rank``), and the rank over Q is at least the rank mod p.
+    - rank >= k: the Gram matrix of X has rank k modulo the fixed prime
+      p = ``_P`` (``_block_rank``), and the rank over Q is at least the rank
+      mod p.  GF(p) holds the roots of unity of order 2r for every r <= 18.
     - rank <= k: every diagram rewrites to span X through the Pfaffian
       relations (``pfaffian.normal_form``), and each relation is the Pfaffian
       of all 2n + 2 points with its subset relabelled, times a sign, with the
@@ -356,8 +356,9 @@ def ev_rank(r: int, n: int) -> int:
       ev(Pf) = 0 on 2n + 2 points through the Gram norm, puts the relations in
       ker ev.  For n >= r, X holds every matching and the check is skipped.
 
-    If either half fails (an unlucky prime, or a true mismatch), the rank is
-    ``ev_gram_rank`` of all N = (2r-1)!! matchings, about N k^2 / 2 steps.
+    If either half fails (an unlucky prime, no root of order 2r mod p, or a
+    true mismatch), the rank is ``ev_gram_rank`` of all N = (2r-1)!!
+    matchings, about N k^2 / 2 steps.
     """
     k = count_X(r, n)
     if _block_rank(enumerate_X(r, n), n) == k and (n >= r or _pfaffian_vanishes(n)):
@@ -372,9 +373,16 @@ def _pfaffian_vanishes(n: int) -> bool:
     return ev_morphism(pfaffian(g, Fraction(-2 * n)), n).is_zero()
 
 
+# The field of ``_block_rank``: p = 37 * 2 * lcm(1..18) + 1 is prime, so GF(p)
+# holds a root of unity of order 2r for every r <= 18, and G = 58 is its least
+# primitive root.  Residues below 2^30 are one CPython digit.
+_P, _G = 906_665_761, 58
+
+
 def _block_rank(xs: list[PerfectMatching], n: int) -> int:
-    """Rank modulo a prime p = 1 (mod 2r) of the Gram matrix of a rotation-closed
-    set xs of matchings of 2r points, summed over rotation blocks.
+    """Rank modulo the prime p = ``_P`` of the Gram matrix of a rotation-closed
+    set xs of matchings of 2r points, summed over rotation blocks; 0, which
+    bounds nothing, when 2r does not divide p - 1 (first at r = 19).
 
     Rotation keeps crossings and turns exactly one strand, the one through
     point 2r, from (a, 2r) into (1, a + 1): its cup factor C[i_a, i_2r] becomes
@@ -382,11 +390,12 @@ def _block_rank(xs: list[PerfectMatching], n: int) -> int:
     cyclic shift of the slots, and since P preserves dot products
     G(rot a, rot b) = G(a, b) exactly.  G then commutes with the rotation R.
     Since R^(2r) = 1 and p does not divide 2r, R is diagonal over GF(p) with
-    the eigenvalues omega^j (omega of exact order 2r mod p), G is
-    block-diagonal on the eigenspaces, and its rank is the sum of the block
-    ranks.  Eigenspace j has the basis v_O = sum_t omega^(jt) rot^t x_O over
-    the orbits O with omega^(j|O|) = 1, x_O the first element of O in xs, and
-    block j is M_j(O, O') = sum_(t < |O'|) omega^(jt) G(x_O, rot^t x_O').
+    the eigenvalues omega^j, omega = ``_G``^((p-1)/2r) of exact order 2r
+    (``_G`` generates the units mod p).  G is block-diagonal on the
+    eigenspaces, and its rank is the sum of the block ranks.  Eigenspace j
+    has the basis v_O = sum_t omega^(jt) rot^t x_O over the orbits O with
+    omega^(j|O|) = 1, x_O the first element of O in xs, and block j is
+    M_j(O, O') = sum_(t < |O'|) omega^(jt) G(x_O, rot^t x_O').
 
     f(t) = G(x_O, rot^t x_O') has period g = gcd(|O|, |O'|), and
     G(x_O', rot^t x_O) = f(-t), so one pair of orbits costs g loop walks and
@@ -395,8 +404,10 @@ def _block_rank(xs: list[PerfectMatching], n: int) -> int:
     of block j up to a diagonal scaling, so only j = 0..r are eliminated.
     On no points the rotation is the identity, of order 1.
     """
-    order = xs[0].n_points or 1
-    p, omega = _root_of_unity(order)
+    order, p = xs[0].n_points or 1, _P
+    if (p - 1) % order:
+        return 0
+    omega = pow(_G, (p - 1) // order, p)
     cycles = rotation_cycles([x.pairs for x in xs])
     _, entry = _flat_gram(xs, n)
     sizes = [len(c) for c in cycles]
@@ -431,50 +442,6 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
         rows = [[(x - f * y) % p for x, y in zip(row[1:], tail)] if (f := row[0]) else row[1:]
                 for row in rows if row is not pivot]
     return rank
-
-
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MILLER_RABIN_LIMIT = 3317044064679887385961981  # the bases above decide every p below
-
-
-def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin on the prime bases 2..41, exact for p < 3.3e24."""
-    if p >= _MILLER_RABIN_LIMIT:
-        raise ValueError(f"{p} is beyond the deterministic Miller-Rabin range")
-    if p < 2:
-        return False
-    for a in _MILLER_RABIN_BASES:
-        if p % a == 0:
-            return p == a
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@cache
-def _root_of_unity(order: int) -> tuple[int, int]:
-    """The least prime p = 1 (mod order) above 2^29, and the least power
-    g^((p-1)/order), g = 2, 3, ..., of exact multiplicative order ``order`` mod p.
-    Residues below 2^30 are one CPython digit, which keeps elimination fast; a
-    prime that happens to lose rank only sends ``ev_rank`` to the exact route."""
-    p = (2 ** 29 // order + 1) * order + 1
-    while not _is_prime(p):
-        p += order
-    for g in count(2):
-        omega = pow(g, (p - 1) // order, p)
-        if all(pow(omega, d, p) != 1 for d in range(1, order)):
-            return p, omega
 
 
 def _flat_gram(matchings: list[PerfectMatching], n: int):

@@ -11,7 +11,7 @@ from brauercat.category import (Morphism, check_eq_ch, compose_diagrams,
 from brauercat.cli import _is_idempotent
 from brauercat.expr import parse_morphism
 from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
-from brauercat.pfaffian import normal_form
+from brauercat.pfaffian import PfGenerator, find_violation, normal_form, pfaffian, rewrite_step
 from brauercat.scalars import DeltaPoly, loop_factor
 from oracles import (check_eq_ch_by_definition, closure_loops_by_union_find,
                      compose_by_definition, glue_by_union_find)
@@ -181,8 +181,35 @@ def test_e_sum_small():
 
 
 def test_e_rec_matches_sum():
-    for n in (1, 2):
-        assert e_rec(n) == e_sum(n)
+    for n in range(1, 5):
+        assert e_rec(n) == e_sum(n), n
+
+
+def test_e_rec_builds_each_deformation_element_once(monkeypatch):
+    calls, products = [], []
+
+    def counted(i, k, m, delta):
+        calls.append((i, k, m))
+        return r_element(i, k, m, delta)
+
+    def counting(name):
+        original = getattr(Morphism, name)
+
+        def wrapper(self, other):
+            products.append(name)
+            return original(self, other)
+        return wrapper
+    monkeypatch.setattr(category, "r_element", counted)
+    for name in ("__mul__", "__matmul__"):
+        monkeypatch.setattr(Morphism, name, counting(name))
+    # delta = -4 = 2 - 2k is a pole of R_3(3): it raises before any product
+    with pytest.raises(ValueError, match="pole"):
+        e_rec(3, Fraction(-4))
+    assert calls == [(1, 1, 2), (2, 2, 3), (3, 3, 4)] and products == []
+    for n in range(1, 5):
+        calls.clear()
+        e_rec(n)
+        assert calls == [(k, k, k + 1) for k in range(1, n + 1)], n
 
 
 def test_eq_ch():
@@ -440,6 +467,11 @@ def test_arithmetic_results_keep_coefficients_in_the_ring(delta):
         results += [x * y, x.scaled(-3), x.accumulate([(-1, x), (1, x.scaled(2))])]
     flat = Morphism(0, 6, {d: rng.choice((1, -1)) for d in diagrams(0, 6)}, delta)
     results += [normal_form(flat, 1), normal_form(whole, 1)]
+    crossing = Diagram(0, 6, PerfectMatching(((1, 4), (2, 5), (3, 6))))
+    results += [pfaffian(PfGenerator(1, 6, (1, 2, 4, 5), ((3, 6),)), delta),
+                pfaffian(PfGenerator(2, 6, tuple(range(1, 7)), ()), delta),
+                rewrite_step(crossing, find_violation(crossing, 1), delta),
+                rewrite_step(crossing, find_violation(crossing, 2), delta)]
     if delta is not None:
         results.append(parse_morphism(str(flat.scaled(Fraction(-5, 7))), delta))
     else:

@@ -102,6 +102,7 @@ def test_syntax_errors_have_positions():
     ("(1,2,3)", None, "expected ')', found ',' (at column 5)"),
     ("((1,2)", None, "expected ')', found '' (at column 7)"),
     ("2|2:(1,2)(3", None, "expected ',', found '' (at column 12)"),
+    ("2|3:(1,2)(3,4)", None, "matching covers 4 points, shape needs 5 (at column 5)"),
     ("Pf((5,6)", 1, "expected ')', found '' (at column 9)"),
     ("(1,2)(3,4/3)", None, "diagram point must be an integer, found '4/3' (at column 9)"),
     ("u_1 (1,2)(3,4)", None, "trailing input '(' (at column 5)"),

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -10,10 +10,10 @@ from brauercat.matchings import (Diagram, PerfectMatching, bend, count_X, enumer
                                  enumerate_X, unbend)
 from brauercat.pfaffian import PfGenerator, normal_form, pfaffian
 from brauercat.scalars import integer_terms
-from brauercat.tensors import (Tensor, _block_rank, _ev_norm, _flat_gram, _gram_rank,
-                               _is_prime, _rank_mod_p, _root_of_unity, ev_diagram,
-                               ev_gram_rank, ev_morphism, ev_rank, exact_rank,
-                               rank_of_span)
+from brauercat import tensors
+from brauercat.tensors import (Tensor, _G, _P, _block_rank, _ev_norm, _flat_gram, _gram_rank,
+                               _rank_mod_p, ev_diagram, ev_gram_rank, ev_morphism, ev_rank,
+                               exact_rank, rank_of_span)
 from oracles import (compose_maps, ev_generator, ev_sliced, exact_rank_bareiss,
                      generator_tensor_by_form, gram_by_dot, identity_tensor,
                      pairwise_ev_norm, strand_factor_tensor, symplectic_form,
@@ -613,35 +613,44 @@ def test_gram_is_rotation_invariant(n):
         assert flat_gram([pm.rotate() for pm in pool], n) == flat_gram(pool, n), (r, n)
 
 
-def test_miller_rabin_is_exact():
-    sieve = [True] * 200_000
-    sieve[0] = sieve[1] = False
-    for i in range(2, 448):
-        if sieve[i]:
-            sieve[i * i::i] = [False] * len(range(i * i, 200_000, i))
-    assert [p for p in range(200_000) if _is_prime(p)] == [p for p, ok in enumerate(sieve) if ok]
-    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
-                  5394826801, 232250619601, 9746347772161]
-    assert not any(map(_is_prime, carmichael))
-    # strong pseudoprime to the bases 2, 3, 5 and 7, caught by 11
-    assert not _is_prime(3215031751)
-    assert _is_prime(2 ** 61 - 1) and _is_prime(2 ** 31 - 1) and not _is_prime(2 ** 61 + 1)
-    with pytest.raises(ValueError, match="Miller-Rabin"):
-        _is_prime(10 ** 25)
+def test_block_rank_field_is_prime():
+    # trial division by every d <= sqrt(p) (p is about 9e8, so below 30200)
+    assert 2 ** 29 < _P < 2 ** 30
+    assert all(_P % d for d in range(2, isqrt(_P) + 1))
 
 
-def test_root_of_unity_has_exact_order():
-    for order in range(1, 25):
-        p, omega = _root_of_unity(order)
-        assert _is_prime(p) and (p - 1) % order == 0 and 2 ** 29 < p < 2 ** 30
-        powers = [pow(omega, e, p) for e in range(1, order + 1)]
-        assert powers[-1] == 1 and 1 not in powers[:-1], order
+def test_block_rank_field_generator_is_primitive():
+    # p - 1 = 2^5 3^2 5 7 11 13 17 37, and G^((p-1)/q) != 1 for each prime q
+    # dividing it, so G has order p - 1 and G^((p-1)/2r) has order 2r
+    primes = [2, 3, 5, 7, 11, 13, 17, 37]
+    rest = _P - 1
+    for q in primes:
+        while rest % q == 0:
+            rest //= q
+    assert rest == 1
+    assert all(pow(_G, (_P - 1) // q, _P) != 1 for q in primes)
+    assert all((_P - 1) % (2 * r) == 0 for r in range(1, 19))
+
+
+def test_ev_rank_without_a_root_of_the_order_takes_the_exact_route(monkeypatch):
+    # GF(7) has no root of unity of order 4 (6 is not a multiple of 4): the
+    # certificate bounds nothing at r = 2, and ev_rank takes ev_gram_rank
+    monkeypatch.setattr(tensors, "_P", 7)
+    monkeypatch.setattr(tensors, "_G", 3)
+    calls = []
+
+    def counted(matchings, n):
+        calls.append(len(matchings))
+        return ev_gram_rank(matchings, n)
+    monkeypatch.setattr(tensors, "ev_gram_rank", counted)
+    assert _block_rank(enumerate_X(2, 1), 1) == 0
+    assert ev_rank(2, 1) == 2 and calls == [3]
 
 
 def test_rank_mod_p_on_products():
     # B C with B m x k and C k x l has rank k over GF(p) for these seeds, and
     # zero columns in front exercise the columns with no pivot
-    p = _root_of_unity(10)[0]
+    p = _P
     rng = random.Random(28)
     for m, k, l in [(1, 1, 1), (5, 3, 7), (7, 7, 7), (12, 4, 9), (9, 6, 3)]:
         b = [[rng.randrange(p) for _ in range(k)] for _ in range(m)]
