@@ -324,6 +324,44 @@ def rotation_cycles(pool: list[tuple[tuple[int, int], ...]], step: int = 1) -> l
     return cycles
 
 
+def point_blocks(coeff: dict, points: int) -> list[int]:
+    """The blocks of points 1..points joined by the point transpositions that
+    preserve ``coeff``, a map from mate tuples (mate[0] unused) to
+    coefficients: p and q share a block when block[p] == block[q].  The
+    symmetric groups on the blocks preserve ``coeff``, and every
+    transposition that does lies in their product."""
+    block = list(range(points + 1))
+    for i in range(1, points + 1):
+        for j in range(i + 1, points + 1):
+            if block[i] != block[j] and _preserves(coeff, i, j):
+                old = block[j]
+                block = [block[i] if b == old else b for b in block]
+    return block
+
+
+def _preserves(coeff: dict, i: int, j: int) -> bool:
+    """Whether the point transposition (i j) maps each mate tuple of ``coeff``
+    to one with the same coefficient: mate' = (i j) mate (i j)."""
+    get = coeff.get
+    for mate, c in coeff.items():
+        mi, mj = mate[i], mate[j]
+        if mi == j:  # the strand (i, j) is its own image
+            continue
+        image = list(mate)
+        image[i], image[j], image[mi], image[mj] = mj, mi, j, i
+        if get(tuple(image), 0) != c:
+            return False
+    return True
+
+
+def orbit_key(pairs, labels) -> tuple:
+    """The strands ``pairs`` with each point p read as labels[p], sorted: two
+    matchings share the key exactly when a permutation of equally labelled
+    points maps one onto the other."""
+    ends = ((labels[a], labels[b]) for a, b in pairs)
+    return tuple(sorted((u, v) if u <= v else (v, u) for u, v in ends))
+
+
 @dataclass(frozen=True, order=True)
 class Diagram:
     """A Brauer diagram of shape (r, s): a matching of r top and s bottom points."""

@@ -39,7 +39,7 @@ from operator import itemgetter, mul
 
 from .category import Morphism
 from .matchings import (Diagram, PerfectMatching, count_X, crossing_pairs, enumerate_matchings,
-                        enumerate_X, rotation_cycles, _bent_matching)
+                        enumerate_X, orbit_key, point_blocks, rotation_cycles, _bent_matching)
 from .pfaffian import PfGenerator, pfaffian
 from .scalars import integer_terms
 
@@ -191,14 +191,13 @@ def _ev_norm(terms: list, n: int) -> int:
     A point permutation sigma moves the slots: P_sigma ev(d) =
     sgn(sigma) ev(sigma d), since the crossing sign (-1)^crossings is the
     Pfaffian sign of d and a strand turned around flips its antisymmetric
-    factor.  So G(sigma a, sigma b) = G(a, b).  Each point transposition
-    (i j), i < j, that does not join two points already in one block is
-    tested for whether it preserves the map from flat matching to
-    coefficient (one swapped mate tuple per term, looked up); those that do
+    factor.  So G(sigma a, sigma b) = G(a, b).  ``matchings.point_blocks``
+    finds the point transpositions that preserve the map from flat matching
+    to coefficient (one swapped mate tuple per term, looked up); they
     generate a product H of symmetric groups on point blocks, and the terms
     are a union of H-orbits, each with one coefficient c_O.  The orbit of a
-    matching is its multiset of strand block pairs, and for orbits O, O',
-    with x_O in O, sum over x in O and y in O' of G(x, y) is
+    matching is its multiset of strand block pairs (``orbit_key``), and for
+    orbits O, O', with x_O in O, sum over x in O and y in O' of G(x, y) is
     |O| sum_(y in O') G(x_O, y).  So the norm is the sum over orbits O of
     |O| c_O sum_y c_y G(x_O, y), y running over O and, counted twice, the
     orbits after O: one loop walk per term y for each orbit up to y's own.
@@ -207,24 +206,16 @@ def _ev_norm(terms: list, n: int) -> int:
     the coefficients, and the loop products are taken directly:
     ``_flat_gram``'s entry function would double the cost.
     """
-    coeff, signed = {}, {}  # flat mate tuple -> coefficient, and times the crossing sign
+    coeff, signed = {}, []  # flat mate tuple -> coefficient; terms with the crossing sign
     for d, c in terms:
         pm = _bent_matching(d)
         mate = tuple(pm.involution())
         coeff[mate] = c
-        signed[mate] = -c if crossing_pairs(pm) % 2 else c
-    points = len(next(iter(coeff), (0,))) - 1
-    block = list(range(points + 1))  # block[p]: a label shared by the points of p's block
-    for i in range(1, points + 1):
-        for j in range(i + 1, points + 1):
-            if block[i] != block[j] and _preserves(coeff, i, j):
-                old = block[j]
-                block = [block[i] if b == old else b for b in block]
+        signed.append((pm.pairs, mate, -c if crossing_pairs(pm) % 2 else c))
+    block = point_blocks(coeff, len(next(iter(coeff), (0,))) - 1)
     orbits: dict[tuple, list] = {}
-    for mate, x in signed.items():
-        ends = ((block[p], block[q]) for p, q in enumerate(mate) if p < q)
-        key = tuple(sorted((u, v) if u < v else (v, u) for u, v in ends))
-        orbits.setdefault(key, []).append((mate, x))
+    for pairs, mate, x in signed:
+        orbits.setdefault(orbit_key(pairs, block), []).append((mate, x))
     classes = list(orbits.values())
     total = 0
     for o, members in enumerate(classes):
@@ -233,21 +224,6 @@ def _ev_norm(terms: list, n: int) -> int:
         cross = sum(y * _loop_product(a, b, 2 * n) for later in classes[o + 1:] for b, y in later)
         total += len(members) * x * (own + 2 * cross)
     return total
-
-
-def _preserves(coeff: dict, i: int, j: int) -> bool:
-    """Whether the point transposition (i j) maps each mate tuple of ``coeff``
-    to one with the same coefficient: mate' = (i j) mate (i j)."""
-    get = coeff.get
-    for mate, c in coeff.items():
-        mi, mj = mate[i], mate[j]
-        if mi == j:  # the strand (i, j) is its own image
-            continue
-        image = list(mate)
-        image[i], image[j], image[mi], image[mj] = mj, mi, j, i
-        if get(tuple(image), 0) != c:
-            return False
-    return True
 
 
 def _gram_rank(diag: list[int], column) -> int:

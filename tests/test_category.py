@@ -1,18 +1,18 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from brauercat import category
-from brauercat.category import (Morphism, check_eq_ch, compose_diagrams,
+from brauercat.category import (Morphism, check_eq_ch, compose_by_orbits, compose_diagrams,
                                 closure_loops, e_rec, e_sum, generator_s,
                                 generator_u, r_element, tensor_diagrams)
 from brauercat.cli import _is_idempotent
 from brauercat.expr import parse_morphism
-from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings
+from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings, unbend
 from brauercat.pfaffian import PfGenerator, find_violation, normal_form, pfaffian, rewrite_step
-from brauercat.scalars import DeltaPoly, loop_factor
+from brauercat.scalars import DeltaPoly, as_scalar, loop_factor
 from oracles import (check_eq_ch_by_definition, closure_loops_by_union_find,
                      compose_by_definition, glue_by_union_find)
 
@@ -181,7 +181,7 @@ def test_e_sum_small():
 
 
 def test_e_rec_matches_sum():
-    for n in range(1, 5):
+    for n in range(1, 6):
         assert e_rec(n) == e_sum(n), n
 
 
@@ -238,6 +238,25 @@ def test_multi_term_coefficients_print_in_parentheses():
     assert str((D - 2) * u + s * 3) == "(-2 + d)*2|2:(1,2)(3,4) + 3*2|2:(1,3)(2,4)"
     assert str(e_sum(1) - e_sum(1).scaled(3)) == \
         "-1*2|2:(1,2)(3,4) - 1*2|2:(1,3)(2,4) - 1*2|2:(1,4)(2,3)"
+
+
+@pytest.mark.parametrize("delta", (Fraction(-6), Fraction(7, 3), Fraction(-1, 2), None), ids=str)
+def test_trace_is_the_sum_over_terms(delta):
+    # the integer-weighted trace against coeff * delta^loops summed term by term,
+    # loops counted by union-find
+    rng = random.Random(f"trace {delta}")
+    for m in range(5):
+        pool = diagrams(m, m)
+        for _ in range(6):
+            x = Morphism(m, m, {d: _random_coeff(rng, delta)
+                                for d in rng.sample(pool, rng.randint(0, min(8, len(pool))))},
+                         delta)
+            want = as_scalar(0, delta)
+            for d, c in x.terms.items():
+                want = want + c * loop_factor(closure_loops_by_union_find(d.matching.pairs, m),
+                                              delta)
+            got = x.trace()
+            assert got == want and type(got) is type(want), x
 
 
 def test_trace_of_e():
@@ -397,10 +416,86 @@ def test_eq_ch_matches_definition_on_random_morphisms(m):
         assert not report.passed and report.witness is not None
 
 
+def _changed(e: Morphism) -> Morphism:
+    """e with the coefficient of its identity term changed: no transposition of
+    two top points, or of two bottom points, preserves it."""
+    return Morphism(e.r, e.s, {**e.terms, Diagram.identity(e.r): Fraction(5)}, e.delta)
+
+
+def _flipped(e: Morphism) -> Morphism:
+    """e turned upside down: top point p and bottom point m + p trade places."""
+    m = e.r
+    flip = {p: p + m if p <= m else p - m for p in range(1, 2 * m + 1)}
+    return Morphism(m, m, {Diagram(m, m, PerfectMatching(tuple((flip[a], flip[b])
+                                                               for a, b in d.matching.pairs))): c
+                           for d, c in e.terms.items()}, e.delta)
+
+
+def _one_sided() -> Morphism:
+    """On 4 strands at delta = -4, with flat labels (top points 4..1 as 1..4,
+    bottom points 5..8): the flat matchings with the strand (6, 8) and not
+    (5, 7), minus those with (5, 7) and not (6, 8).  Every generator
+    relation but e s_i = e holds, so its top points alone form a block, and
+    the u_1 products alone would pass it."""
+    terms = {unbend(pm, 4, 4): 1 if (6, 8) in pm.pairs else -1
+             for pm in enumerate_matchings(8) if ((6, 8) in pm.pairs) != ((5, 7) in pm.pairs)}
+    return Morphism(4, 4, terms, Fraction(-4))
+
+
+def test_one_sided_case_is_one_sided():
+    e, delta = _one_sided(), Fraction(-4)
+    for i in (1, 2, 3):
+        s, u = as_m(generator_s(i, 4), delta), as_m(generator_u(i, 4), delta)
+        assert s * e == e and (u * e).is_zero() and (e * u).is_zero()
+    assert e * as_m(generator_s(1, 4), delta) != e
+    block = category._blocks(e)
+    assert len(set(block[1:5])) == 1 and len(set(block[5:])) > 1
+
+
+def _orbit(x: Diagram, groups) -> frozenset:
+    """The images of x under every permutation of the points within each group."""
+    images = set()
+    for perms in product(*(permutations(g) for g in groups)):
+        to = {a: b for g, perm in zip(groups, perms) for a, b in zip(g, perm)}
+        images.add(PerfectMatching(tuple((to.get(a, a), to.get(b, b))
+                                         for a, b in x.matching.pairs)).pairs)
+    return frozenset(images)
+
+
+def test_witness_scan_forms_one_product_per_orbit(monkeypatch):
+    # x*e depends only on the orbit of x's bottom points under e's top blocks, and
+    # e*x on that of x's top points under e's bottom blocks: the scan forms one
+    # product per orbit met, up to its witness
+    e = _one_sided()
+    cases = [(e, [(5, 6, 7, 8)], [(1, 3), (2, 4)]), (_flipped(e), [(5, 7), (6, 8)], [(1, 2, 3, 4)])]
+    assert category._blocks(e) == [0, 1, 1, 1, 1, 5, 6, 5, 6]
+    for e, below_e, above_e in cases:
+        mul, products = Morphism.__mul__, []
+        monkeypatch.setattr(Morphism, "__mul__", lambda a, b: products.append(
+            "x*e" if b is e else "e*x") or mul(a, b))
+        report = check_eq_ch(e, 3)
+        monkeypatch.undo()
+        seen = {"x*e": set(), "e*x": set()}
+        for pm in enumerate_matchings(8):
+            x = Diagram(4, 4, pm)
+            seen["x*e"].add(_orbit(x, below_e))
+            if x == report.witness and report.detail.startswith("x*e"):
+                break
+            seen["e*x"].add(_orbit(x, above_e))
+            if x == report.witness:
+                break
+        assert products.count("x*e") == len(seen["x*e"])
+        assert products.count("e*x") == len(seen["e*x"])
+
+
 def _certificate_cases():
+    yield pytest.param(3, _one_sided(), id="one-sided")
+    yield pytest.param(3, _flipped(_one_sided()), id="one-sided flipped")
     for n in (1, 2, 3):
-        for delta in (Fraction(-2 * n), Fraction(7, 3), Fraction(-2 * n - 2)):
+        for delta in dict.fromkeys((Fraction(-2 * n), Fraction(7, 3), Fraction(-2 * n - 2),
+                                    Fraction(-4))):
             yield pytest.param(n, e_sum(n, delta), id=f"e_sum({n}, {delta})")
+        yield pytest.param(n, _changed(e_sum(n)), id=f"changed e_sum({n})")
         yield pytest.param(n, Morphism.zero(n + 1, n + 1, Fraction(-2 * n)), id=f"zero({n})")
         yield pytest.param(n, e_sum(n).scaled(2), id=f"2*e_sum({n})")  # central, not idempotent
         yield pytest.param(n, e_sum(n, None), id=f"e_sum({n}, None)")
@@ -425,6 +520,66 @@ def test_generator_certificate_glues_4n_products(monkeypatch):
     monkeypatch.setattr(category, "_glue", counting_glue)
     assert check_eq_ch(e, 3).passed
     assert len(glued) <= 4 * 3 * 105  # 4n generator products with the 105 terms of e
+
+
+def _counting_glue(monkeypatch) -> list:
+    """Patch ``_glue`` to count its calls into the returned list."""
+    glue, glued = category._glue, []
+    monkeypatch.setattr(category, "_glue", lambda *args: glued.append(1) or glue(*args))
+    return glued
+
+
+def test_central_certificate_reads_the_blocks_and_glues_two_products(monkeypatch):
+    # s_i * e = e = e * s_i is read off the point blocks, and u_1 * e = 0 = e * u_1
+    # settles every u_i: 2N pairs for the N terms of a central e
+    for n in (1, 2, 3, 4):
+        e = e_sum(n)
+        glued = _counting_glue(monkeypatch)
+        assert check_eq_ch(e, n).passed
+        assert len(glued) == 2 * len(e.terms), n
+        monkeypatch.undo()
+        # a changed coefficient puts no two top points, and no two bottom points,
+        # in one block
+        block = category._blocks(_changed(e))
+        assert len(set(block[1:n + 2])) == len(set(block[n + 2:])) == n + 1
+
+
+@pytest.mark.parametrize("j", (1, 2, 3, 4))
+def test_compose_by_orbits_matches_plain_products(monkeypatch, j):
+    # left factors with several terms per orbit of their bottom points, against
+    # e_sum(j) (x) id, which the permutations of its first j + 1 top points
+    # preserve, and against the same with one coefficient changed, which no
+    # transposition of two top points preserves
+    rng = random.Random(f"orbits {j}")
+    m = j + 2
+    pool = diagrams(m, m)
+    for delta in (Fraction(-2 * j), Fraction(7, 3)):
+        y = e_sum(j, delta) @ Morphism.identity(1, delta)
+        top = category._blocks(y)[1:m + 1]
+        assert len(set(top[:-1])) == 1 and top[-1] not in top[:-1], top
+        changed = _changed(y)
+        assert len(set(category._blocks(changed)[1:m + 1])) == m
+        # symmetric on its bottom points, not on its top points
+        below = _random_morphism(rng, m, m, delta) * y
+        for _ in range(3):
+            terms = {}
+            for d in rng.sample(pool, 4):
+                for _ in range(3):  # d with its first m - 1 bottom points permuted
+                    perm = rng.sample(range(m + 1, 2 * m), m - 1) + [2 * m]
+                    to = {m + g: p for g, p in enumerate(perm, 1)}
+                    moved = PerfectMatching(tuple((to.get(a, a), to.get(b, b))
+                                                  for a, b in d.matching.pairs))
+                    terms[Diagram(m, m, moved)] = _random_coeff(rng, delta)
+            x = Morphism(m, m, terms, delta)
+            for right in (y, changed, below):
+                want = x * right
+                glued = _counting_glue(monkeypatch)
+                assert compose_by_orbits(x, right) == want, x
+                monkeypatch.undo()
+                if right is y:
+                    assert len(glued) < len(x.terms) * len(y.terms)
+                elif right is changed:  # no two terms of x share an orbit
+                    assert len(glued) == len(x.terms) * len(changed.terms)
 
 
 def test_accumulate_is_one_signed_sum():
@@ -461,10 +616,11 @@ def test_arithmetic_results_keep_coefficients_in_the_ring(delta):
     rng = random.Random(f"ring {delta}")
     whole = Morphism(2, 2, {d: rng.choice((1, -2, 3)) for d in diagrams(2, 2)}, delta)
     results = [whole * whole, whole.scaled(2), whole.scaled(0), whole.scaled(Fraction(1, 3)),
-               whole - whole, whole.accumulate([(1, whole), (-1, whole.scaled(2))])]
+               whole - whole, whole.accumulate([(1, whole), (-1, whole.scaled(2))]),
+               whole @ whole, whole @ Morphism.identity(1, delta)]
     for r, s, t in _product_shapes():
         x, y = _random_morphism(rng, r, s, delta), _random_morphism(rng, s, t, delta)
-        results += [x * y, x.scaled(-3), x.accumulate([(-1, x), (1, x.scaled(2))])]
+        results += [x * y, x.scaled(-3), x.accumulate([(-1, x), (1, x.scaled(2))]), x @ y]
     flat = Morphism(0, 6, {d: rng.choice((1, -1)) for d in diagrams(0, 6)}, delta)
     results += [normal_form(flat, 1), normal_form(whole, 1)]
     crossing = Diagram(0, 6, PerfectMatching(((1, 4), (2, 5), (3, 6))))

@@ -483,10 +483,13 @@ def test_idempotent_check_size_preflight(monkeypatch, capsys):
         raise Admitted
 
     monkeypatch.setattr(cli, "e_rec", admitted)
-    with pytest.raises(Admitted):  # n = 4: 3 * 945^2 = 2679075 pairs, under the budget
-        main(["idempotent-check", "--n", "4"])
-    assert main(["idempotent-check", "--n", "5"]) == 2
-    assert "324168075 diagram pairs" in capsys.readouterr().err
+    # orbit products: n = 5 prices 2620632 pairs, under the budget, 2370060 = 3 * 76 * 10395
+    # of them the FAIL path's; n = 6 prices 102516582, 94053960 = 3 * 232 * 135135 of them
+    for n in ("4", "5"):
+        with pytest.raises(Admitted):
+            main(["idempotent-check", "--n", n])
+    assert main(["idempotent-check", "--n", "6"]) == 2
+    assert "102516582 diagram pairs" in capsys.readouterr().err
 
 
 def test_ev_rank_size_preflight(monkeypatch, capsys):
@@ -580,7 +583,7 @@ def test_cli_usage_error():
     ["enumerate", "--what", "syt"],
     ["csp-verify", "--n", "1"],
     ["csp-verify"],
-    ["idempotent-check", "--n", "5"],
+    ["idempotent-check", "--n", "6"],
     ["compose", "id_2", "--strands", "-1"],
     ["compose", "u_1", "--strands", "-3"],
     ["fake-degree", "--shape", ","],

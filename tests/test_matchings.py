@@ -1,12 +1,14 @@
+import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from brauercat.matchings import (Diagram, PerfectMatching, bend, count_fixed_X,
                                  count_X, crossing_pairs, enumerate_matchings, enumerate_X,
                                  enumerate_X_blocked, find_mutually_crossing,
-                                 iter_set_partitions, orbits, rotation_cycles,
-                                 unbend)
+                                 iter_set_partitions, orbit_key, orbits, point_blocks,
+                                 rotation_cycles, unbend)
 from brauercat.expr import parse_morphism
 from brauercat.tableaux import count_oscillating, count_strip_walks
 from oracles import (all_matchings, bell, blocked_by_definition, catalan,
@@ -336,3 +338,75 @@ def test_parse_format_round_trip():
     assert (flat.r, flat.s) == (0, 4)
     empty = Diagram.identity(0)
     assert str(empty) == "id_0" and read_diagram(str(empty)) == empty
+
+
+def _transposed(pairs, i, j):
+    """The matching ``pairs`` with points i and j swapped, canonical."""
+    swap = {i: j, j: i}
+    return PM(tuple((swap.get(a, a), swap.get(b, b)) for a, b in pairs)).pairs
+
+
+def _mate_map(coeff, points):
+    """A map from canonical pairs to coefficients as ``point_blocks`` reads it."""
+    out = {}
+    for pairs, c in coeff.items():
+        mate = [0] * (points + 1)
+        for a, b in pairs:
+            mate[a], mate[b] = b, a
+        out[tuple(mate)] = c
+    return out
+
+
+def test_point_blocks_match_every_transposition():
+    # the blocks are the components of the graph of the transpositions that map
+    # the coefficient map to itself, each tested on every matching
+    rng = random.Random(38)
+    tried = merged = 0
+    for points in (2, 4, 6, 8):
+        pool = [pm.pairs for pm in enumerate_matchings(points)]
+        for _ in range(12):
+            # a Young subgroup's orbits, one coefficient from a short list each, so
+            # that some maps have more symmetry than the subgroup, and a few terms
+            # dropped or changed, so that some have less
+            label = [rng.randrange(3) for _ in range(points + 1)]
+            coeff, value = {}, {}
+            for pairs in pool:
+                key = tuple(sorted(tuple(sorted((label[a], label[b]))) for a, b in pairs))
+                coeff[pairs] = value.setdefault(key, rng.choice((0, 1, 2, Fraction(1, 2))))
+            for pairs in rng.sample(pool, rng.randint(0, min(2, len(pool) - 1))):
+                coeff[pairs] = rng.choice((0, 3))
+            coeff = {pairs: c for pairs, c in coeff.items() if c}
+            component = list(range(points + 1))
+            for i in range(1, points + 1):
+                for j in range(i + 1, points + 1):
+                    if all(coeff.get(_transposed(pairs, i, j), 0) == c
+                           for pairs, c in coeff.items()):
+                        old = component[j]
+                        component = [component[i] if x == old else x for x in component]
+            block = point_blocks(_mate_map(coeff, points), points)
+            for p in range(1, points + 1):
+                for q in range(1, points + 1):
+                    assert (block[p] == block[q]) == (component[p] == component[q]), coeff
+            tried += 1
+            merged += len(set(block[1:])) < points
+            # the orbit key under the blocks: equal keys exactly when a chain of
+            # transpositions inside the blocks joins the two matchings
+            orbit = {}
+            for start in pool:
+                if start in orbit:
+                    continue
+                orbit[start], todo = start, [start]
+                while todo:
+                    pairs = todo.pop()
+                    for i in range(1, points + 1):
+                        for j in range(i + 1, points + 1):
+                            image = _transposed(pairs, i, j)
+                            if block[i] == block[j] and image not in orbit:
+                                orbit[image] = start
+                                todo.append(image)
+            key = {pairs: orbit_key(pairs, block) for pairs in pool}
+            for a in pool:
+                for b in pool:
+                    assert (key[a] == key[b]) == (orbit[a] == orbit[b]), (a, b, block)
+    assert tried == 48 and 12 < merged < tried
+    assert point_blocks({}, 4) == [0, 1, 1, 1, 1]  # the empty map: every transposition
