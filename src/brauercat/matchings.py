@@ -56,12 +56,7 @@ class PerfectMatching:
     def rotate(self, step: int = 1) -> PerfectMatching:
         """Advance every point label by ``step`` cyclically (i -> i + step mod 2m).
         A rotated matching is still a matching, so only the order is restored."""
-        n = self.n_points
-        pairs = []
-        for a, b in self.pairs:
-            a, b = (a - 1 + step) % n + 1, (b - 1 + step) % n + 1
-            pairs.append((a, b) if a < b else (b, a))
-        return PerfectMatching._from_canonical(tuple(sorted(pairs)))
+        return PerfectMatching._from_canonical(_turned(self.pairs, step))
 
     def __str__(self) -> str:
         return "".join(f"({a},{b})" for a, b in self.pairs)
@@ -300,16 +295,10 @@ def rotation_cycles(pool: list[tuple[tuple[int, int], ...]], step: int = 1) -> l
     index = {pairs: i for i, pairs in enumerate(pool)}
     image = []
     for pairs in pool:
-        size = 2 * len(pairs)
-        turned = []
-        for a, b in pairs:
-            a, b = (a - 1 + step) % size + 1, (b - 1 + step) % size + 1
-            turned.append((a, b) if a < b else (b, a))
-        turned.sort()
-        j = index.get(tuple(turned))
+        j = index.get(image_pairs := _turned(pairs, step))
         if j is None:
             raise ValueError(f"set not closed under rotation: {PerfectMatching(pairs)} "
-                             f"reaches {PerfectMatching(tuple(turned))}")
+                             f"reaches {PerfectMatching(image_pairs)}")
         image.append(j)
     cycles = []
     seen = [False] * len(pool)
@@ -322,6 +311,50 @@ def rotation_cycles(pool: list[tuple[tuple[int, int], ...]], step: int = 1) -> l
         if cycle:
             cycles.append(cycle)
     return cycles
+
+
+def _turned(pairs, step: int = 1, sign: int = 1) -> tuple[tuple[int, int], ...]:
+    """The canonical pairs ``pairs`` moved by i -> sign (i - 1) + step + 1 mod 2m:
+    rotation by ``step`` points, or with sign -1 and step -1 the reflection."""
+    size = 2 * len(pairs)
+    out = []
+    for a, b in pairs:
+        a, b = (sign * (a - 1) + step) % size + 1, (sign * (b - 1) + step) % size + 1
+        out.append((a, b) if a < b else (b, a))
+    out.sort()
+    return tuple(out)
+
+
+def chord_key(pairs, dihedral: bool = False) -> tuple[int, ...]:
+    """The key of a matching's orbit under rotation (and reflection, when
+    ``dihedral``): the least rotation of its chord lengths s_i = (mate(i) - i)
+    mod 2m.  Rotation shifts s and reflection sends it to reversed(2m - s),
+    which has the same least entry; only rotations starting on it compete."""
+    size = 2 * len(pairs)
+    s = [0] * size
+    for a, b in pairs:
+        s[a - 1], s[b - 1] = b - a, size + a - b
+    low = min(s, default=0)
+    return min((tuple(t[i:] + t[:i]) for t in _chord_images(s, dihedral)
+                for i in range(size) if t[i] == low), default=())
+
+
+def chord_pairs(key) -> tuple[tuple[int, int], ...]:
+    """The canonical pairs of the matching whose chord-length sequence is ``key``."""
+    size = len(key)
+    return tuple([(a, a + x) for a, x in enumerate(key, 1) if a + x <= size])
+
+
+def chord_orbit(key, dihedral: bool = False) -> list[tuple[tuple[int, int], ...]]:
+    """The canonical pairs of each matching in the orbit keyed by ``chord_key``,
+    once each, read off the rotations (and reflections) of the sequence."""
+    images = dict.fromkeys(tuple(t[i:] + t[:i]) for t in _chord_images(key, dihedral)
+                           for i in range(len(key)))
+    return [chord_pairs(t) for t in images]
+
+
+def _chord_images(s, dihedral: bool) -> tuple:
+    return (s, [len(s) - x for x in reversed(s)]) if dihedral else (s,)
 
 
 def point_blocks(coeff: dict, points: int) -> list[int]:

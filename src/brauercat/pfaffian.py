@@ -16,8 +16,9 @@ from fractions import Fraction
 from functools import cache
 
 from .category import Morphism
-from .matchings import (Diagram, PerfectMatching, crossing_pairs, find_mutually_crossing,
-                        unbend, _bent_matching, _first_mutually_crossing, _matchings_of)
+from .matchings import (Diagram, PerfectMatching, chord_key, chord_orbit, chord_pairs,
+                        crossing_pairs, find_mutually_crossing, unbend, _bent_matching,
+                        _first_mutually_crossing, _matchings_of, _turned)
 from .scalars import as_scalar
 
 
@@ -124,37 +125,56 @@ def normal_form(m: Morphism, n: int, _trace: list | None = None) -> Morphism:
     Every rewrite lowers the crossing count, so coefficients are pushed down
     buckets keyed by crossing count, highest first: each matching is visited
     once, with its accumulated coefficient, and kept (noncrossing), skipped
-    (cancelled to 0) or rewritten into lower buckets.  Buckets hold canonical
-    pair tuples, which sort as their flat diagrams do, and rational
-    coefficients as integer numerators over the lcm of the input denominators
-    (no loop closes); one Diagram and one coefficient are built per output.
-    ``_trace`` (what ``normal-form --trace`` prints) receives each rewritten
-    diagram, from most crossings down and in sorted order within a count.
+    (cancelled to 0) or rewritten into lower buckets; below n(n+1)/2
+    crossings, those of n+1 mutually crossing strands, it is kept unsearched.
+    Buckets hold canonical pair tuples, which sort as their flat diagrams do,
+    and rational coefficients as integer numerators over the lcm of the input
+    denominators (no loop closes); one Diagram and one coefficient are built
+    per output.
+
+    Rotation and reflection permute the relations and the basis and keep
+    crossing counts, so nf(g m) = g nf(m).  When ``_symmetry`` finds the bent
+    input rotation-invariant, each bucket is folded into ``chord_key`` orbit
+    keys carrying their mass (the sum of the elements' coefficients); the
+    key's representative is rewritten and minus the mass pushed per output,
+    which is exact, since every element rewritten by the image of that
+    relation pushes the same.  A kept orbit gets coefficient mass/|orbit|.
+    ``_trace`` (what ``normal-form --trace`` prints) keeps the plain route and
+    receives each rewritten diagram, from most crossings down and in sorted
+    order within a count.
     """
     if n < 1:
         raise ValueError(f"normal form needs rank n >= 1, got n = {n}")
     terms, den = m._integer_terms()
     points = m.r + m.s
+    start = {_bent_matching(d).pairs: c for d, c in terms}
+    dihedral = None if _trace is not None else _symmetry(start)
+    if dihedral is None:  # the plain route: each matching is its own orbit
+        fold, decode, expand = (lambda bucket: bucket), (lambda key: key), (lambda key: (key,))
+    else:
+        fold = lambda bucket: _fold(bucket, dihedral)
+        decode, expand = chord_pairs, lambda key: chord_orbit(key, dihedral)
     buckets: dict[int, dict[tuple, object]] = {}
 
     def push(pairs: tuple, crossings: int, c) -> None:
         bucket = buckets.setdefault(crossings, {})
         bucket[pairs] = bucket.get(pairs, 0) + c
 
-    for d, c in terms:
-        pm = _bent_matching(d)
-        push(pm.pairs, crossing_pairs(pm), c)
+    for pairs, c in start.items():
+        push(pairs, crossing_pairs(PerfectMatching._from_canonical(pairs)), c)
+    least = n * (n + 1) // 2
     out: dict[tuple, object] = {}
     # rewrites fill lower buckets during the walk, so walk the counts, not a snapshot
     for k in range(max(buckets, default=-1), -1, -1):
-        bucket = buckets.get(k, {})
-        for pairs in sorted(bucket):
-            c = bucket[pairs]
+        bucket = fold(buckets.pop(k, {}))
+        for key in sorted(bucket):
+            c = bucket[key]
             if not c:
                 continue
-            violation = _first_mutually_crossing(pairs, n + 1)
+            pairs = decode(key)
+            violation = None if k < least else _first_mutually_crossing(pairs, n + 1)
             if violation is None:
-                out[pairs] = c
+                out[key] = c
                 continue
             if _trace is not None:
                 _trace.append(Diagram(0, points, PerfectMatching._from_canonical(pairs)))
@@ -162,6 +182,31 @@ def normal_form(m: Morphism, n: int, _trace: list | None = None) -> Morphism:
             for e, crossings in _rewrite_pairs(pairs, violation, k):
                 push(e, crossings, c)
     wrap = lambda pm: unbend(pm, m.r, m.s) if m.r else Diagram(0, points, pm)
-    return Morphism._normalized(m.r, m.s, {wrap(PerfectMatching._from_canonical(pairs)):
-                                           c if m.delta is None else Fraction(c, den)
-                                           for pairs, c in out.items()}, m.delta)
+    result = {}
+    for key, c in out.items():
+        orbit = expand(key)
+        c = c * Fraction(1, den * len(orbit))  # den is 1 for formal coefficients
+        for pairs in orbit:
+            result[wrap(PerfectMatching._from_canonical(pairs))] = c
+    return Morphism._normalized(m.r, m.s, result, m.delta)
+
+
+def _symmetry(coeff: dict) -> bool | None:
+    """None unless rotation by one point preserves the map from canonical pairs
+    to coefficients (on most inputs the first term decides), else whether the
+    reflection i -> N + 1 - i preserves it too (the dihedral group)."""
+    first = next(iter(coeff), ())
+    if not first or coeff.get(_turned(first)) != coeff[first] \
+            or any(coeff.get(_turned(pairs)) != c for pairs, c in coeff.items()):
+        return None
+    return all(coeff.get(_turned(pairs, -1, -1)) == c for pairs, c in coeff.items())
+
+
+def _fold(bucket: dict, dihedral: bool) -> dict:
+    """A bucket's canonical pairs summed into their orbit keys (the masses)."""
+    orbits: dict[tuple, object] = {}
+    for pairs, c in bucket.items():
+        if c:
+            key = chord_key(pairs, dihedral)
+            orbits[key] = orbits.get(key, 0) + c
+    return orbits

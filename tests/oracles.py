@@ -8,9 +8,10 @@ rewrite kernel, which ``rewrite_by_definition`` checks),
 ``fake_degree_by_syt``, which sums the package's tableau-walk fake degrees
 where ``fake_degree`` uses the q-hook formula, ``p_to_schur_coeff``, which
 sums the package's ``mn_character`` values where ``schur_expand`` adds
-ribbons, ``orbits_by_rotate``,
-which walks orbits with ``PerfectMatching.rotate`` where ``orbits`` reads
-them off one index permutation, ``gram_by_dot``, which takes dot
+ribbons, ``orbits_by_rotate`` and ``orbit_by_moves``,
+which walk orbits with ``PerfectMatching.rotate`` where ``orbits`` reads
+them off one index permutation and ``chord_key`` reads them off chord
+lengths, ``gram_by_dot``, which takes dot
 products of the package's tensors where ``_flat_gram`` counts loops,
 ``pairwise_ev_norm``, which walks the package's loop products for every
 pair of terms where ``_ev_norm`` walks one matching per symmetry class, and
@@ -486,6 +487,26 @@ def orbits_by_rotate(elements, step: int = 1) -> list:
                 break
         sizes.append(size)
     return sorted(sizes, reverse=True)
+
+
+def orbit_by_moves(pm, reflect: bool = False) -> set:
+    """The orbit of a matching under rotation and, if ``reflect``, the
+    reflection i -> N + 1 - i: the set closed under ``rotate`` and the
+    reflected pairs, built through the validating ``PerfectMatching``."""
+    from brauercat.matchings import PerfectMatching
+
+    end = pm.n_points + 1
+    seen, todo = {pm}, [pm]
+    while todo:
+        x = todo.pop()
+        moves = [x.rotate()]
+        if reflect:
+            moves.append(PerfectMatching(tuple((end - a, end - b) for a, b in x.pairs)))
+        for y in moves:
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
 
 
 def _divisors(n: int) -> list[int]:

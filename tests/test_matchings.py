@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from brauercat.matchings import (Diagram, PerfectMatching, bend, count_fixed_X,
-                                 count_X, crossing_pairs, enumerate_matchings, enumerate_X,
+from brauercat.matchings import (Diagram, PerfectMatching, bend, chord_key, chord_orbit,
+                                 chord_pairs, count_fixed_X, count_X, crossing_pairs,
+                                 enumerate_matchings, enumerate_X,
                                  enumerate_X_blocked, find_mutually_crossing,
                                  iter_set_partitions, orbit_key, orbits, point_blocks,
                                  rotation_cycles, unbend)
@@ -14,7 +15,7 @@ from brauercat.tableaux import count_oscillating, count_strip_walks
 from oracles import (all_matchings, bell, blocked_by_definition, catalan,
                      crossing_count_by_definition, double_factorial,
                      enumerate_X_by_filter, first_k_mutual_crossing,
-                     has_k_mutual_crossing, orbits_by_rotate,
+                     has_k_mutual_crossing, orbit_by_moves, orbits_by_rotate,
                      set_partition_count)
 
 PM = PerfectMatching
@@ -219,6 +220,26 @@ def test_orbits_name_a_witness_outside_the_set():
         inside, outside = re.search(r": (.*) reaches (.*)$", str(exc.value)).groups()
         inside, outside = read_diagram(inside).matching, read_diagram(outside).matching
         assert inside in xs and outside not in xs
+
+
+@pytest.mark.parametrize("dihedral", [False, True])
+def test_chord_key_names_one_orbit(dihedral):
+    # the matchings sharing a key are exactly one orbit of the rotate (and
+    # reflect) walk, the key decodes to a member, and the orbit lister names
+    # each member once
+    for points in range(2, 11, 2):
+        pool = list(enumerate_matchings(points))
+        classes: dict[tuple, set] = {}
+        for pm in pool:
+            classes.setdefault(chord_key(pm.pairs, dihedral), set()).add(pm)
+        for key, members in classes.items():
+            assert members == orbit_by_moves(next(iter(members)), dihedral), key
+            assert PM(chord_pairs(key)).pairs == chord_pairs(key)
+            assert PM(chord_pairs(key)) in members
+            listed = [PM(pairs) for pairs in chord_orbit(key, dihedral)]
+            assert len(listed) == len(members) and set(listed) == members
+        if not dihedral:
+            assert sorted(map(len, classes.values()), reverse=True) == orbits_by_rotate(pool)
 
 
 def test_blocked_figure_instance():

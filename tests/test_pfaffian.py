@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from brauercat.pfaffian import (PfGenerator, _rewrite_pairs, find_violation,
 from brauercat.scalars import DeltaPoly
 from oracles import (all_matchings, crossing_count_by_definition, double_factorial,
                      enumerate_pf_generators, first_k_mutual_crossing,
-                     normal_form_rescan, rewrite_by_definition)
+                     normal_form_rescan, orbit_by_moves, rewrite_by_definition)
+
+PFAFFIAN = sys.modules["brauercat.pfaffian"]  # the package exports a function of that name
 
 PM = PerfectMatching
 
@@ -212,20 +215,106 @@ def _rotated(m):
                              for d, c in m.terms.items()}, m.delta)
 
 
-@pytest.mark.parametrize("formal", [False, True])
-@pytest.mark.parametrize("points, n", [(8, 1), (10, 2), (12, 2)])
-def test_normal_form_commutes_with_rotation(points, n, formal):
-    # rotation permutes the Pfaffian generators and the (n+1)-noncrossing
-    # diagrams, and the normal form is unique, so nf(rot m) = rot(nf(m))
+def _reflected(m):
+    end = m.s + 1
+    return Morphism(0, m.s, {flat(tuple((end - a, end - b) for a, b in d.matching.pairs)): c
+                             for d, c in m.terms.items()}, m.delta)
+
+
+def _check_commutes(move, points, n, formal):
+    # rotation and reflection permute the Pfaffian generators and the
+    # (n+1)-noncrossing diagrams, and the normal form is unique, so
+    # nf(g m) = g nf(m)
     rng = random.Random(points * 10 + n)
     delta = None if formal else Fraction(-2 * n)
     inputs = []
     for _ in range(12):
         ends = rng.sample(range(1, points + 1), points)
         inputs.append(PM(tuple(zip(ends[::2], ends[1::2]))))
-    if points == 10:  # fully crossing, so rotation fixes it and must fix its normal form
+    if points == 10:  # fully crossing, so the move fixes it and must fix its normal form
         inputs.append(PM(tuple((i, i + 5) for i in range(1, 6))))
     for i, pm in enumerate(inputs):
         coeff = DeltaPoly((i - 2, 1)) if formal else Fraction(i + 1, 3)
         m = Morphism.from_diagram(Diagram(0, points, pm), delta, coeff)
-        assert normal_form(_rotated(m), n) == _rotated(normal_form(m, n)), pm
+        assert normal_form(move(m), n) == move(normal_form(m, n)), pm
+
+
+@pytest.mark.parametrize("formal", [False, True])
+@pytest.mark.parametrize("points, n", [(8, 1), (10, 2), (12, 2)])
+def test_normal_form_commutes_with_rotation(points, n, formal):
+    _check_commutes(_rotated, points, n, formal)
+
+
+@pytest.mark.parametrize("formal", [False, True])
+@pytest.mark.parametrize("points, n", [(8, 1), (10, 2), (12, 2)])
+def test_normal_form_commutes_with_reflection(points, n, formal):
+    _check_commutes(_reflected, points, n, formal)
+
+
+def _orbit_sum(points, seed, count, dihedral, delta=Fraction(-4)):
+    """The sum over ``count`` seeded orbits of matchings of ``points`` points,
+    a distinct coefficient per orbit (formal ones when delta is None)."""
+    rng = random.Random(seed)
+    pool = list(enumerate_matchings(points))
+    terms, i = {}, 0
+    while i < count:
+        orbit = orbit_by_moves(rng.choice(pool), dihedral)
+        if not dihedral and orbit_by_moves(next(iter(orbit)), True) == orbit:
+            continue  # a rotation-only input needs orbits that reflection moves
+        if any(flat(x.pairs) in terms for x in orbit):
+            continue
+        i += 1
+        coeff = DeltaPoly((i, -1)) if delta is None else Fraction(i, 3)
+        terms.update({flat(x.pairs): coeff for x in orbit})
+    return Morphism(0, points, terms, delta)
+
+
+def _symmetry_of(m):
+    return PFAFFIAN._symmetry({bend(d).matching.pairs: c for d, c in m.terms.items()})
+
+
+@pytest.mark.parametrize("points, n, seed, count, dihedral, delta", [
+    (8, 1, 1, 3, True, Fraction(-2)), (8, 2, 2, 4, True, Fraction(-4)),
+    (8, 1, 3, 2, False, Fraction(-2)), (8, 2, 4, 2, False, Fraction(-4)),
+    (8, 2, 5, 3, True, None), (8, 1, 6, 2, False, None)])
+def test_orbit_route_matches_plain_route_and_rescan(points, n, seed, count, dihedral, delta):
+    m = _orbit_sum(points, seed, count, dihedral, delta)
+    assert _symmetry_of(m) is dihedral
+    reduced = normal_form(m, n)
+    assert reduced == normal_form(m, n, []) == normal_form_rescan(m, n)
+    # one coefficient changed breaks the symmetry, so the plain route is taken
+    d = min(m.terms)
+    changed = m + Morphism.from_diagram(d, delta, 1)
+    assert _symmetry_of(changed) is None
+    assert normal_form(changed, n) == normal_form_rescan(changed, n)
+
+
+def test_orbit_route_on_ten_points_matches_plain_route():
+    for seed, dihedral in ((7, True), (8, False)):
+        m = _orbit_sum(10, seed, 4, dihedral)
+        assert _symmetry_of(m) is dihedral
+        assert normal_form(m, 2) == normal_form(m, 2, [])
+
+
+def test_bent_orbit_route_matches_rescan_oracle():
+    m = _orbit_sum(8, 9, 3, True, Fraction(-4))
+    want = normal_form_rescan(m, 2)
+    r, s = 3, 5
+    bent = Morphism(r, s, {unbend(d, r, s): c for d, c in m.terms.items()}, m.delta)
+    assert _symmetry_of(bent) is True
+    assert normal_form(bent, 2) == Morphism(r, s, {unbend(d, r, s): c
+                                                   for d, c in want.terms.items()}, m.delta)
+
+
+def test_orbit_route_rewrites_one_representative_per_orbit(monkeypatch):
+    rewrites = []
+    rewrite = PFAFFIAN._rewrite_pairs
+    monkeypatch.setattr(PFAFFIAN, "_rewrite_pairs",
+                        lambda pairs, *rest: rewrites.append(pairs) or rewrite(pairs, *rest))
+    m = Morphism.from_diagram(flat(tuple((i, i + 5) for i in range(1, 6))), Fraction(-4))
+    steps = []
+    plain = normal_form(m, 2, steps)
+    assert len(steps) == len(rewrites) == 150
+    rewrites.clear()
+    assert normal_form(m, 2) == plain
+    assert 0 < len(rewrites) <= 30
