@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matchings import Diagram, PerfectMatching, enumerate_matchings, orbit_key, point_blocks
-from .scalars import DeltaPoly, as_scalar, integer_terms, loop_factor
+from .scalars import DeltaPoly, as_scalar, integer_terms
 
 
 def compose_diagrams(x: Diagram, y: Diagram) -> tuple[int, Diagram]:
@@ -201,9 +201,7 @@ class Morphism:
                 f"cannot compose shapes ({self.r},{self.s}) and ({other.r},{other.s})")
         (xs, lx), (ys, ly) = self._integer_terms(), other._integer_terms()
         r, s, t = self.r, self.s, other.s
-        h = s // 2  # a closed loop passes at least two glue points
-        p, q = (None, 1) if self.delta is None else self.delta.as_integer_ratio()
-        weights = [DeltaPoly.delta(k) if p is None else p ** k * q ** (h - k) for k in range(h + 1)]
+        weights, qh = self._loop_weights(s // 2)  # a closed loop passes two glue points or more
         ys = [(dy.matching.involution(), cy) for dy, cy in ys]
         acc: dict[tuple, object] = {}
         for dx, cx in xs:
@@ -211,9 +209,9 @@ class Morphism:
             for my, cy in ys:
                 loops, pairs = _glue(mx, my, r, s, t)
                 acc[pairs] = acc.get(pairs, 0) + cx * cy * weights[loops]
-        den = lx * ly * q ** h
+        den = lx * ly * qh
         return Morphism._normalized(r, t, {Diagram(r, t, PerfectMatching._from_canonical(pairs)):
-                                           a if p is None else Fraction(a, den)
+                                           a if self.delta is None else Fraction(a, den)
                                            for pairs, a in acc.items()}, self.delta)
 
     def _integer_terms(self):
@@ -222,6 +220,14 @@ class Morphism:
         if self.delta is None:
             return self.terms.items(), 1
         return integer_terms(self.terms)
+
+    def _loop_weights(self, h: int):
+        """(weights, q^h) for up to h closed loops: k loops weigh d^k over 1 when
+        formal, and p^k * q^(h-k) over q^h at delta = p/q."""
+        if self.delta is None:
+            return [DeltaPoly.delta(k) for k in range(h + 1)], 1
+        p, q = self.delta.as_integer_ratio()
+        return [p ** k * q ** (h - k) for k in range(h + 1)], q ** h
 
     def __matmul__(self, other):
         if not isinstance(other, Morphism):
@@ -235,16 +241,13 @@ class Morphism:
         return Morphism._normalized(self.r + other.r, self.s + other.s, terms, self.delta)
 
     def trace(self):
-        """Diagrammatic closure: sum of coeff * delta^loops over the terms, at
-        delta = p/q in integers as in ``__mul__``."""
+        """Diagrammatic closure: sum of coeff * delta^loops over the terms, in
+        integers and loop weights as in ``__mul__``."""
         if self.r != self.s:
             raise ValueError(f"trace needs a square shape, got ({self.r},{self.s})")
-        if self.delta is None:
-            return sum((c * loop_factor(closure_loops(d), None) for d, c in self.terms.items()),
-                       as_scalar(0, None))
-        (terms, den), (p, q), h = integer_terms(self.terms), self.delta.as_integer_ratio(), self.r
-        weights = [p ** k * q ** (h - k) for k in range(h + 1)]  # r strands close r loops at most
-        return Fraction(sum(c * weights[closure_loops(d)] for d, c in terms), den * q ** h)
+        (terms, den), (weights, qh) = self._integer_terms(), self._loop_weights(self.r)
+        total = sum(c * weights[closure_loops(d)] for d, c in terms)  # r loops at most
+        return as_scalar(total, None) if self.delta is None else Fraction(total, den * qh)
 
     def __eq__(self, other):
         if not isinstance(other, Morphism):

@@ -283,25 +283,32 @@ def _shape_text(shape) -> str:
 
 
 def shape_of(node, strands: int | None, n: int | None = None):
-    """Scalar shape is None; morphisms carry (r, s).  Checks arities, and
-    the Pf literals against the rank n."""
+    """(shape, price) of an expression, in one walk that checks arities and the
+    Pf literals against the rank n.  A scalar's shape is None; a morphism's is
+    (r, s).  The price bounds the terms the expression builds: (2m-1)!! for E(m),
+    (2n+1)!! for Pf, 3 for R_i(k), 1 for other atoms; a sum adds its operands'
+    prices, a product multiplies them."""
     if isinstance(node, Num):
-        return None
+        return None, 1
     if isinstance(node, Diag):
-        return (node.diagram.r, node.diagram.s)
+        return (node.diagram.r, node.diagram.s), 1
     if isinstance(node, Name):
         if node.kind == "Pf":
-            return (0, _pf_generator(node, n).points)
+            return (0, _pf_generator(node, n).points), math.prod(range(1, 2 * n + 2, 2))
         m = _strands_of(node, strands)
         if node.kind in ("u", "s", "R") and not 1 <= node.index <= m - 1:
             raise ExprError(f"subscript of {node.kind}_{node.index} out of range for {m} strands",
                             node.pos)
-        return (m, m)
+        price = {"E": math.prod(range(1, 2 * m, 2)), "R": 3}.get(node.kind, 1)
+        return (m, m), price
     if isinstance(node, Chain):
-        shape = shape_of(node.first, strands, n)
+        shape, price = shape_of(node.first, strands, n)
+        prices = [price]
         for op, pos, operand in node.rest:
-            shape = _combine(op, shape, shape_of(operand, strands, n), pos)
-        return shape
+            right, price = shape_of(operand, strands, n)
+            shape = _combine(op, shape, right, pos)
+            prices.append(price)
+        return shape, sum(prices) if node.rest[0][0] in ("+", "-") else math.prod(prices)
     raise ExprError("malformed expression", getattr(node, "pos", 0))
 
 
@@ -346,24 +353,13 @@ def evaluate(node, delta=None, strands: int | None = None, n: int | None = None)
     """
     if strands is None:
         strands = infer_strands(node)
-    shape_of(node, strands, n)  # arity and Pf checks before any evaluation
-    if (terms := _terms(node, n)) > _TERM_BUDGET:
+    # arities, Pf literals and the price, all checked before any evaluation
+    if (terms := shape_of(node, strands, n)[1]) > _TERM_BUDGET:
         raise ValueError(f"the expression builds up to {terms} terms, over the budget of "
                          f"{_TERM_BUDGET}")
     if delta is None:
         delta = _implied_delta(node)
     return _eval(node, delta, strands, n)
-
-
-def _terms(node, n: int | None) -> int:
-    """A bound on the terms an expression builds: (2m-1)!! for E(m), (2n+1)!! for Pf, 3 for
-    R_i(k), 1 for other atoms; a sum adds its operands' bounds, a product multiplies them."""
-    if isinstance(node, Chain):
-        counts = [_terms(node.first, n)] + [_terms(x, n) for *_, x in node.rest]
-        return sum(counts) if node.rest[0][0] in ("+", "-") else math.prod(counts)
-    if isinstance(node, Name) and node.kind in ("E", "Pf"):
-        return math.prod(range(1, 2 * (node.index if node.kind == "E" else n + 1), 2))
-    return 3 if isinstance(node, Name) and node.kind == "R" else 1
 
 
 def _implied_delta(node) -> Fraction | None:

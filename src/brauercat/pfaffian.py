@@ -196,8 +196,7 @@ def _symmetry(coeff: dict) -> bool | None:
     to coefficients (on most inputs the first term decides), else whether the
     reflection i -> N + 1 - i preserves it too (the dihedral group)."""
     first = next(iter(coeff), ())
-    if not first or coeff.get(_turned(first)) != coeff[first] \
-            or any(coeff.get(_turned(pairs)) != c for pairs, c in coeff.items()):
+    if not first or any(coeff.get(_turned(pairs)) != c for pairs, c in coeff.items()):
         return None
     return all(coeff.get(_turned(pairs, -1, -1)) == c for pairs, c in coeff.items())
 

@@ -50,12 +50,6 @@ class QPolynomial:
     def coefficient(self, exponent: int):
         return self.coeffs[exponent] if 0 <= exponent < len(self.coeffs) else 0
 
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def reduce_mod_cyclic(self, n: int) -> QPolynomial:
         """Remainder modulo q^n - 1: fold exponents mod n."""
         if n < 1:

@@ -1,8 +1,7 @@
 """Exact coefficient scalars: polynomials in the loop parameter d.
 
 Morphism coefficients are either DeltaPoly (formal loop parameter) or
-plain Fraction (after specializing d to a rational number).  Specialization
-is a ring homomorphism.
+plain Fraction (after specializing d to a rational number).
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ class DeltaPoly:
     @classmethod
     def delta(cls, power: int = 1) -> DeltaPoly:
         return cls(QPolynomial.monomial(power))
-
-    def evaluate(self, x) -> Fraction:
-        return Fraction(self.poly.evaluate(Fraction(x)))
 
     def _apply(self, op, other):
         """DeltaPoly(op(self.poly, other)) for a DeltaPoly, int or Fraction other."""
@@ -97,11 +93,6 @@ def as_scalar(value, delta: Fraction | None):
     if isinstance(value, DeltaPoly):
         raise TypeError("formal coefficient in a specialized morphism")
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def loop_factor(loops: int, delta: Fraction | None):
-    """The scalar contributed by ``loops`` closed loops."""
-    return DeltaPoly.delta(loops) if delta is None else delta ** loops
 
 
 def integer_terms(coeffs) -> tuple[list, int]:

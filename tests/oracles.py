@@ -44,6 +44,11 @@ command runs, also live here and use the package's types:
   the linear combinations that tests expect.
 - ``enumerate_pf_generators`` lists every kernel generator on a boundary
   (criterion 4).
+- ``loop_factor``, the scalar d^k or delta^k of k closed loops, which
+  ``compose_by_definition`` and the trace tests multiply by where
+  ``Morphism`` weighs loops by one integer table, and ``evaluate``, a
+  ``QPolynomial`` or ``DeltaPoly`` at a rational point (the specialization
+  of the loop parameter, a ring homomorphism).
 - ``orbit_multiplicities``, which runs the package's ``csp._peel`` that
   ``verify_csp`` uses, and ``is_cyclic_sieving_polynomial`` (criterion 8b).
 - ``strip_moves_by_definition``, one step of the strip walk by filtering
@@ -283,13 +288,31 @@ def closure_loops_by_union_find(pairs, m: int) -> int:
     return len({find(p) for p in range(1, 2 * m + 1)})
 
 
+def loop_factor(loops: int, delta):
+    """The scalar of ``loops`` closed loops: d^loops when formal (delta None),
+    else delta^loops."""
+    from brauercat.scalars import DeltaPoly
+
+    return DeltaPoly.delta(loops) if delta is None else delta ** loops
+
+
+def evaluate(p, x) -> Fraction:
+    """A QPolynomial in q, or a DeltaPoly in the loop parameter, at x by
+    Horner's rule: the specialization of the loop parameter, or q = x."""
+    from brauercat.scalars import DeltaPoly
+
+    acc = Fraction(0)
+    for c in reversed((p.poly if isinstance(p, DeltaPoly) else p).coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def compose_by_definition(x, y):
     """The product x * y term by term: the sum over all pairs of
     cx * cy * loop_factor(loops), in Fraction or DeltaPoly arithmetic, each
     pair glued by ``glue_by_union_find``."""
     from brauercat.category import Morphism
     from brauercat.matchings import Diagram, PerfectMatching
-    from brauercat.scalars import loop_factor
 
     terms = {}
     for dx, cx in x.terms.items():

@@ -12,9 +12,9 @@ from brauercat.cli import _is_idempotent
 from brauercat.expr import parse_morphism
 from brauercat.matchings import Diagram, PerfectMatching, enumerate_matchings, unbend
 from brauercat.pfaffian import PfGenerator, find_violation, normal_form, pfaffian, rewrite_step
-from brauercat.scalars import DeltaPoly, as_scalar, loop_factor
+from brauercat.scalars import DeltaPoly, as_scalar
 from oracles import (check_eq_ch_by_definition, closure_loops_by_union_find,
-                     compose_by_definition, glue_by_union_find)
+                     compose_by_definition, evaluate, glue_by_union_find, loop_factor)
 
 D = DeltaPoly.delta()
 
@@ -266,9 +266,27 @@ def test_trace_of_e():
     assert e_sum(2).trace() == 0
 
 
+@pytest.mark.parametrize("delta", (None, Fraction(7, 3), Fraction(-1, 2), Fraction(-4)), ids=str)
+def test_trace_of_a_product_is_cyclic(delta):
+    # tr(x y) = tr(y x) ties the product's loop weights, over q^(m/2), to the trace's, over q^m
+    rng = random.Random(f"cyclic trace {delta}")
+    for m in (2, 3):
+        for _ in range(8):
+            x, y = _random_morphism(rng, m, m, delta), _random_morphism(rng, m, m, delta)
+            assert (x * y).trace() == (y * x).trace(), (x, y)
+
+
+def test_trace_of_zero_stays_in_its_ring():
+    formal = Morphism.zero(2, 2).trace()
+    assert formal == 0 and type(formal) is DeltaPoly
+    for delta in (Fraction(-4), Fraction(7, 3)):
+        got = Morphism.zero(2, 2, delta).trace()
+        assert got == 0 and type(got) is Fraction
+
+
 def specialize(m, delta0):
     """The formal morphism m with its loop parameter evaluated at delta0."""
-    return Morphism(m.r, m.s, {d: c.evaluate(delta0) for d, c in m.terms.items()}, delta0)
+    return Morphism(m.r, m.s, {d: evaluate(c, delta0) for d, c in m.terms.items()}, delta0)
 
 
 def test_specialize_commutes_with_composition():

@@ -2,17 +2,20 @@
 
 Every top-level function and class, and every method whose name is not a
 dunder, defined in ``src/brauercat`` (``__init__`` aside) must be referred to
-from ``src/brauercat`` outside ``__init__``, or from ``perfbench/*.py``.  A
-reference from ``tests/`` alone does not count: a route only tests run
-belongs in ``tests/oracles.py`` or beside its test.  Three rules say what a
-reference is:
+from ``src/brauercat`` outside ``__init__``, from ``perfbench/*.py``, or be
+wrapped by the tracer.  A reference from ``tests/`` alone does not count: a
+route only tests run belongs in ``tests/oracles.py`` or beside its test.
+Three rules say what a reference is:
 
-- An identifier string counts only in ``perfbench/*.py``, where the tracer
-  names attributes by string (``method(cls, "rotate", ...)``); a label
-  string in the package, such as ``"kronecker"``, does not.
+- No string counts, so a label string such as ``"kronecker"`` does not.  The
+  tracer names the attributes it wraps by string (``method(cls, "rotate",
+  ...)``), so those are read off the live package instead:
+  ``perfbench/tracing.Tracer`` is installed in a subprocess, and every
+  package function or method whose live attribute it replaces by a wrapper
+  (one with ``__wrapped__``) counts as used.
 - A function or class counts through a ``Name`` or an ``Attribute``; a method
-  only through an ``Attribute`` (or a perfbench string), so a local variable
-  that shares its name does not count.
+  only through an ``Attribute``, so a local variable that shares its name
+  does not count.
 - A reference inside the definition's own body (a recursive call, a class
   naming itself in its methods) does not count.
 
@@ -26,6 +29,10 @@ the tracer does not wrap it.
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -55,33 +62,67 @@ def _definitions(module: str, tree: ast.Module):
                     yield f"{module}.{node.name}.{item.name}", item, True
 
 
-def _references(tree: ast.AST, strings: bool) -> Counter:
-    """Counts of ("name", id) for names read, ("attr", attr) for attributes
-    taken and, if ``strings``, ("str", value) for identifier strings."""
+def _references(tree: ast.AST) -> Counter:
+    """Counts of ("name", id) for names read and ("attr", attr) for attributes taken."""
     refs = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs["name", node.id] += 1
         elif isinstance(node, ast.Attribute):
             refs["attr", node.attr] += 1
-        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
-            refs["str", node.value] += 1
     return refs
 
 
-def _unused(package: dict[str, ast.Module], perfbench: list[ast.Module]) -> list[str]:
+# Installs the tracer on the imported package and prints, as a JSON list, the
+# module-qualified names of the definitions whose live attribute it replaced
+# by a wrapper.  A functools.cache table has __wrapped__ of its own, so only
+# attributes that changed count.
+_WRAPPED_SCRIPT = """
+import importlib, json, sys
+from tracing import Tracer
+
+modules = [importlib.import_module("brauercat." + stem) for stem in sys.argv[1:]]
+
+def live():
+    out = {}
+    for module in modules:
+        for attr, value in vars(module).items():
+            out[module, attr] = value
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                out.update(((value, name), v) for name, v in vars(value).items())
+    return out
+
+before = live()
+tracer = Tracer()
+tracer.install()
+after = live()
+tracer.uninstall()
+print(json.dumps(sorted({
+    v.__wrapped__.__module__.removeprefix("brauercat.") + "." + v.__wrapped__.__qualname__
+    for key, v in after.items() if v is not before[key] and hasattr(v, "__wrapped__")})))
+"""
+
+
+def _wrapped(stems) -> set[str]:
+    """The package definitions that ``perfbench/tracing.Tracer`` wraps."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)]))
+    out = subprocess.run([sys.executable, "-c", _WRAPPED_SCRIPT, *stems], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return set(json.loads(out))
+
+
+def _unused(package: dict[str, ast.Module], perfbench: list[ast.Module],
+            wrapped: set[str]) -> list[str]:
     """The definitions of the ``package`` modules that no reference outside
-    their own body reaches, allowances aside."""
-    used = sum((_references(tree, False) for tree in package.values()), Counter())
-    used += sum((_references(tree, True) for tree in perfbench), Counter())
+    their own body reaches and the tracer does not wrap, allowances aside."""
+    used = sum((_references(tree) for tree in [*package.values(), *perfbench]), Counter())
     unused = []
     for module, tree in package.items():
         for name, node, is_method in _definitions(module, tree):
-            outside = used - _references(node, False)
-            kinds = ("attr", "str") if is_method else ("name", "attr", "str")
-            if (not any(outside[kind, node.name] for kind in kinds) and name not in ALLOWED
-                    and not name.startswith(tuple(ALLOWED_PREFIXES))):
+            outside = used - _references(node)
+            kinds = ("attr",) if is_method else ("name", "attr")
+            if (not any(outside[kind, node.name] for kind in kinds) and name not in wrapped
+                    and name not in ALLOWED and not name.startswith(tuple(ALLOWED_PREFIXES))):
                 unused.append(name)
     return unused
 
@@ -90,9 +131,10 @@ def test_every_package_definition_is_used_outside_tests():
     package = {path.stem: ast.parse(path.read_text(), str(path))
                for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
     perfbench = [ast.parse(path.read_text(), str(path)) for path in sorted(PERFBENCH.glob("*.py"))]
-    unused = _unused(package, perfbench)
+    unused = _unused(package, perfbench, _wrapped(package))
     assert not unused, ("defined in src/brauercat, referred to by no package module "
-                        "and no perfbench script: " + ", ".join(unused))
+                        "and no perfbench script, and not wrapped by the tracer: "
+                        + ", ".join(unused))
     # each allowance still names something defined, so none outlives its reason
     names = [name for module, tree in package.items() for name, _, _ in _definitions(module, tree)]
     assert set(ALLOWED) <= set(names)
@@ -115,10 +157,10 @@ def test_guard_rules_on_small_modules():
         "    check('labelled')\n"
         "    return length, called(), Walk().steps()\n")
     tracer = ast.parse("import cli\nmethod(cli.Walk, 'rotate', 'lib.Walk.rotate')\ncli.main(1)\n")
-    # a label string in the package, a bare variable sharing a method's name
-    # and a function's own recursive call are not references
-    assert _unused({"lib": lib, "cli": cli}, [tracer]) == [
-        "lib.labelled", "lib.recursive", "lib.Walk.length"]
-    # a perfbench string is: without the tracer's "rotate", Walk.rotate is unused
-    assert _unused({"lib": lib, "cli": cli}, [ast.parse("import cli\ncli.main(1)\n")]) == [
+    # a label string in the package, a bare variable sharing a method's name,
+    # a function's own recursive call and a tracer string are not references
+    assert _unused({"lib": lib, "cli": cli}, [tracer], set()) == [
         "lib.labelled", "lib.recursive", "lib.Walk.length", "lib.Walk.rotate"]
+    # a definition the tracer wraps is used
+    assert _unused({"lib": lib, "cli": cli}, [tracer], {"lib.Walk.rotate"}) == [
+        "lib.labelled", "lib.recursive", "lib.Walk.length"]
