@@ -9,10 +9,10 @@ exact rationals at a fixed specialization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .matchings import Diagram, PerfectMatching, enumerate_matchings, orbit_key, point_blocks
+from .record import Record
 from .scalars import DeltaPoly, as_scalar, integer_terms
 
 
@@ -365,11 +365,9 @@ def e_rec(n: int, delta="auto") -> Morphism:
     return e
 
 
-@dataclass(frozen=True)
-class CentralityReport:
-    passed: bool
-    witness: Diagram | None = None
-    detail: str = ""
+class CentralityReport(Record):
+    __slots__ = __match_args__ = ("passed", "witness", "detail")
+    _defaults = (None, "")
 
 
 def check_eq_ch(e: Morphism, n: int) -> CentralityReport:

@@ -10,39 +10,29 @@ cyclotomic points is available as a cross-check.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
 from .matchings import count_fixed_X, count_X, orbits
 from .qpoly import QPolynomial, cyclotomic, polynomial_mod
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CspInstance:
+class CspInstance(Record):
     """Finite set with a rotation of the stated order and a candidate polynomial."""
 
-    elements: tuple
-    step: int
-    order: int
-    poly: QPolynomial
+    __slots__ = __match_args__ = ("elements", "step", "order", "poly")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, elements: tuple, step: int, order: int, poly: QPolynomial):
+        super().__init__(elements, step, order, poly)
+        if order < 1:
             raise ValueError("rotation order must be positive")
 
 
-@dataclass(frozen=True)
-class CspCertificate:
-    passed: bool
-    size: int
-    order: int
-    orbit_counts: dict[int, int]  # orbit size -> number of orbits, sizes descending
-    poly: QPolynomial
-    poly_reduced: QPolynomial
-    orbit_poly: QPolynomial
-    fixed_counts: tuple[int, ...]
-    failure_divisor: int | None = None
-    message: str = ""
+class CspCertificate(Record):
+    # orbit_counts maps orbit size to the number of orbits, sizes descending
+    __slots__ = __match_args__ = ("passed", "size", "order", "orbit_counts", "poly", "poly_reduced",
+                                  "orbit_poly", "fixed_counts", "failure_divisor", "message")
+    _defaults = (None, "")
 
     def lines(self) -> list[str]:
         out = [

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from .category import Morphism, e_sum, generator_s, generator_u, r_element
 from .matchings import Diagram, PerfectMatching, unbend
 from .pfaffian import PfGenerator, pfaffian
+from .record import Record
 
 
 class ExprError(ValueError):
@@ -74,32 +74,24 @@ def tokenize(text: str) -> list[Token]:
     return out
 
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
-    pos: int
+class Num(Record):
+    __slots__ = __match_args__ = ("value", "pos")
 
 
-@dataclass(frozen=True)
-class Diag:
-    diagram: Diagram
-    pos: int
+class Diag(Record):
+    __slots__ = __match_args__ = ("diagram", "pos")
 
 
-@dataclass(frozen=True)
-class Name:
-    kind: str           # "u", "s", "id", "E", "R", "Pf"
-    index: int | None   # subscript for u/s/R, strand count for id
-    arg: object = None  # k for R(k), argument pairs for Pf
-    pos: int = 0
+class Name(Record):
+    """``kind`` u/s/id/E/R/Pf; ``index`` its subscript (id: strands); ``arg`` R's k, Pf's pairs."""
+    __slots__ = __match_args__ = ("kind", "index", "arg", "pos")
+    _defaults = (None, 0)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """Operands joined by the operators of one precedence level, folded left
     to right: ``first`` then each (op, op position, operand) of ``rest``."""
-    first: object
-    rest: tuple
+    __slots__ = __match_args__ = ("first", "rest")
 
 
 _LEVELS = (("+", "-"), ("x",), ("o", "*"))  # loosest first
@@ -216,32 +208,32 @@ class _Parser:
         if base in ("u", "s"):
             if index is None:
                 raise ExprError(f"{base} needs a subscript like {base}_1", tok.pos)
-            return Name(base, index, pos=tok.pos)
+            return Name(base, index, None, tok.pos)
         if base == "id":
             if index is None and self.peek().kind == "(":
                 self.next()
                 index = self.integer("k in id(k)")
                 self.expect(")")
-            return Name("id", index, pos=tok.pos)
+            return Name("id", index, None, tok.pos)
         if base == "E":
             self.expect("(")
             m = self.integer("m in E(m)")
             self.expect(")")
             if m < 2:
                 raise ExprError(f"E(m) needs m >= 2 strands, got E({m})", tok.pos)
-            return Name("E", m, pos=tok.pos)
+            return Name("E", m, None, tok.pos)
         if base == "R":
             if index is None:
                 raise ExprError("R needs a subscript like R_1(0)", tok.pos)
             self.expect("(")
             k = self.integer("k in R_i(k)")
             self.expect(")")
-            return Name("R", index, arg=k, pos=tok.pos)
+            return Name("R", index, k, tok.pos)
         if base == "Pf":
             self.expect("(")
             pairs = self.pairs()
             self.expect(")")
-            return Name("Pf", None, arg=pairs, pos=tok.pos)
+            return Name("Pf", None, pairs, tok.pos)
         raise ExprError(f"unknown name {text!r}", tok.pos)
 
 

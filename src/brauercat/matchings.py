@@ -12,26 +12,27 @@ Two strands (a1, b1), (a2, b2) cross when a1 < a2 < b1 < b2; a matching is
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from functools import total_ordering
 from math import gcd
 from typing import Iterable, Iterator
 
+from .record import Record
 from .tableaux import count_strip_walks
 
 
-@dataclass(frozen=True, order=True)
-class PerfectMatching:
+@total_ordering
+class PerfectMatching(Record):
     """A fixed-point-free involution of {1, ..., 2m}, canonically stored."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = __match_args__ = ("pairs",)
 
-    def __post_init__(self):
-        canonical = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairs))
-        object.__setattr__(self, "pairs", canonical)
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        canonical = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
         seen = [p for pair in canonical for p in pair]
         m = len(canonical)
         if sorted(seen) != list(range(1, 2 * m + 1)):
             raise ValueError(f"pairs do not form a perfect matching of 1..{2 * m}: {canonical}")
+        object.__setattr__(self, "pairs", canonical)
 
     @classmethod
     def _from_canonical(cls, pairs: tuple[tuple[int, int], ...]) -> PerfectMatching:
@@ -41,6 +42,15 @@ class PerfectMatching:
         out = cls.__new__(cls)
         object.__setattr__(out, "pairs", pairs)
         return out
+
+    def __eq__(self, other):
+        return self.pairs == other.pairs if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.pairs,))
+
+    def __lt__(self, other):
+        return self.pairs < other.pairs if type(other) is type(self) else NotImplemented
 
     @property
     def n_points(self) -> int:
@@ -395,20 +405,31 @@ def orbit_key(pairs, labels) -> tuple:
     return tuple(sorted((u, v) if u <= v else (v, u) for u, v in ends))
 
 
-@dataclass(frozen=True, order=True)
-class Diagram:
+@total_ordering
+class Diagram(Record):
     """A Brauer diagram of shape (r, s): a matching of r top and s bottom points."""
 
-    r: int
-    s: int
-    matching: PerfectMatching
+    __slots__ = __match_args__ = ("r", "s", "matching")
 
-    def __post_init__(self):
-        if self.r < 0 or self.s < 0:
-            raise ValueError(f"negative shape ({self.r}, {self.s})")
-        if self.matching.n_points != self.r + self.s:
-            raise ValueError(
-                f"matching covers {self.matching.n_points} points, shape needs {self.r + self.s}")
+    def __init__(self, r: int, s: int, matching: PerfectMatching):
+        if r < 0 or s < 0:
+            raise ValueError(f"negative shape ({r}, {s})")
+        if matching.n_points != r + s:
+            raise ValueError(f"matching covers {matching.n_points} points, shape needs {r + s}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "matching", matching)
+
+    def __eq__(self, other):
+        return (self.r, self.s, self.matching) == (other.r, other.s, other.matching) \
+            if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.r, self.s, self.matching))
+
+    def __lt__(self, other):
+        return (self.r, self.s, self.matching.pairs) < (other.r, other.s, other.matching.pairs) \
+            if type(other) is type(self) else NotImplemented
 
     @classmethod
     def identity(cls, m: int) -> Diagram:

@@ -40,6 +40,7 @@ def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
 
 
+@cache
 def z_order(lam: tuple[int, ...]) -> int:
     """Centralizer order of the cycle type: product of i^m_i * m_i!."""
     z = 1

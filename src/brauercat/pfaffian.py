@@ -11,7 +11,6 @@ pair tuples (``_rewrite_pairs``); each output term is wrapped in a diagram once.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -19,29 +18,25 @@ from .category import Morphism
 from .matchings import (Diagram, PerfectMatching, chord_key, chord_orbit, chord_pairs,
                         crossing_pairs, find_mutually_crossing, unbend, _bent_matching,
                         _first_mutually_crossing, _matchings_of, _turned)
+from .record import Record
 from .scalars import as_scalar
 
 
-@dataclass(frozen=True)
-class PfGenerator:
+class PfGenerator(Record):
     """A kernel generator: subset S of size 2(n+1) plus a matching f of the rest."""
 
-    n: int
-    points: int
-    subset: tuple[int, ...]
-    rest: tuple[tuple[int, int], ...]
+    __slots__ = __match_args__ = ("n", "points", "subset", "rest")
 
-    def __post_init__(self):
-        object.__setattr__(self, "subset", tuple(sorted(self.subset)))
-        object.__setattr__(self, "rest",
-                           tuple(sorted((min(a, b), max(a, b)) for a, b in self.rest)))
-        if len(self.subset) != 2 * (self.n + 1):
-            raise ValueError(f"subset has {len(self.subset)} points, expected {2 * (self.n + 1)}")
-        covered = set(self.subset)
-        for a, b in self.rest:
-            covered.update((a, b))
-        if len(covered) != self.points or covered != set(range(1, self.points + 1)) \
-                or len(set(self.subset)) + 2 * len(self.rest) != self.points:
+    def __init__(self, n: int, points: int, subset: tuple[int, ...],
+                 rest: tuple[tuple[int, int], ...]):
+        subset = tuple(sorted(subset))
+        rest = tuple(sorted((min(a, b), max(a, b)) for a, b in rest))
+        super().__init__(n, points, subset, rest)
+        if len(subset) != 2 * (n + 1):
+            raise ValueError(f"subset has {len(subset)} points, expected {2 * (n + 1)}")
+        covered = set(subset).union(*rest)
+        if len(covered) != points or covered != set(range(1, points + 1)) \
+                or len(set(subset)) + 2 * len(rest) != points:
             raise ValueError("subset and fixed matching must partition the point set")
 
 

@@ -9,13 +9,13 @@ bounded number of rows.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
 from .partitions import (cells_added, cells_removed, check_partition,
                          format_partition, hooks)
 from .qpoly import QPolynomial
+from .record import Record
 
 
 def enumerate_SYT(shape) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -91,16 +91,16 @@ def fake_degree_schur_hook(shape) -> QPolynomial:
     return QPolynomial([0] * shift + coeffs)
 
 
-@dataclass(frozen=True)
-class OscillatingTableau:
+class OscillatingTableau(Record):
     """A closed partition walk: one cell changes per step, at most n rows."""
 
-    steps: tuple[tuple[int, ...], ...]
+    __slots__ = __match_args__ = ("steps",)
 
-    def __post_init__(self):
-        if len(self.steps) < 1 or self.steps[0] != () or self.steps[-1] != ():
+    def __init__(self, steps: tuple[tuple[int, ...], ...]):
+        super().__init__(steps)
+        if len(steps) < 1 or steps[0] != () or steps[-1] != ():
             raise ValueError("walk must start and end at the empty shape")
-        for a, b in zip(self.steps, self.steps[1:]):
+        for a, b in zip(steps, steps[1:]):
             if abs(sum(a) - sum(b)) != 1 or not (
                     b in set(cells_added(a)) or b in set(cells_removed(a))):
                 raise ValueError(f"consecutive shapes {a} and {b} do not differ by one cell")

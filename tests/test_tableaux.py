@@ -1,3 +1,6 @@
+from collections import Counter
+from math import factorial, prod
+
 import pytest
 
 from brauercat.matchings import enumerate_X
@@ -18,6 +21,15 @@ def test_partition_basics():
     assert z_order((3, 3)) == 18
     assert sorted(hooks((2, 2))) == [1, 2, 2, 3]
     assert len(partitions(12)) == 77
+
+
+def test_z_order_is_the_centralizer_order():
+    """The memoized z_order equals prod over parts i of i^m_i * m_i!, where
+    m_i is the multiplicity of i, on every partition of up to 12."""
+    for m in range(13):
+        for lam in partitions(m):
+            expected = prod(i ** k * factorial(k) for i, k in Counter(lam).items())
+            assert z_order(lam) == z_order(lam) == expected
 
 
 def test_cells_added_matches_filter():
